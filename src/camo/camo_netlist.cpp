@@ -1,5 +1,6 @@
 #include "camo/camo_netlist.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mvf::camo {
@@ -18,7 +19,8 @@ int CamoNetlist::add_cell(Node cell) {
     assert(cell.camo_cell_id >= 0 && cell.camo_cell_id < library_.num_cells());
     assert(static_cast<int>(cell.fanins.size()) ==
            library_.cell(cell.camo_cell_id).num_pins);
-    for (const int f : cell.fanins) assert(f >= 0 && f < num_nodes());
+    assert(std::all_of(cell.fanins.begin(), cell.fanins.end(),
+                       [&](int f) { return f >= 0 && f < num_nodes(); }));
     nodes_.push_back(std::move(cell));
     return num_nodes() - 1;
 }

@@ -112,8 +112,9 @@ ScenarioRecord run_scenario(const Scenario& scenario, int index,
     try {
         const std::vector<ViableFunction> functions =
             scenario_functions(scenario);
-        // Private engine => private synthesis/matching caches: scenario
-        // results cannot depend on what ran before or concurrently.
+        // Private engine => private synthesis caches: scenario results
+        // cannot depend on what ran before or concurrently.  The cell-match
+        // table every engine reads is immutable.
         ObfuscationFlow engine;
         FlowContext ctx(engine, functions, scenario.params);
         if (hooks.cancel) ctx.cancel = *hooks.cancel;

@@ -1,5 +1,6 @@
 #include "flow/merged_spec.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "synth/aig_build.hpp"
@@ -38,10 +39,9 @@ MergedSpec::MergedSpec(std::vector<ViableFunction> functions,
     : functions_(std::move(functions)), assignment_(std::move(assignment)) {
     assert(!functions_.empty());
     assert(assignment_.num_functions() == num_functions());
-    for (const auto& f : functions_) {
-        assert(f.num_inputs == num_inputs());
-        assert(f.num_outputs == num_outputs());
-    }
+    assert(std::all_of(functions_.begin(), functions_.end(), [&](const auto& f) {
+        return f.num_inputs == num_inputs() && f.num_outputs == num_outputs();
+    }));
     assert(assignment_.valid());
 }
 

@@ -9,9 +9,8 @@ namespace mvf::flow {
 
 using logic::TruthTable;
 
-ObfuscationFlow::ObfuscationFlow(tech::GateLibrary library)
-    : match_cache_(library),
-      camo_lib_(camo::CamoLibrary::from_gate_library(library)) {}
+ObfuscationFlow::ObfuscationFlow()
+    : camo_lib_(camo::CamoLibrary::from_gate_library(gate_library())) {}
 
 tech::Netlist ObfuscationFlow::synthesize(const MergedSpec& spec,
                                           synth::Effort effort,
@@ -19,8 +18,8 @@ tech::Netlist ObfuscationFlow::synthesize(const MergedSpec& spec,
                                           BuildStyle style) {
     net::Aig aig = spec.build_aig(style);
     synth::optimize(&aig, synth_ctx_, effort);
-    return tech::tech_map(aig, match_cache_, map_params, spec.pi_names(),
-                          spec.pi_select_flags());
+    return tech::tech_map(aig, tech::MatchCache::standard(), map_params,
+                          spec.pi_names(), spec.pi_select_flags());
 }
 
 tech::Netlist ObfuscationFlow::synthesize_best(

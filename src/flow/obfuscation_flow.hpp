@@ -10,8 +10,9 @@
 // finally   a ModelSim-style validation replaying each per-code dopant
 //           configuration in simulation.
 //
-// One ObfuscationFlow instance owns the memoized synthesis/matching caches
-// and should be reused across experiments.
+// One ObfuscationFlow instance owns the memoized synthesis caches (NPN
+// classes, rewrite structures) and should be reused across experiments;
+// cell matching reads the process-wide tech::MatchCache::standard() table.
 
 #include <cstdint>
 #include <optional>
@@ -159,9 +160,11 @@ struct FlowResult {
 
 class ObfuscationFlow {
 public:
-    explicit ObfuscationFlow(tech::GateLibrary library = tech::GateLibrary::standard());
+    ObfuscationFlow();
 
-    const tech::GateLibrary& gate_library() const { return match_cache_.library(); }
+    const tech::GateLibrary& gate_library() const {
+        return tech::MatchCache::standard().library();
+    }
     const camo::CamoLibrary& camo_library() const { return camo_lib_; }
 
     /// Phase I for a fixed pin assignment: merged AIG -> optimize -> map.
@@ -196,7 +199,6 @@ public:
 
 private:
     synth::SynthContext synth_ctx_;
-    tech::MatchCache match_cache_;
     camo::CamoLibrary camo_lib_;
 };
 

@@ -37,7 +37,7 @@ void ImportStage::run(FlowContext& ctx) {
     const io::ImportedCircuit circuit =
         io::load_circuit(ctx.params.circuit.path);
     tech::Netlist mapped = io::import_netlist(
-        circuit, ctx.flow->gate_library(), ctx.params.map);
+        circuit, tech::MatchCache::standard(), ctx.params.map);
     ctx.result.ga_area = mapped.area();
     ctx.result.synthesized = std::move(mapped);
 }

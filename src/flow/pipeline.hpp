@@ -75,8 +75,8 @@ public:
 };
 
 /// Everything a stage may read or extend.  One context corresponds to one
-/// scenario run; the referenced ObfuscationFlow owns the memoized
-/// synthesis/matching caches and may be shared across sequential runs.
+/// scenario run; the referenced ObfuscationFlow owns the memoized synthesis
+/// caches and may be shared across sequential runs.
 struct FlowContext {
     FlowContext(ObfuscationFlow& engine,
                 const std::vector<ViableFunction>& functions,

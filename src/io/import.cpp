@@ -871,12 +871,12 @@ ImportedCircuit load_circuit(const std::string& path) {
 }
 
 tech::Netlist import_netlist(const ImportedCircuit& circuit,
-                             const tech::GateLibrary& library,
+                             const tech::MatchCache& cache,
                              const tech::TechMapParams& params) {
     // No pin is a select: imported circuits carry no merged-specification
     // structure; every input is an attacker-visible primary input.
     const std::vector<bool> is_select(circuit.input_names.size(), false);
-    return tech::tech_map(circuit.aig, library, params, circuit.input_names,
+    return tech::tech_map(circuit.aig, cache, params, circuit.input_names,
                           is_select);
 }
 

@@ -64,11 +64,11 @@ void write_aiger(const net::Aig& aig, std::ostream& out, bool binary = false);
 /// ParseError when the file cannot be opened or parsed.
 ImportedCircuit load_circuit(const std::string& path);
 
-/// The import-to-flow bridge: technology-maps the circuit onto `library`
-/// (the same mapper the synthesis flow uses), preserving the file's input
-/// names.  The result is what camo::inject camouflages.
+/// The import-to-flow bridge: technology-maps the circuit onto the cache's
+/// library (the same mapper the synthesis flow uses), preserving the file's
+/// input names.  The result is what camo::inject camouflages.
 tech::Netlist import_netlist(const ImportedCircuit& circuit,
-                             const tech::GateLibrary& library,
+                             const tech::MatchCache& cache,
                              const tech::TechMapParams& params = {});
 
 }  // namespace mvf::io

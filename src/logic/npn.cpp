@@ -1,6 +1,7 @@
 #include "logic/npn.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace mvf::logic {
 namespace {
@@ -13,6 +14,25 @@ std::array<std::array<std::uint8_t, 4>, 24> make_permutations() {
         perms[static_cast<std::size_t>(i++)] = p;
     } while (std::next_permutation(p.begin(), p.end()));
     return perms;
+}
+
+// Low cofactor block of each variable in a 16-bit table.
+constexpr std::uint16_t kLow[4] = {0x5555, 0x3333, 0x0f0f, 0x00ff};
+
+// [p][m]: the minterm of f that minterm m of apply(f, {permutations()[p]})
+// reads, y_j = m_{perm[j]}.
+std::array<std::array<std::uint8_t, 16>, 24> permutation_sources() {
+    std::array<std::array<std::uint8_t, 16>, 24> src{};
+    for (std::size_t p = 0; p < 24; ++p) {
+        for (std::uint32_t m = 0; m < 16; ++m) {
+            std::uint32_t y = 0;
+            for (std::uint32_t j = 0; j < 4; ++j) {
+                y |= ((m >> NpnManager::permutations()[p][j]) & 1u) << j;
+            }
+            src[p][m] = static_cast<std::uint8_t>(y);
+        }
+    }
+    return src;
 }
 
 }  // namespace
@@ -44,18 +64,38 @@ std::uint16_t NpnManager::apply(std::uint16_t tt, const NpnTransform& t) {
 const NpnEntry& NpnManager::canonize(std::uint16_t tt) {
     if (computed_[tt]) return table_[tt];
 
+    // apply(tt, {perm, neg, out_neg}) is the permuted table apply(tt, {perm})
+    // with variable perm[j] flipped for every j in neg, complemented when
+    // out_neg.  A flip swaps the variable's cofactor blocks, so each of the
+    // 16 negation masks costs one shift-and-mask step from a mask with one
+    // bit fewer.  Candidates are compared in the order (perm, neg, out_neg)
+    // with a strict `<`, so the first minimal transform wins.
+    static const auto sources = permutation_sources();
     NpnEntry best;
-    best.canon = 0xffff;
-    bool first = true;
-    for (const auto& perm : permutations()) {
-        for (std::uint8_t neg = 0; neg < 16; ++neg) {
+    best.canon = tt;  // the identity transform comes first
+    std::array<std::uint16_t, 16> negated{};
+    for (std::size_t p = 0; p < 24; ++p) {
+        const auto& perm = permutations()[p];
+        std::uint32_t permuted = 0;
+        for (std::uint32_t m = 0; m < 16; ++m) {
+            permuted |= ((tt >> sources[p][m]) & 1u) << m;
+        }
+        negated[0] = static_cast<std::uint16_t>(permuted);
+        for (std::uint32_t neg = 1; neg < 16; ++neg) {
+            const int j = std::countr_zero(neg);
+            const int v = perm[static_cast<std::size_t>(j)];
+            const std::uint32_t t = negated[neg & (neg - 1)];
+            negated[neg] = static_cast<std::uint16_t>(
+                ((t & kLow[v]) << (1 << v)) | ((t >> (1 << v)) & kLow[v]));
+        }
+        for (std::uint32_t neg = 0; neg < 16; ++neg) {
             for (int out_neg = 0; out_neg < 2; ++out_neg) {
-                NpnTransform t{perm, neg, out_neg != 0};
-                const std::uint16_t candidate = apply(tt, t);
-                if (first || candidate < best.canon) {
+                const auto candidate = static_cast<std::uint16_t>(
+                    out_neg ? ~negated[neg] : negated[neg]);
+                if (candidate < best.canon) {
                     best.canon = candidate;
-                    best.transform = t;
-                    first = false;
+                    best.transform = {perm, static_cast<std::uint8_t>(neg),
+                                      out_neg != 0};
                 }
             }
         }

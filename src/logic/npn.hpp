@@ -4,8 +4,8 @@
 // Rewriting classifies every 4-feasible cut by its NPN class so that one
 // precomputed replacement structure per class serves all 768 input/output
 // transform variants.  Canonization is exact (minimum 16-bit table over all
-// 24 permutations x 16 input negations x 2 output negations) and memoized in
-// a flat 2^16 table.
+// 24 permutations x 16 input negations x 2 output negations, the first
+// minimum in that order winning) and memoized in a flat 2^16 table.
 
 #include <array>
 #include <cstdint>

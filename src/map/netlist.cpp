@@ -1,5 +1,8 @@
 #include "map/netlist.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 namespace mvf::tech {
 
 int Netlist::add_pi(std::string name, bool is_select) {
@@ -22,7 +25,8 @@ int Netlist::add_const(bool value) {
 int Netlist::add_cell(int cell_id, std::vector<int> fanins) {
     assert(cell_id >= 0 && cell_id < library_.num_cells());
     assert(static_cast<int>(fanins.size()) == library_.cell(cell_id).num_inputs);
-    for (const int f : fanins) assert(f >= 0 && f < num_nodes());
+    assert(std::all_of(fanins.begin(), fanins.end(),
+                       [&](int f) { return f >= 0 && f < num_nodes(); }));
     Node n;
     n.kind = NodeKind::kCell;
     n.cell_id = cell_id;

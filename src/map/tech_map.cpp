@@ -1,9 +1,12 @@
 #include "map/tech_map.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
+#include <utility>
 
 namespace mvf::tech {
 
@@ -47,41 +50,55 @@ std::uint16_t realize_tt(const logic::TruthTable& cell_fn, int num_pins,
 
 }  // namespace
 
-const std::vector<CellMatch>& MatchCache::matches(std::uint16_t tt) {
-    const auto it = memo_.find(tt);
-    if (it != memo_.end()) return it->second;
-    return memo_.emplace(tt, compute(tt)).first->second;
-}
-
-std::vector<CellMatch> MatchCache::compute(std::uint16_t tt) const {
-    std::vector<CellMatch> result;
-    const std::vector<int> support = tt16_support(tt, 4);
-    const int k = static_cast<int>(support.size());
+MatchCache::MatchCache(GateLibrary library) : lib_(std::move(library)) {
+    // Every realization in the order a per-function search finds it: cell
+    // id, then pin-to-leaf assignment in lexicographic order, then negation
+    // mask.  A stable sort by function keeps that order within a function.
+    // A realization whose function ignores some of its leaves is not filed:
+    // a search over the function's support would never produce it.
+    std::vector<std::pair<std::uint16_t, CellMatch>> found;
     for (int cell_id = 0; cell_id < lib_.num_cells(); ++cell_id) {
         const GateCell& cell = lib_.cell(cell_id);
-        if (cell.num_inputs != k || k == 0) continue;
-        std::vector<int> perm(support.begin(), support.end());
-        do {
+        const int k = cell.num_inputs;
+        if (k == 0 || k > 4) continue;
+        // Base-4 counting over k digits visits the k-tuples of leaf
+        // positions lexicographically; tuples that repeat a leaf are skipped.
+        for (std::uint32_t code = 0; code < (1u << (2 * k)); ++code) {
             std::array<std::uint8_t, 4> vars{};
+            std::uint32_t used = 0;
             for (int p = 0; p < k; ++p) {
-                vars[static_cast<std::size_t>(p)] =
-                    static_cast<std::uint8_t>(perm[static_cast<std::size_t>(p)]);
+                const std::uint32_t v = (code >> (2 * (k - 1 - p))) & 3;
+                used |= 1u << v;
+                vars[static_cast<std::size_t>(p)] = static_cast<std::uint8_t>(v);
             }
+            if (std::popcount(used) != k) continue;
             for (std::uint32_t neg = 0; neg < (1u << k); ++neg) {
-                if (realize_tt(cell.function, k, vars, neg) == tt) {
-                    CellMatch m;
-                    m.cell_id = cell_id;
-                    for (int p = 0; p < k; ++p) {
-                        m.pin_leaf_pos[static_cast<std::size_t>(p)] =
-                            vars[static_cast<std::size_t>(p)];
-                        m.pin_neg[static_cast<std::size_t>(p)] = (neg >> p) & 1;
-                    }
-                    result.push_back(m);
+                const std::uint16_t tt = realize_tt(cell.function, k, vars, neg);
+                if (static_cast<int>(tt16_support(tt, 4).size()) != k) continue;
+                CellMatch m;
+                m.cell_id = cell_id;
+                m.pin_leaf_pos = vars;
+                for (int p = 0; p < k; ++p) {
+                    m.pin_neg[static_cast<std::size_t>(p)] = (neg >> p) & 1;
                 }
+                found.emplace_back(tt, m);
             }
-        } while (std::next_permutation(perm.begin(), perm.end()));
+        }
     }
-    return result;
+    std::stable_sort(found.begin(), found.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    first_.assign((1u << 16) + 1, 0);
+    matches_.reserve(found.size());
+    for (const auto& [tt, m] : found) {
+        ++first_[tt + 1u];
+        matches_.push_back(m);
+    }
+    for (std::size_t i = 1; i < first_.size(); ++i) first_[i] += first_[i - 1];
+}
+
+const MatchCache& MatchCache::standard() {
+    static const MatchCache cache(GateLibrary::standard());
+    return cache;
 }
 
 namespace {
@@ -98,14 +115,14 @@ struct Choice {
 struct Mapper {
     const Aig& aig;
     const GateLibrary& lib;
-    MatchCache& cache;
+    const MatchCache& cache;
     CutSet cut_set;
 
     std::vector<std::array<double, 2>> cost;    // [node][phase]
     std::vector<std::array<Choice, 2>> choice;  // [node][phase]
     std::vector<double> refs;                   // fanout estimate (area flow)
 
-    Mapper(const Aig& a, MatchCache& c, const TechMapParams& p)
+    Mapper(const Aig& a, const MatchCache& c, const TechMapParams& p)
         : aig(a), lib(c.library()), cache(c), cut_set(a, p.cuts) {
         const auto counts = aig.reference_counts();
         refs.assign(counts.size(), 1.0);
@@ -257,7 +274,7 @@ struct Mapper {
 
 }  // namespace
 
-Netlist tech_map(const net::Aig& aig, MatchCache& cache,
+Netlist tech_map(const net::Aig& aig, const MatchCache& cache,
                  const TechMapParams& params,
                  const std::vector<std::string>& pi_names,
                  const std::vector<bool>& pi_is_select) {
@@ -286,19 +303,6 @@ Netlist tech_map(const net::Aig& aig, MatchCache& cache,
         }
     }
     return best;
-}
-
-Netlist tech_map(const net::Aig& aig, const GateLibrary& library,
-                 const TechMapParams& params,
-                 const std::vector<std::string>& pi_names,
-                 const std::vector<bool>& pi_is_select) {
-    MatchCache cache(library);
-    return tech_map(aig, cache, params, pi_names, pi_is_select);
-}
-
-double mapped_area(const net::Aig& aig, MatchCache& cache,
-                   const TechMapParams& params) {
-    return tech_map(aig, cache, params).area();
 }
 
 }  // namespace mvf::tech

@@ -5,7 +5,9 @@
 //
 // SynthContext owns the memoized NPN table and rewrite library; one context
 // is shared by an entire experiment so the thousands of genetic-algorithm
-// fitness evaluations amortize canonization and structure synthesis.
+// fitness evaluations amortize canonization and structure synthesis.  Cell
+// matching is not part of it: tech_map reads an immutable table
+// (tech::MatchCache::standard()) that every context shares.
 
 #include "logic/npn.hpp"
 #include "net/aig.hpp"

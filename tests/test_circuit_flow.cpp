@@ -149,7 +149,7 @@ TEST(CircuitAttack, CegarSurvivorsMatchExhaustiveOnC17) {
     std::istringstream in(kC17Bench);
     const io::ImportedCircuit circuit = io::read_bench(in);
     const tech::Netlist mapped =
-        io::import_netlist(circuit, tech::GateLibrary::standard());
+        io::import_netlist(circuit, tech::MatchCache::standard());
     const camo::CamoLibrary lib =
         camo::CamoLibrary::from_gate_library(tech::GateLibrary::standard());
 

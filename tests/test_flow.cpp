@@ -138,6 +138,41 @@ TEST(Flow, DesPairEndToEnd) {
     EXPECT_GT(r.ga_tm_area, 0.0);
 }
 
+TEST(Flow, GoldenResultsAtFixedSeed) {
+    // Recorded from the flow with a per-function cell-match search and a
+    // per-minterm NPN canonizer.  Their table-driven replacements must pick
+    // the same matches and rewrite wirings, so every figure repeats exactly.
+    struct Golden {
+        const char* family;
+        double ga_tm_area;
+        double ga_best_area;
+        double random_best;
+        int synthesized_cells;
+        int camouflaged_cells;
+    };
+    const Golden golden[] = {
+        {"present", 58.319999999999986, 65.309999999999988, 66.670000000000002, 61, 57},
+        {"des", 279.26000000000016, 284.91000000000025, 280.93000000000012, 267, 263},
+    };
+    for (const Golden& g : golden) {
+        ObfuscationFlow flow;
+        FlowParams p = tiny_params(4);
+        p.ga.population = 6;
+        p.ga.generations = 2;
+        const auto fns = from_sboxes(std::string(g.family) == "present"
+                                         ? sbox::present_viable_set(2)
+                                         : sbox::des_viable_set(2));
+        const FlowResult r = flow.run(fns, p);
+        ASSERT_TRUE(r.synthesized.has_value());
+        ASSERT_TRUE(r.camouflaged.has_value());
+        EXPECT_DOUBLE_EQ(r.ga_tm_area, g.ga_tm_area) << g.family;
+        EXPECT_DOUBLE_EQ(r.ga.best_area, g.ga_best_area) << g.family;
+        EXPECT_DOUBLE_EQ(r.random_best, g.random_best) << g.family;
+        EXPECT_EQ(r.synthesized->num_cells(), g.synthesized_cells) << g.family;
+        EXPECT_EQ(r.camouflaged->num_cells(), g.camouflaged_cells) << g.family;
+    }
+}
+
 TEST(Flow, BestOfBuildsNeverWorseThanFactored) {
     ObfuscationFlow flow;
     for (int n : {4, 8}) {

@@ -39,7 +39,7 @@ Mapped mapped_rca4() {
     std::istringstream in(kRca4Blif);
     io::ImportedCircuit circuit = io::read_blif(in);
     tech::Netlist netlist =
-        io::import_netlist(circuit, tech::GateLibrary::standard());
+        io::import_netlist(circuit, tech::MatchCache::standard());
     return {std::move(circuit), std::move(netlist)};
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "logic/npn.hpp"
 #include "util/rng.hpp"
@@ -103,6 +105,60 @@ TEST(Npn, KnownClassCountForAllFourVarFunctions) {
         classes.insert(npn.canonize(static_cast<std::uint16_t>(tt)).canon);
     }
     EXPECT_EQ(classes.size(), 222u);
+}
+
+TEST(Npn, CanonizeMatchesApplyOverAllTransformsForEveryFunction) {
+    // The reference: all 768 transforms in the order (perm, neg, out_neg),
+    // keeping the first strictly smaller table.  The transform feeds the
+    // rewrite wiring, so it must agree too, not just the canon.  Without
+    // output negation apply() only moves minterms, so each (perm, neg) is
+    // taken from apply() once, as the images of the 16 single-minterm
+    // tables, and a table's image is the OR of its minterms' images.
+    struct Candidate {
+        NpnTransform transform;
+        std::array<std::uint16_t, 16> image;
+    };
+    std::vector<Candidate> candidates;
+    for (const auto& perm : NpnManager::permutations()) {
+        for (std::uint8_t neg = 0; neg < 16; ++neg) {
+            Candidate c{{perm, neg, false}, {}};
+            for (std::uint32_t y = 0; y < 16; ++y) {
+                c.image[y] =
+                    NpnManager::apply(static_cast<std::uint16_t>(1u << y), c.transform);
+            }
+            candidates.push_back(c);
+        }
+    }
+    NpnManager npn;
+    int mismatches = 0;
+    for (std::uint32_t f = 0; f < 0x10000; ++f) {
+        const auto tt = static_cast<std::uint16_t>(f);
+        NpnEntry want;
+        bool first = true;
+        for (const Candidate& c : candidates) {
+            std::uint16_t image = 0;
+            for (std::uint32_t rest = f; rest != 0; rest &= rest - 1) {
+                image |= c.image[static_cast<std::size_t>(std::countr_zero(rest))];
+            }
+            for (const bool out_neg : {false, true}) {
+                const NpnTransform t{c.transform.perm, c.transform.input_neg, out_neg};
+                const auto candidate =
+                    static_cast<std::uint16_t>(out_neg ? ~image : image);
+                if (f % 4099 == 0) {
+                    ASSERT_EQ(candidate, NpnManager::apply(tt, t)) << "tt=" << tt;
+                }
+                if (first || candidate < want.canon) want = {candidate, t};
+                first = false;
+            }
+        }
+        const NpnEntry& got = npn.canonize(tt);
+        if (got.canon != want.canon || got.transform.perm != want.transform.perm ||
+            got.transform.input_neg != want.transform.input_neg ||
+            got.transform.output_neg != want.transform.output_neg) {
+            if (++mismatches <= 5) ADD_FAILURE() << "tt=" << tt;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Npn, CanonIsMinimal) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <span>
+
 #include "map/tech_map.hpp"
 #include "net/aig_sim.hpp"
 #include "util/stats.hpp"
@@ -33,27 +37,99 @@ TEST(GateLibrary, StandardContentsAndAreas) {
     }
 }
 
+// The 16-bit cut function a match computes: cell pin p reads cut variable
+// pin_leaf_pos[p], complemented if pin_neg[p].
+std::uint16_t realized_tt(const GateCell& cell, const CellMatch& m) {
+    std::uint16_t got = 0;
+    for (std::uint32_t x = 0; x < 16; ++x) {
+        std::uint32_t pins = 0;
+        for (int p = 0; p < cell.num_inputs; ++p) {
+            std::uint32_t bit = (x >> m.pin_leaf_pos[static_cast<std::size_t>(p)]) & 1;
+            if (m.pin_neg[static_cast<std::size_t>(p)]) bit ^= 1;
+            pins |= bit << p;
+        }
+        if (cell.function.bit(pins)) got |= static_cast<std::uint16_t>(1u << x);
+    }
+    return got;
+}
+
+// Brute-force per-function search, the reference for the precomputed table:
+// every cell whose arity equals the size of the function's support, over
+// every permutation of the support (lexicographic) and every negation mask.
+// Permuting and negating inputs preserves the number of true minterms, so a
+// cell whose on-set, scaled to four variables, differs in size from tt's is
+// skipped without changing the result; this keeps the exhaustive sweep fast
+// enough for the sanitizer builds.
+std::vector<CellMatch> search_matches(const GateLibrary& lib, std::uint16_t tt) {
+    std::vector<CellMatch> result;
+    const std::vector<int> support = tt16_support(tt, 4);
+    const int k = static_cast<int>(support.size());
+    for (int cell_id = 0; cell_id < lib.num_cells(); ++cell_id) {
+        const GateCell& cell = lib.cell(cell_id);
+        if (cell.num_inputs != k || k == 0) continue;
+        if (cell.function.count_ones() << (4 - k) != std::popcount(tt)) continue;
+        std::vector<int> perm(support.begin(), support.end());
+        do {
+            for (std::uint32_t neg = 0; neg < (1u << k); ++neg) {
+                CellMatch m;
+                m.cell_id = cell_id;
+                for (int p = 0; p < k; ++p) {
+                    m.pin_leaf_pos[static_cast<std::size_t>(p)] =
+                        static_cast<std::uint8_t>(perm[static_cast<std::size_t>(p)]);
+                    m.pin_neg[static_cast<std::size_t>(p)] = (neg >> p) & 1;
+                }
+                if (realized_tt(cell, m) == tt) result.push_back(m);
+            }
+        } while (std::next_permutation(perm.begin(), perm.end()));
+    }
+    return result;
+}
+
 TEST(MatchCache, MatchesRealizeTheFunction) {
     MatchCache cache(GateLibrary::standard());
     util::Rng rng(3);
     for (int t = 0; t < 200; ++t) {
         const auto tt = static_cast<std::uint16_t>(rng.next_u64());
         for (const CellMatch& m : cache.matches(tt)) {
-            const GateCell& cell = cache.library().cell(m.cell_id);
-            // Re-evaluate the realization and compare to tt.
-            std::uint16_t got = 0;
-            for (std::uint32_t x = 0; x < 16; ++x) {
-                std::uint32_t pins = 0;
-                for (int p = 0; p < cell.num_inputs; ++p) {
-                    std::uint32_t bit =
-                        (x >> m.pin_leaf_pos[static_cast<std::size_t>(p)]) & 1;
-                    if (m.pin_neg[static_cast<std::size_t>(p)]) bit ^= 1;
-                    pins |= bit << p;
-                }
-                if (cell.function.bit(pins)) got |= static_cast<std::uint16_t>(1u << x);
-            }
-            EXPECT_EQ(got, tt);
+            EXPECT_EQ(realized_tt(cache.library().cell(m.cell_id), m), tt);
         }
+    }
+}
+
+TEST(MatchCache, TableEqualsPerFunctionSearchForEveryFunction) {
+    // Same matches in the same order: the mapper keeps the first strictly
+    // cheaper match, so the order decides ties.
+    const MatchCache& cache = MatchCache::standard();
+    int mismatches = 0;
+    int with_matches = 0;
+    for (std::uint32_t f = 0; f < 0x10000; ++f) {
+        const auto tt = static_cast<std::uint16_t>(f);
+        const std::vector<CellMatch> want = search_matches(cache.library(), tt);
+        const std::span<const CellMatch> got = cache.matches(tt);
+        if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+            if (++mismatches <= 5) ADD_FAILURE() << "tt=" << tt;
+        }
+        if (!want.empty()) ++with_matches;
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(with_matches, 152);
+}
+
+TEST(MatchCache, CustomLibraryTableEqualsPerFunctionSearch) {
+    // A cell that ignores one of its pins is never filed under the narrower
+    // function it computes; XOR2 exercises a match set closed under negation.
+    GateLibrary lib = GateLibrary::standard();
+    lib.add_cell({"XOR2", 2, 2.33,
+                  TruthTable::var(0, 2) ^ TruthTable::var(1, 2)});
+    lib.add_cell({"PASS3", 3, 1.5,
+                  TruthTable::var(0, 3) & TruthTable::var(1, 3)});
+    const MatchCache cache(lib);
+    for (std::uint32_t f = 0; f < 0x10000; ++f) {
+        const auto tt = static_cast<std::uint16_t>(f);
+        const std::vector<CellMatch> want = search_matches(lib, tt);
+        const std::span<const CellMatch> got = cache.matches(tt);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+            << "tt=" << tt;
     }
 }
 

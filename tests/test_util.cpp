@@ -157,7 +157,7 @@ TEST(Csv, WritesAndEscapes) {
 TEST(Stopwatch, MeasuresElapsedTime) {
     Stopwatch sw;
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+    for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
     const double ms = sw.elapsed_ms();
     EXPECT_GT(ms, 0.0);
     // elapsed_* keeps advancing monotonically.
