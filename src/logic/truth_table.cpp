@@ -1,5 +1,6 @@
 #include "logic/truth_table.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -12,20 +13,67 @@ constexpr std::uint64_t kVarMask[6] = {
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
 };
 
-std::size_t words_for(int num_vars) {
-    return num_vars <= 6 ? 1u : (std::size_t{1} << (num_vars - 6));
-}
-
 }  // namespace
 
 TruthTable::TruthTable(int num_vars)
-    : num_vars_(num_vars), words_(words_for(num_vars), 0) {
+    : num_vars_(num_vars),
+      words_(num_vars > kInlineVars ? new std::uint64_t[words_for(num_vars)]()
+                                    : &inline_word_) {
     assert(num_vars >= 0 && num_vars <= 16);
+}
+
+TruthTable::TruthTable(const TruthTable& other)
+    : num_vars_(other.num_vars_),
+      words_(other.on_heap() ? new std::uint64_t[other.num_words()] : &inline_word_) {
+    std::copy_n(other.words_, other.num_words(), words_);
+}
+
+TruthTable::TruthTable(TruthTable&& other) noexcept : num_vars_(0), words_(&inline_word_) {
+    take(other);
+}
+
+TruthTable& TruthTable::operator=(const TruthTable& other) {
+    if (this == &other) return *this;
+    if (!other.on_heap()) {
+        release();
+    } else if (!on_heap() || num_words() != other.num_words()) {
+        std::uint64_t* buffer = new std::uint64_t[other.num_words()];
+        release();
+        words_ = buffer;
+    }
+    num_vars_ = other.num_vars_;
+    std::copy_n(other.words_, num_words(), words_);
+    return *this;
+}
+
+TruthTable& TruthTable::operator=(TruthTable&& other) noexcept {
+    if (this == &other) return *this;
+    release();
+    take(other);
+    return *this;
+}
+
+void TruthTable::release() noexcept {
+    if (on_heap()) delete[] words_;
+    num_vars_ = 0;
+    words_ = &inline_word_;
+}
+
+void TruthTable::take(TruthTable& other) noexcept {
+    num_vars_ = other.num_vars_;
+    if (other.on_heap()) {
+        words_ = other.words_;
+        other.num_vars_ = 0;
+        other.words_ = &other.inline_word_;
+        other.inline_word_ = 0;
+    } else {
+        inline_word_ = other.inline_word_;
+    }
 }
 
 TruthTable TruthTable::ones(int num_vars) {
     TruthTable t(num_vars);
-    for (auto& w : t.words_) w = ~0ull;
+    std::fill_n(t.words_, t.num_words(), ~0ull);
     t.normalize();
     return t;
 }
@@ -34,10 +82,10 @@ TruthTable TruthTable::var(int var, int num_vars) {
     assert(var >= 0 && var < num_vars);
     TruthTable t(num_vars);
     if (var < 6) {
-        for (auto& w : t.words_) w = kVarMask[var];
+        std::fill_n(t.words_, t.num_words(), kVarMask[var]);
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t i = 0; i < t.words_.size(); ++i) {
+        for (std::size_t i = 0; i < t.num_words(); ++i) {
             if ((i / stride) & 1) t.words_[i] = ~0ull;
         }
     }
@@ -73,22 +121,30 @@ void TruthTable::set_bit(std::uint32_t minterm, bool value) {
 }
 
 bool TruthTable::is_zero() const {
-    for (const auto w : words_)
-        if (w) return false;
-    return true;
+    return std::all_of(words_, words_ + num_words(),
+                       [](std::uint64_t w) { return w == 0; });
 }
 
-bool TruthTable::is_ones() const { return *this == ones(num_vars_); }
+bool TruthTable::is_ones() const {
+    if (num_vars_ < 6) return words_[0] == (1ull << (1 << num_vars_)) - 1;
+    return std::all_of(words_, words_ + num_words(),
+                       [](std::uint64_t w) { return w == ~0ull; });
+}
 
 int TruthTable::count_ones() const {
     int n = 0;
-    for (const auto w : words_) n += __builtin_popcountll(w);
+    for (std::size_t i = 0; i < num_words(); ++i) n += __builtin_popcountll(words_[i]);
     return n;
+}
+
+bool TruthTable::operator==(const TruthTable& other) const {
+    return num_vars_ == other.num_vars_ &&
+           std::equal(words_, words_ + num_words(), other.words_);
 }
 
 TruthTable TruthTable::operator~() const {
     TruthTable t(*this);
-    for (auto& w : t.words_) w = ~w;
+    for (std::size_t i = 0; i < t.num_words(); ++i) t.words_[i] = ~t.words_[i];
     t.normalize();
     return t;
 }
@@ -108,17 +164,17 @@ TruthTable TruthTable::operator^(const TruthTable& o) const {
 
 TruthTable& TruthTable::operator&=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
+    for (std::size_t i = 0; i < num_words(); ++i) words_[i] &= o.words_[i];
     return *this;
 }
 TruthTable& TruthTable::operator|=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
+    for (std::size_t i = 0; i < num_words(); ++i) words_[i] |= o.words_[i];
     return *this;
 }
 TruthTable& TruthTable::operator^=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= o.words_[i];
+    for (std::size_t i = 0; i < num_words(); ++i) words_[i] ^= o.words_[i];
     return *this;
 }
 
@@ -128,7 +184,8 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
     if (var < 6) {
         const int shift = 1 << var;
         const std::uint64_t mask = kVarMask[var];
-        for (auto& w : t.words_) {
+        for (std::size_t i = 0; i < t.num_words(); ++i) {
+            std::uint64_t& w = t.words_[i];
             if (value)
                 w = (w & mask) | ((w & mask) >> shift);
             else
@@ -136,7 +193,7 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
         }
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t i = 0; i < t.words_.size(); ++i) {
+        for (std::size_t i = 0; i < t.num_words(); ++i) {
             const bool hi = (i / stride) & 1;
             if (hi != value) {
                 const std::size_t src = value ? i + stride : i - stride;
@@ -149,7 +206,23 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
 }
 
 bool TruthTable::depends_on(int var) const {
-    return cofactor(var, false) != cofactor(var, true);
+    assert(var >= 0 && var < num_vars_);
+    // Compares the two cofactors in place: the var=0 half of every minterm
+    // pair against its var=1 partner.
+    if (var < 6) {
+        const int shift = 1 << var;
+        const std::uint64_t mask = kVarMask[var];
+        for (std::size_t i = 0; i < num_words(); ++i) {
+            const std::uint64_t w = words_[i];
+            if (((w & mask) >> shift) != (w & ~mask)) return true;
+        }
+        return false;
+    }
+    const std::size_t stride = std::size_t{1} << (var - 6);
+    for (std::size_t i = 0; i < num_words(); i += 2 * stride) {
+        if (!std::equal(words_ + i, words_ + i + stride, words_ + i + stride)) return true;
+    }
+    return false;
 }
 
 std::vector<int> TruthTable::support() const {
@@ -195,8 +268,8 @@ TruthTable TruthTable::project(std::span<const int> vars) const {
 
 std::size_t TruthTable::hash() const {
     std::size_t h = static_cast<std::size_t>(num_vars_) * 0x9e3779b97f4a7c15ull;
-    for (const auto w : words_) {
-        h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    for (std::size_t i = 0; i < num_words(); ++i) {
+        h ^= words_[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     }
     return h;
 }
@@ -205,10 +278,10 @@ std::string TruthTable::to_hex() const {
     std::string out;
     char buf[20];
     const int digits = num_vars_ <= 2 ? 1 : (1 << (num_vars_ - 2));
-    for (auto it = words_.rbegin(); it != words_.rend(); ++it) {
-        const int d = words_.size() == 1 ? digits : 16;
+    for (std::size_t i = num_words(); i-- > 0;) {
+        const int d = num_words() == 1 ? digits : 16;
         std::snprintf(buf, sizeof buf, "%0*llx", d,
-                      static_cast<unsigned long long>(*it));
+                      static_cast<unsigned long long>(words_[i]));
         out += buf;
     }
     return out;

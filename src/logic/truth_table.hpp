@@ -1,5 +1,5 @@
 #pragma once
-// Dynamic word-parallel truth tables.
+// Word-parallel truth tables with one inline word.
 //
 // TruthTable is the workhorse function representation of the whole flow:
 // S-box outputs, merged-specification outputs, cut functions during rewriting
@@ -10,6 +10,13 @@
 // n < 6 a single word is used and the unused high bits are kept zero
 // (tables are always kept normalized so operator== and hashing are exact).
 // Variable 0 is the fastest-toggling input (minterm bit 0).
+//
+// Storage: every operation reads and writes through one data pointer.  A
+// table of up to 6 variables points it at a word inside the object, so
+// ISOP, cofactors and cut arithmetic on such tables never touch the heap;
+// wider tables point it at a heap buffer of 2^(n-6) words.  Copies and
+// moves re-aim the pointer, and a moved-from table is a valid table (a
+// heap-backed one becomes the 0-variable constant false).
 
 #include <cstdint>
 #include <functional>
@@ -22,10 +29,18 @@ namespace mvf::logic {
 class TruthTable {
 public:
     /// Constant-false table over zero variables.
-    TruthTable() : TruthTable(0) {}
+    TruthTable() noexcept : num_vars_(0), words_(&inline_word_) {}
 
     /// Constant-false table over `num_vars` variables (0 <= num_vars <= 16).
     explicit TruthTable(int num_vars);
+
+    TruthTable(const TruthTable& other);
+    TruthTable(TruthTable&& other) noexcept;
+    TruthTable& operator=(const TruthTable& other);
+    TruthTable& operator=(TruthTable&& other) noexcept;
+    ~TruthTable() {
+        if (on_heap()) delete[] words_;
+    }
 
     static TruthTable zeros(int num_vars) { return TruthTable(num_vars); }
     static TruthTable ones(int num_vars);
@@ -43,7 +58,7 @@ public:
 
     int num_vars() const { return num_vars_; }
     std::uint32_t num_bits() const { return 1u << num_vars_; }
-    std::size_t num_words() const { return words_.size(); }
+    std::size_t num_words() const { return words_for(num_vars_); }
     std::uint64_t word(std::size_t i) const { return words_[i]; }
 
     bool bit(std::uint32_t minterm) const;
@@ -54,7 +69,7 @@ public:
     bool is_const() const { return is_zero() || is_ones(); }
     int count_ones() const;
 
-    bool operator==(const TruthTable& other) const = default;
+    bool operator==(const TruthTable& other) const;
 
     TruthTable operator~() const;
     TruthTable operator&(const TruthTable& o) const;
@@ -95,10 +110,21 @@ public:
     std::string to_hex() const;
 
 private:
+    static constexpr int kInlineVars = 6;
+
+    static std::size_t words_for(int num_vars) {
+        return num_vars <= kInlineVars ? 1u : std::size_t{1} << (num_vars - kInlineVars);
+    }
+    bool on_heap() const { return num_vars_ > kInlineVars; }
+    /// Frees a heap buffer and re-aims the pointer at the inline word.
+    void release() noexcept;
+    /// Takes over `other`'s contents; *this must hold no heap buffer.
+    void take(TruthTable& other) noexcept;
     void normalize();
 
     int num_vars_;
-    std::vector<std::uint64_t> words_;
+    std::uint64_t* words_;  ///< &inline_word_ for <= 6 variables, else heap
+    std::uint64_t inline_word_ = 0;
 };
 
 struct TruthTableHash {

@@ -148,7 +148,7 @@ struct Mapper {
         for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
             const auto idx = static_cast<std::size_t>(n);
             for (const Cut& cut : cut_set.cuts_of(n)) {
-                if (cut.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+                if (cut.size() == 1 && cut.leaves()[0] == n) continue;  // trivial
                 for (int phase = 0; phase < 2; ++phase) {
                     const std::uint16_t target =
                         phase ? static_cast<std::uint16_t>(~cut.function)
@@ -189,7 +189,7 @@ struct Mapper {
         double c = cell.area;
         for (int p = 0; p < cell.num_inputs; ++p) {
             const int leaf_pos = m.pin_leaf_pos[static_cast<std::size_t>(p)];
-            const int leaf = cut.leaves[static_cast<std::size_t>(leaf_pos)];
+            const int leaf = cut.leaves()[static_cast<std::size_t>(leaf_pos)];
             const int ph = m.pin_neg[static_cast<std::size_t>(p)] ? 1 : 0;
             c += cost[static_cast<std::size_t>(leaf)][static_cast<std::size_t>(ph)] /
                  refs[static_cast<std::size_t>(leaf)];
@@ -250,7 +250,7 @@ struct Mapper {
                         const int leaf_pos =
                             ch.match.pin_leaf_pos[static_cast<std::size_t>(p)];
                         const int leaf =
-                            ch.cut.leaves[static_cast<std::size_t>(leaf_pos)];
+                            ch.cut.leaves()[static_cast<std::size_t>(leaf_pos)];
                         const int ph =
                             ch.match.pin_neg[static_cast<std::size_t>(p)] ? 1 : 0;
                         fanins[static_cast<std::size_t>(p)] = self(self, leaf, ph);

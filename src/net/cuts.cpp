@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mvf::net {
 namespace {
@@ -9,13 +11,21 @@ namespace {
 // Truth tables of the four cut-leaf variables in the 4-var space.
 constexpr std::uint16_t kVarTT[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
 
+Cut trivial_cut(int node) {
+    Cut c;
+    c.leaf_ids[0] = node;
+    c.num_leaves = 1;
+    c.function = kVarTT[0];
+    return c;
+}
+
 // Re-expresses `tt` (over `from` leaves) in the variable space of `to`
 // (a superset of `from`).
-std::uint16_t expand_tt(std::uint16_t tt, const std::vector<int>& from,
-                        const std::vector<int>& to) {
+std::uint16_t expand_tt(std::uint16_t tt, std::span<const int> from,
+                        std::span<const int> to) {
     std::uint16_t out = 0;
     // position of each `from` leaf within `to`
-    int pos[4];
+    int pos[Cut::kMaxLeaves];
     for (std::size_t i = 0; i < from.size(); ++i) {
         const auto it = std::lower_bound(to.begin(), to.end(), from[i]);
         assert(it != to.end() && *it == from[i]);
@@ -31,10 +41,11 @@ std::uint16_t expand_tt(std::uint16_t tt, const std::vector<int>& from,
     return out;
 }
 
-// Merges two sorted leaf sets; returns false if the union exceeds max_leaves.
-bool merge_leaves(const std::vector<int>& a, const std::vector<int>& b,
-                  int max_leaves, std::vector<int>* out) {
-    out->clear();
+// Merges two sorted leaf sets into out's leaves; returns false if the union
+// exceeds max_leaves.
+bool merge_leaves(std::span<const int> a, std::span<const int> b,
+                  int max_leaves, Cut* out) {
+    int n = 0;
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < a.size() || j < b.size()) {
@@ -47,74 +58,94 @@ bool merge_leaves(const std::vector<int>& a, const std::vector<int>& b,
             next = a[i++];
             ++j;
         }
-        out->push_back(next);
-        if (static_cast<int>(out->size()) > max_leaves) return false;
+        if (n == max_leaves) return false;
+        out->leaf_ids[static_cast<std::size_t>(n++)] = next;
     }
+    out->num_leaves = static_cast<std::uint8_t>(n);
     return true;
 }
 
-bool is_subset(const std::vector<int>& small, const std::vector<int>& big) {
+bool is_subset(std::span<const int> small, std::span<const int> big) {
     return std::includes(big.begin(), big.end(), small.begin(), small.end());
 }
 
 }  // namespace
 
 CutSet::CutSet(const Aig& aig, const CutParams& params) {
-    cuts_.resize(static_cast<std::size_t>(aig.num_nodes()));
+    if (params.max_leaves < 1 || params.max_leaves > Cut::kMaxLeaves) {
+        throw std::invalid_argument(
+            "CutParams::max_leaves must be in 1.." + std::to_string(Cut::kMaxLeaves) +
+            ", got " + std::to_string(params.max_leaves));
+    }
+    if (params.max_cuts_per_node < 1 || params.max_cuts_per_node > kMaxCutsPerNode) {
+        throw std::invalid_argument(
+            "CutParams::max_cuts_per_node must be in 1.." +
+            std::to_string(kMaxCutsPerNode) + ", got " +
+            std::to_string(params.max_cuts_per_node));
+    }
+    slots_ = static_cast<std::size_t>(params.max_cuts_per_node) +
+             (params.include_trivial ? 1 : 0);
+    const auto num_nodes = static_cast<std::size_t>(aig.num_nodes());
+    cuts_.resize(num_nodes * slots_);
+    count_.assign(num_nodes, 0);
+    const auto append = [this](int node, const Cut& c) {
+        const auto n = static_cast<std::size_t>(node);
+        cuts_[n * slots_ + count_[n]++] = c;
+    };
 
     // Constant node: single empty-leaf cut with constant-0 function.
-    cuts_[0].push_back(Cut{{}, 0});
+    append(0, Cut{});
+    for (int i = 0; i < aig.num_pis(); ++i) append(i + 1, trivial_cut(i + 1));
 
-    for (int i = 0; i < aig.num_pis(); ++i) {
-        const int node = i + 1;
-        cuts_[static_cast<std::size_t>(node)].push_back(
-            Cut{{node}, kVarTT[0]});
-    }
-
-    std::vector<int> merged;
+    // Every candidate comes from one fanin-cut pair, so slots_^2 bounds the
+    // list and it never reallocates.
+    std::vector<Cut> candidates;
+    candidates.reserve(slots_ * slots_);
     for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
-        auto& node_cuts = cuts_[static_cast<std::size_t>(n)];
+        candidates.clear();
         const Lit f0 = aig.fanin0(n);
         const Lit f1 = aig.fanin1(n);
-        const auto& cuts0 = cuts_[static_cast<std::size_t>(Aig::lit_node(f0))];
-        const auto& cuts1 = cuts_[static_cast<std::size_t>(Aig::lit_node(f1))];
+        const std::span<const Cut> cuts0 = cuts_of(Aig::lit_node(f0));
+        const std::span<const Cut> cuts1 = cuts_of(Aig::lit_node(f1));
 
         for (const Cut& c0 : cuts0) {
             for (const Cut& c1 : cuts1) {
-                if (!merge_leaves(c0.leaves, c1.leaves, params.max_leaves, &merged))
+                Cut candidate;
+                if (!merge_leaves(c0.leaves(), c1.leaves(), params.max_leaves,
+                                  &candidate))
                     continue;
-                std::uint16_t t0 = expand_tt(c0.function, c0.leaves, merged);
-                std::uint16_t t1 = expand_tt(c1.function, c1.leaves, merged);
+                std::uint16_t t0 = expand_tt(c0.function, c0.leaves(), candidate.leaves());
+                std::uint16_t t1 = expand_tt(c1.function, c1.leaves(), candidate.leaves());
                 if (Aig::lit_complemented(f0)) t0 = static_cast<std::uint16_t>(~t0);
                 if (Aig::lit_complemented(f1)) t1 = static_cast<std::uint16_t>(~t1);
-                const Cut candidate{merged, static_cast<std::uint16_t>(t0 & t1)};
+                candidate.function = static_cast<std::uint16_t>(t0 & t1);
 
                 // Dominance filter: skip if an existing cut is a subset.
-                bool dominated = false;
-                for (const Cut& c : node_cuts) {
-                    if (is_subset(c.leaves, candidate.leaves)) {
-                        dominated = true;
-                        break;
-                    }
-                }
+                const bool dominated =
+                    std::any_of(candidates.begin(), candidates.end(), [&](const Cut& c) {
+                        return is_subset(c.leaves(), candidate.leaves());
+                    });
                 if (dominated) continue;
-                std::erase_if(node_cuts, [&candidate](const Cut& c) {
-                    return is_subset(candidate.leaves, c.leaves);
+                std::erase_if(candidates, [&candidate](const Cut& c) {
+                    return is_subset(candidate.leaves(), c.leaves());
                 });
-                node_cuts.push_back(candidate);
+                candidates.push_back(candidate);
             }
         }
-        // Keep the smallest cuts when over budget (stable by size).
-        std::stable_sort(node_cuts.begin(), node_cuts.end(),
-                         [](const Cut& a, const Cut& b) {
-                             return a.leaves.size() < b.leaves.size();
-                         });
-        if (static_cast<int>(node_cuts.size()) > params.max_cuts_per_node) {
-            node_cuts.resize(static_cast<std::size_t>(params.max_cuts_per_node));
+        // Keep the smallest cuts when over budget.  A stable insertion sort
+        // by size: std::stable_sort would allocate a buffer per node.
+        for (std::size_t i = 1; i < candidates.size(); ++i) {
+            const Cut c = candidates[i];
+            std::size_t j = i;
+            for (; j > 0 && candidates[j - 1].size() > c.size(); --j) {
+                candidates[j] = candidates[j - 1];
+            }
+            candidates[j] = c;
         }
-        if (params.include_trivial) {
-            node_cuts.push_back(Cut{{n}, kVarTT[0]});
-        }
+        const std::size_t kept = std::min(
+            candidates.size(), static_cast<std::size_t>(params.max_cuts_per_node));
+        for (std::size_t i = 0; i < kept; ++i) append(n, candidates[i]);
+        if (params.include_trivial) append(n, trivial_cut(n));
     }
 }
 

@@ -1,7 +1,6 @@
 #include "synth/refactor.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
 #include "net/aig_sim.hpp"
@@ -54,14 +53,14 @@ std::vector<int> reconvergence_cut(const Aig& aig, int root, int max_leaves) {
 
 int refactor(Aig* aig, const RefactorParams& params) {
     const int before = aig->count_live_ands();
-    std::vector<int> refs = aig->reference_counts();
-
-    std::unordered_map<int, Replacement> decisions;
-    std::vector<int> mffc_nodes;
+    GainEstimator estimator(*aig);
     const int min_gain = params.zero_gain ? 0 : 1;
 
+    std::unordered_map<int, Replacement> decisions;
+    std::vector<Lit> pis;
+    std::vector<Lit> leaf_lits;
     for (int n = aig->num_pis() + 1; n < aig->num_nodes(); ++n) {
-        if (refs[static_cast<std::size_t>(n)] == 0) continue;
+        if (estimator.refs(n) == 0) continue;
         const std::vector<int> leaves =
             reconvergence_cut(*aig, n, params.max_leaves);
         if (static_cast<int>(leaves.size()) < 3) continue;  // too small to help
@@ -69,23 +68,22 @@ int refactor(Aig* aig, const RefactorParams& params) {
         const logic::TruthTable cone =
             net::evaluate_cone(*aig, Aig::make_lit(n, false), leaves);
 
-        auto structure = std::make_shared<Aig>(static_cast<int>(leaves.size()));
-        std::vector<Lit> inputs;
-        inputs.reserve(leaves.size());
-        for (int i = 0; i < structure->num_pis(); ++i) inputs.push_back(structure->pi(i));
-        const Lit out = build_from_tt(cone, inputs, structure.get());
-        structure->add_po(out);
+        Aig resynthesized(static_cast<int>(leaves.size()));
+        pis.clear();
+        leaf_lits.clear();
+        for (int i = 0; i < resynthesized.num_pis(); ++i) {
+            pis.push_back(resynthesized.pi(i));
+            leaf_lits.push_back(Aig::make_lit(leaves[static_cast<std::size_t>(i)], false));
+        }
+        const Lit out = build_from_tt(cone, pis, &resynthesized);
+        resynthesized.add_po(out);
+        Structure structure(std::move(resynthesized), out);
 
-        Replacement r;
-        r.leaf_of_input.assign(leaves.begin(), leaves.end());
-        r.input_negated.assign(leaves.size(), false);
-        r.structure_out = out;
-        r.structure = std::move(structure);
-
-        const int mffc = mffc_size(*aig, n, leaves, refs, &mffc_nodes);
-        const int added = count_new_nodes(*aig, r, mffc_nodes);
-        const int gain = mffc - added;
-        if (gain >= min_gain) decisions.emplace(n, std::move(r));
+        if (estimator.gain(n, leaves, structure, leaf_lits) >= min_gain) {
+            decisions.emplace(
+                n, Replacement{std::make_shared<const Structure>(std::move(structure)),
+                               leaf_lits, false});
+        }
     }
 
     if (!decisions.empty()) {

@@ -1,6 +1,5 @@
 #include "synth/replace.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace mvf::synth {
@@ -8,102 +7,101 @@ namespace mvf::synth {
 using net::Aig;
 using net::Lit;
 
-namespace {
-
-// Nodes of `structure` reachable from `out`, in topological (id) order.
-std::vector<int> reachable_nodes(const Aig& structure, Lit out) {
-    std::vector<bool> seen(static_cast<std::size_t>(structure.num_nodes()), false);
+Structure::Structure(Aig structure, Lit output)
+    : aig(std::move(structure)), out(output) {
+    std::vector<bool> seen(static_cast<std::size_t>(aig.num_nodes()), false);
     std::vector<int> stack{Aig::lit_node(out)};
     while (!stack.empty()) {
         const int n = stack.back();
         stack.pop_back();
         if (seen[static_cast<std::size_t>(n)]) continue;
         seen[static_cast<std::size_t>(n)] = true;
-        if (structure.is_and(n)) {
-            stack.push_back(Aig::lit_node(structure.fanin0(n)));
-            stack.push_back(Aig::lit_node(structure.fanin1(n)));
+        if (aig.is_and(n)) {
+            stack.push_back(Aig::lit_node(aig.fanin0(n)));
+            stack.push_back(Aig::lit_node(aig.fanin1(n)));
         }
     }
-    std::vector<int> order;
-    for (int n = 0; n < structure.num_nodes(); ++n) {
-        if (seen[static_cast<std::size_t>(n)]) order.push_back(n);
+    for (int n = 0; n < aig.num_nodes(); ++n) {
+        if (seen[static_cast<std::size_t>(n)]) nodes.push_back(n);
     }
-    return order;
 }
 
-}  // namespace
+GainEstimator::GainEstimator(const Aig& aig)
+    : aig_(aig),
+      refs_(aig.reference_counts()),
+      marks_(static_cast<std::size_t>(aig.num_nodes()), 0) {}
 
-int mffc_size(const Aig& aig, int root, const std::vector<int>& leaves,
-              std::vector<int>& refs, std::vector<int>* mffc_nodes) {
-    std::vector<bool> is_leaf(static_cast<std::size_t>(aig.num_nodes()), false);
-    for (const int l : leaves) is_leaf[static_cast<std::size_t>(l)] = true;
+int GainEstimator::deref(int node) {
+    mffc_.push_back(node);
+    int count = 1;
+    for (const Lit f : {aig_.fanin0(node), aig_.fanin1(node)}) {
+        const auto child = static_cast<std::size_t>(Aig::lit_node(f));
+        if (!aig_.is_and(static_cast<int>(child)) || (marks_[child] & kLeaf)) continue;
+        if (--refs_[child] == 0) count += deref(static_cast<int>(child));
+    }
+    return count;
+}
 
-    std::vector<int> collected;
-    const auto deref = [&](auto&& self, int node) -> int {
-        collected.push_back(node);
-        int count = 1;
-        for (const Lit f : {aig.fanin0(node), aig.fanin1(node)}) {
-            const int child = Aig::lit_node(f);
-            if (!aig.is_and(child) || is_leaf[static_cast<std::size_t>(child)]) continue;
-            if (--refs[static_cast<std::size_t>(child)] == 0) {
-                count += self(self, child);
-            }
-        }
-        return count;
-    };
-    const int size = deref(deref, root);
+int GainEstimator::mffc_size(int root, std::span<const int> leaves) {
+    for (const int l : leaves) marks_[static_cast<std::size_t>(l)] |= kLeaf;
+    mffc_.clear();
+    const int size = deref(root);
 
     // Restore the reference counts touched above.
-    for (const int node : collected) {
-        for (const Lit f : {aig.fanin0(node), aig.fanin1(node)}) {
-            const int child = Aig::lit_node(f);
-            if (!aig.is_and(child) || is_leaf[static_cast<std::size_t>(child)]) continue;
-            ++refs[static_cast<std::size_t>(child)];
+    for (const int node : mffc_) {
+        for (const Lit f : {aig_.fanin0(node), aig_.fanin1(node)}) {
+            const auto child = static_cast<std::size_t>(Aig::lit_node(f));
+            if (!aig_.is_and(static_cast<int>(child)) || (marks_[child] & kLeaf)) continue;
+            ++refs_[child];
         }
     }
-    if (mffc_nodes) *mffc_nodes = std::move(collected);
+    for (const int l : leaves) marks_[static_cast<std::size_t>(l)] &= ~kLeaf;
     return size;
 }
 
-int count_new_nodes(const Aig& aig, const Replacement& r,
-                    const std::vector<int>& mffc_nodes) {
-    const Aig& s = *r.structure;
-    std::vector<bool> freed(static_cast<std::size_t>(aig.num_nodes()), false);
-    for (const int n : mffc_nodes) freed[static_cast<std::size_t>(n)] = true;
+int GainEstimator::gain(int root, std::span<const int> leaves,
+                        const Structure& s, std::span<const Lit> inputs) {
+    const int freed = mffc_size(root, leaves);
+    for (const int n : mffc_) marks_[static_cast<std::size_t>(n)] |= kFreed;
+    const int added = count_new_nodes(s, inputs);
+    for (const int n : mffc_) marks_[static_cast<std::size_t>(n)] &= ~kFreed;
+    return freed - added;
+}
 
-    std::vector<Lit> mapped(static_cast<std::size_t>(s.num_nodes()), Aig::kNoLit);
-    mapped[0] = Aig::kConst0;
-    for (int i = 0; i < s.num_pis(); ++i) {
-        const int leaf = r.leaf_of_input[static_cast<std::size_t>(i)];
-        if (leaf < 0) continue;  // unused input
-        Lit l = Aig::make_lit(leaf, false);
-        if (r.input_negated[static_cast<std::size_t>(i)]) l = Aig::lit_not(l);
-        mapped[static_cast<std::size_t>(i + 1)] = l;
+int GainEstimator::count_new_nodes(const Structure& s,
+                                   std::span<const Lit> inputs) {
+    assert(static_cast<int>(inputs.size()) >= s.aig.num_pis());
+    if (mapped_.size() < static_cast<std::size_t>(s.aig.num_nodes())) {
+        mapped_.resize(static_cast<std::size_t>(s.aig.num_nodes()));
+    }
+    mapped_[0] = Aig::kConst0;
+    for (int i = 0; i < s.aig.num_pis(); ++i) {
+        mapped_[static_cast<std::size_t>(i + 1)] = inputs[static_cast<std::size_t>(i)];
     }
 
     int new_count = 0;
-    for (const int n : reachable_nodes(s, r.structure_out)) {
-        if (!s.is_and(n)) {
-            assert(mapped[static_cast<std::size_t>(n)] != Aig::kNoLit &&
-                   "structure reads an unmapped input");
+    for (const int n : s.nodes) {
+        Lit& slot = mapped_[static_cast<std::size_t>(n)];
+        if (!s.aig.is_and(n)) {
+            assert(slot != Aig::kNoLit && "structure reads an unmapped input");
             continue;
         }
-        const auto resolve = [&](Lit f) {
-            const Lit base = mapped[static_cast<std::size_t>(Aig::lit_node(f))];
+        const auto resolve = [this](Lit f) {
+            const Lit base = mapped_[static_cast<std::size_t>(Aig::lit_node(f))];
             if (base == Aig::kNoLit) return Aig::kNoLit;
             return Aig::lit_complemented(f) ? Aig::lit_not(base) : base;
         };
-        const Lit a = resolve(s.fanin0(n));
-        const Lit b = resolve(s.fanin1(n));
-        if (a == Aig::kNoLit || b == Aig::kNoLit) {
+        const Lit a = resolve(s.aig.fanin0(n));
+        const Lit b = resolve(s.aig.fanin1(n));
+        // A node built on a new node is new as well (slot stays kNoLit).
+        const Lit hit = a == Aig::kNoLit || b == Aig::kNoLit ? Aig::kNoLit
+                                                              : aig_.lookup_and(a, b);
+        if (hit == Aig::kNoLit ||
+            (marks_[static_cast<std::size_t>(Aig::lit_node(hit))] & kFreed)) {
             ++new_count;
-            continue;  // mapped stays kNoLit: children of new nodes are new
-        }
-        const Lit hit = aig.lookup_and(a, b);
-        if (hit == Aig::kNoLit || freed[static_cast<std::size_t>(Aig::lit_node(hit))]) {
-            ++new_count;
+            slot = Aig::kNoLit;
         } else {
-            mapped[static_cast<std::size_t>(n)] = hit;
+            slot = hit;
         }
     }
     return new_count;
@@ -133,30 +131,29 @@ Aig apply_replacements(const Aig& aig,
         }
 
         const Replacement& r = it->second;
-        const Aig& s = *r.structure;
-        std::vector<Lit> mapped(static_cast<std::size_t>(s.num_nodes()), Aig::kNoLit);
+        const Structure& s = *r.structure;
+        std::vector<Lit> mapped(static_cast<std::size_t>(s.aig.num_nodes()), Aig::kNoLit);
         mapped[0] = Aig::kConst0;
-        const std::vector<int> order = reachable_nodes(s, r.structure_out);
-        for (const int sn : order) {
-            if (s.is_pi(sn)) {
-                const int leaf = r.leaf_of_input[static_cast<std::size_t>(sn - 1)];
-                assert(leaf >= 0 && "structure reads an unmapped input");
-                Lit l = self(self, leaf);
-                if (r.input_negated[static_cast<std::size_t>(sn - 1)]) l = Aig::lit_not(l);
-                mapped[static_cast<std::size_t>(sn)] = l;
+        for (const int sn : s.nodes) {
+            if (s.aig.is_pi(sn)) {
+                const Lit in = r.inputs[static_cast<std::size_t>(sn - 1)];
+                assert(in != Aig::kNoLit && "structure reads an unmapped input");
+                const Lit l = self(self, Aig::lit_node(in));
+                mapped[static_cast<std::size_t>(sn)] =
+                    Aig::lit_complemented(in) ? Aig::lit_not(l) : l;
             }
         }
-        for (const int sn : order) {
-            if (!s.is_and(sn)) continue;
+        for (const int sn : s.nodes) {
+            if (!s.aig.is_and(sn)) continue;
             const auto resolve = [&](Lit f) {
                 const Lit base = mapped[static_cast<std::size_t>(Aig::lit_node(f))];
                 return Aig::lit_complemented(f) ? Aig::lit_not(base) : base;
             };
             mapped[static_cast<std::size_t>(sn)] =
-                out.and2(resolve(s.fanin0(sn)), resolve(s.fanin1(sn)));
+                out.and2(resolve(s.aig.fanin0(sn)), resolve(s.aig.fanin1(sn)));
         }
-        Lit result = mapped[static_cast<std::size_t>(Aig::lit_node(r.structure_out))];
-        if (Aig::lit_complemented(r.structure_out)) result = Aig::lit_not(result);
+        Lit result = mapped[static_cast<std::size_t>(Aig::lit_node(s.out))];
+        if (Aig::lit_complemented(s.out)) result = Aig::lit_not(result);
         if (r.output_negated) result = Aig::lit_not(result);
         memo = result;
         return memo;

@@ -1,10 +1,9 @@
 #include "synth/rewrite.hpp"
 
-#include <cassert>
+#include <array>
 
 #include "logic/truth_table.hpp"
 #include "synth/aig_build.hpp"
-#include "synth/replace.hpp"
 
 namespace mvf::synth {
 
@@ -15,73 +14,63 @@ using net::Cut;
 using net::CutSet;
 using net::Lit;
 
-const RewriteLibrary::Entry& RewriteLibrary::structure_for(std::uint16_t canon_tt) {
+const std::shared_ptr<const Structure>& RewriteLibrary::structure_for(
+    std::uint16_t canon_tt) {
     const auto it = memo_.find(canon_tt);
     if (it != memo_.end()) return it->second;
 
-    logic::TruthTable f(4);
-    for (std::uint32_t m = 0; m < 16; ++m) {
-        if ((canon_tt >> m) & 1) f.set_bit(m, true);
-    }
-    auto aig = std::make_shared<Aig>(4);
-    const std::array<Lit, 4> inputs{aig->pi(0), aig->pi(1), aig->pi(2), aig->pi(3)};
-    Entry entry;
-    entry.out = build_from_tt(f, inputs, aig.get());
-    aig->add_po(entry.out);
-    entry.num_ands = aig->count_live_ands();
-    entry.structure = std::move(aig);
-    return memo_.emplace(canon_tt, std::move(entry)).first->second;
+    Aig aig(4);
+    const std::array<Lit, 4> inputs{aig.pi(0), aig.pi(1), aig.pi(2), aig.pi(3)};
+    const Lit out = build_from_tt(logic::TruthTable::from_u64(4, canon_tt), inputs, &aig);
+    aig.add_po(out);
+    return memo_.emplace(canon_tt, std::make_shared<const Structure>(std::move(aig), out))
+        .first->second;
 }
 
 int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
             const RewriteParams& params) {
     const int before = aig->count_live_ands();
-    std::vector<int> refs = aig->reference_counts();
+    GainEstimator estimator(*aig);
     const CutSet cuts(*aig, params.cuts);
+    const int min_gain = params.zero_gain ? 0 : 1;
 
     std::unordered_map<int, Replacement> decisions;
-    std::vector<int> mffc_nodes;
-
     for (int n = aig->num_pis() + 1; n < aig->num_nodes(); ++n) {
-        if (refs[static_cast<std::size_t>(n)] == 0) continue;  // dead
-        const int min_gain = params.zero_gain ? 0 : 1;
+        if (estimator.refs(n) == 0) continue;  // dead
         int best_gain = min_gain - 1;
-        Replacement best;
-        bool found = false;
+        const std::shared_ptr<const Structure>* best = nullptr;
+        std::array<Lit, 4> best_inputs{};
+        bool best_output_negated = false;
 
         for (const Cut& cut : cuts.cuts_of(n)) {
-            if (cut.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+            if (cut.size() == 1 && cut.leaves()[0] == n) continue;  // trivial
             const logic::NpnEntry& canon = npn.canonize(cut.function);
-            const RewriteLibrary::Entry& entry = lib.structure_for(canon.canon);
+            const std::shared_ptr<const Structure>& structure =
+                lib.structure_for(canon.canon);
             const NpnRebuildWiring wiring =
                 NpnManager::rebuild_wiring(canon.transform);
 
-            Replacement r;
-            r.structure = entry.structure;
-            r.structure_out = entry.out;
-            r.output_negated = wiring.output_neg;
-            r.leaf_of_input.assign(4, -1);
-            r.input_negated.assign(4, false);
-            for (int i = 0; i < 4; ++i) {
-                const int leaf_pos = wiring.leaf_of_input[static_cast<std::size_t>(i)];
-                if (leaf_pos < cut.size()) {
-                    r.leaf_of_input[static_cast<std::size_t>(i)] =
-                        cut.leaves[static_cast<std::size_t>(leaf_pos)];
-                    r.input_negated[static_cast<std::size_t>(i)] =
-                        wiring.leaf_negated[static_cast<std::size_t>(i)];
-                }
+            std::array<Lit, 4> inputs;
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                const int leaf_pos = wiring.leaf_of_input[i];
+                inputs[i] = leaf_pos < cut.size()
+                                ? Aig::make_lit(cut.leaves()[static_cast<std::size_t>(leaf_pos)],
+                                                wiring.leaf_negated[i])
+                                : Aig::kNoLit;
             }
-
-            const int mffc = mffc_size(*aig, n, cut.leaves, refs, &mffc_nodes);
-            const int added = count_new_nodes(*aig, r, mffc_nodes);
-            const int gain = mffc - added;
+            const int gain = estimator.gain(n, cut.leaves(), *structure, inputs);
             if (gain >= min_gain && gain > best_gain) {
                 best_gain = gain;
-                best = std::move(r);
-                found = true;
+                best = &structure;  // library entries never move
+                best_inputs = inputs;
+                best_output_negated = wiring.output_neg;
             }
         }
-        if (found) decisions.emplace(n, std::move(best));
+        if (best) {
+            decisions.emplace(
+                n, Replacement{*best, std::vector<Lit>(best_inputs.begin(), best_inputs.end()),
+                               best_output_negated});
+        }
     }
 
     if (!decisions.empty()) {

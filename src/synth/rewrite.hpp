@@ -6,6 +6,9 @@
 // (dual-polarity ISOP + algebraic factoring).  A cut is rewritten when the
 // structure adds fewer nodes than the cut's MFFC frees.  Rewriting is the
 // main engine for discovering logic sharing across merged viable functions.
+// Each cut is scored through the pass's GainEstimator (synth/replace.hpp)
+// against the library structure directly; only a node's best cut becomes
+// a Replacement.
 
 #include <cstdint>
 #include <memory>
@@ -14,6 +17,7 @@
 #include "logic/npn.hpp"
 #include "net/aig.hpp"
 #include "net/cuts.hpp"
+#include "synth/replace.hpp"
 
 namespace mvf::synth {
 
@@ -21,17 +25,13 @@ namespace mvf::synth {
 /// instance across all rewriting calls of a run.
 class RewriteLibrary {
 public:
-    struct Entry {
-        std::shared_ptr<const net::Aig> structure;  ///< over 4 PIs
-        net::Lit out = 0;
-        int num_ands = 0;
-    };
-
-    /// Best known structure for a canonical 4-variable function.
-    const Entry& structure_for(std::uint16_t canon_tt);
+    /// Best known structure for a canonical 4-variable function: an AIG
+    /// over 4 PIs whose output is also its only PO.  The structure's node
+    /// order is computed once, when the entry is filled.
+    const std::shared_ptr<const Structure>& structure_for(std::uint16_t canon_tt);
 
 private:
-    std::unordered_map<std::uint16_t, Entry> memo_;
+    std::unordered_map<std::uint16_t, std::shared_ptr<const Structure>> memo_;
 };
 
 struct RewriteParams {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "flow/merged_spec.hpp"
 #include "net/aig.hpp"
 #include "net/aig_sim.hpp"
 #include "net/cuts.hpp"
+#include "sbox/sbox_data.hpp"
 #include "util/rng.hpp"
 
 namespace mvf::net {
@@ -167,8 +173,10 @@ TEST(Cuts, TrivialAndBaseCutsExist) {
     bool has_base = false;
     bool has_trivial = false;
     for (const Cut& c : node_cuts) {
-        if (c.leaves == std::vector<int>{1, 2}) has_base = true;
-        if (c.leaves == std::vector<int>{Aig::lit_node(x)}) has_trivial = true;
+        if (std::ranges::equal(c.leaves(), std::vector<int>{1, 2})) has_base = true;
+        if (std::ranges::equal(c.leaves(), std::vector<int>{Aig::lit_node(x)})) {
+            has_trivial = true;
+        }
     }
     EXPECT_TRUE(has_base);
     EXPECT_TRUE(has_trivial);
@@ -181,9 +189,9 @@ TEST(Cuts, CutFunctionsMatchConeEvaluation) {
         const CutSet cuts(aig, CutParams{4, 8, true});
         for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
             for (const Cut& c : cuts.cuts_of(n)) {
-                if (c.size() == 1 && c.leaves[0] == n) continue;  // trivial
+                if (c.size() == 1 && c.leaves()[0] == n) continue;  // trivial
                 const TruthTable cone =
-                    evaluate_cone(aig, Aig::make_lit(n, false), c.leaves);
+                    evaluate_cone(aig, Aig::make_lit(n, false), c.leaves());
                 // Compare against the 16-bit cut function restricted to the
                 // cut arity.
                 for (std::uint32_t m = 0; m < cone.num_bits(); ++m) {
@@ -203,6 +211,169 @@ TEST(Cuts, RespectsLeafLimit) {
     for (int n = 0; n < aig.num_nodes(); ++n) {
         for (const Cut& c : cuts.cuts_of(n)) {
             EXPECT_LE(c.size(), 3);
+        }
+    }
+}
+
+TEST(Cuts, RejectsMaxLeavesOutsideOneToFour) {
+    util::Rng rng(3);
+    const Aig aig = random_aig(5, 20, rng, 1);
+    for (const int k : {-1, 0, 5, 16}) {
+        EXPECT_THROW(CutSet(aig, CutParams{k, 8, true}), std::invalid_argument) << k;
+    }
+    for (const int k : {1, 2, 3, 4}) {
+        EXPECT_NO_THROW(CutSet(aig, CutParams{k, 8, true})) << k;
+    }
+}
+
+TEST(Cuts, RejectsMaxCutsPerNodeOutsideSlotRange) {
+    util::Rng rng(4);
+    const Aig aig = random_aig(5, 20, rng, 1);
+    for (const int m : {-3, 0, CutSet::kMaxCutsPerNode + 1, 1 << 20}) {
+        EXPECT_THROW(CutSet(aig, CutParams{4, m, true}), std::invalid_argument) << m;
+        EXPECT_THROW(CutSet(aig, CutParams{4, m, false}), std::invalid_argument) << m;
+    }
+    for (const int m : {1, CutSet::kMaxCutsPerNode}) {
+        EXPECT_NO_THROW(CutSet(aig, CutParams{4, m, true})) << m;
+    }
+}
+
+// The vector-per-cut enumerator the flat CutSet replaced, kept as the
+// reference: same merge order, dominance filter, stable size sort and
+// truncation.
+struct ReferenceCut {
+    std::vector<int> leaves;
+    std::uint16_t function = 0;
+};
+
+std::uint16_t reference_expand_tt(std::uint16_t tt, const std::vector<int>& from,
+                                  const std::vector<int>& to) {
+    std::uint16_t out = 0;
+    int pos[4];
+    for (std::size_t i = 0; i < from.size(); ++i) {
+        pos[i] = static_cast<int>(std::lower_bound(to.begin(), to.end(), from[i]) -
+                                  to.begin());
+    }
+    for (std::uint32_t m = 0; m < 16; ++m) {
+        std::uint32_t src = 0;
+        for (std::size_t i = 0; i < from.size(); ++i) {
+            if ((m >> pos[i]) & 1) src |= 1u << i;
+        }
+        if ((tt >> src) & 1) out |= static_cast<std::uint16_t>(1u << m);
+    }
+    return out;
+}
+
+bool reference_merge(const std::vector<int>& a, const std::vector<int>& b,
+                     int max_leaves, std::vector<int>* out) {
+    out->clear();
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(*out));
+    return static_cast<int>(out->size()) <= max_leaves;
+}
+
+bool reference_subset(const std::vector<int>& small, const std::vector<int>& big) {
+    return std::includes(big.begin(), big.end(), small.begin(), small.end());
+}
+
+std::vector<std::vector<ReferenceCut>> reference_cuts(const Aig& aig,
+                                                      const CutParams& params) {
+    std::vector<std::vector<ReferenceCut>> cuts(static_cast<std::size_t>(aig.num_nodes()));
+    cuts[0].push_back(ReferenceCut{{}, 0});
+    for (int i = 0; i < aig.num_pis(); ++i) {
+        cuts[static_cast<std::size_t>(i + 1)].push_back(ReferenceCut{{i + 1}, 0xaaaa});
+    }
+    std::vector<int> merged;
+    for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
+        auto& node_cuts = cuts[static_cast<std::size_t>(n)];
+        const Lit f0 = aig.fanin0(n);
+        const Lit f1 = aig.fanin1(n);
+        for (const ReferenceCut& c0 : cuts[static_cast<std::size_t>(Aig::lit_node(f0))]) {
+            for (const ReferenceCut& c1 : cuts[static_cast<std::size_t>(Aig::lit_node(f1))]) {
+                if (!reference_merge(c0.leaves, c1.leaves, params.max_leaves, &merged)) continue;
+                std::uint16_t t0 = reference_expand_tt(c0.function, c0.leaves, merged);
+                std::uint16_t t1 = reference_expand_tt(c1.function, c1.leaves, merged);
+                if (Aig::lit_complemented(f0)) t0 = static_cast<std::uint16_t>(~t0);
+                if (Aig::lit_complemented(f1)) t1 = static_cast<std::uint16_t>(~t1);
+                const ReferenceCut candidate{merged, static_cast<std::uint16_t>(t0 & t1)};
+                bool dominated = false;
+                for (const ReferenceCut& c : node_cuts) {
+                    if (reference_subset(c.leaves, candidate.leaves)) dominated = true;
+                }
+                if (dominated) continue;
+                std::erase_if(node_cuts, [&candidate](const ReferenceCut& c) {
+                    return reference_subset(candidate.leaves, c.leaves);
+                });
+                node_cuts.push_back(candidate);
+            }
+        }
+        std::stable_sort(node_cuts.begin(), node_cuts.end(),
+                         [](const ReferenceCut& a, const ReferenceCut& b) {
+                             return a.leaves.size() < b.leaves.size();
+                         });
+        if (static_cast<int>(node_cuts.size()) > params.max_cuts_per_node) {
+            node_cuts.resize(static_cast<std::size_t>(params.max_cuts_per_node));
+        }
+        if (params.include_trivial) node_cuts.push_back(ReferenceCut{{n}, 0xaaaa});
+    }
+    return cuts;
+}
+
+// Every node's cut list equals the reference element by element.
+void expect_cuts_match_reference(const Aig& aig, const std::string& what) {
+    const CutParams params_list[] = {{4, 8, true}, {4, 8, false}, {4, 1, true},
+                                     {4, 1, false}, {3, 5, true}, {3, 5, false},
+                                     {2, 3, true},  {2, 3, false}};
+    for (const CutParams& params : params_list) {
+        const CutSet cuts(aig, params);
+        const auto want = reference_cuts(aig, params);
+        const std::string label = what + " K=" + std::to_string(params.max_leaves) +
+                                  " C=" + std::to_string(params.max_cuts_per_node) +
+                                  (params.include_trivial ? " trivial" : "");
+        for (int n = 0; n < aig.num_nodes(); ++n) {
+            const std::span<const Cut> got = cuts.cuts_of(n);
+            const auto& ref = want[static_cast<std::size_t>(n)];
+            ASSERT_EQ(got.size(), ref.size()) << label << " node " << n;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_TRUE(std::ranges::equal(got[i].leaves(), ref[i].leaves))
+                    << label << " node " << n << " cut " << i;
+                ASSERT_EQ(got[i].function, ref[i].function)
+                    << label << " node " << n << " cut " << i;
+            }
+        }
+    }
+}
+
+TEST(Cuts, FlatStoreMatchesReferenceOnRandomGraphs) {
+    util::Rng rng(21);
+    for (int t = 0; t < 12; ++t) {
+        const Aig aig = random_aig(4 + t % 5, 30 + 10 * t, rng, 1 + t % 3);
+        expect_cuts_match_reference(aig, "random " + std::to_string(t));
+    }
+}
+
+TEST(Cuts, FlatStoreMatchesReferenceOnMergedSboxes) {
+    struct Merge {
+        const char* family;
+        int n;
+    };
+    for (const Merge& m : {Merge{"present", 2}, Merge{"present", 3}, Merge{"present", 8},
+                           Merge{"des", 2}, Merge{"des", 4}}) {
+        const auto fns = flow::from_sboxes(std::string(m.family) == "present"
+                                               ? sbox::present_viable_set(m.n)
+                                               : sbox::des_viable_set(m.n));
+        const int inputs = fns.front().num_inputs;
+        const int outputs = fns.front().num_outputs;
+        util::Rng rng(static_cast<std::uint64_t>(100 + m.n));
+        const ga::PinAssignment assignments[] = {
+            ga::PinAssignment::identity(m.n, inputs, outputs),
+            ga::PinAssignment::random(m.n, inputs, outputs, rng),
+            ga::PinAssignment::random(m.n, inputs, outputs, rng),
+        };
+        for (std::size_t a = 0; a < std::size(assignments); ++a) {
+            const Aig aig = flow::MergedSpec(fns, assignments[a]).build_aig();
+            expect_cuts_match_reference(aig, std::string(m.family) + ":" +
+                                                 std::to_string(m.n) + " pins " +
+                                                 std::to_string(a));
         }
     }
 }

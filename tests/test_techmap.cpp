@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <span>
+#include <stdexcept>
 
 #include "map/tech_map.hpp"
 #include "net/aig_sim.hpp"
@@ -244,6 +245,18 @@ TEST(TechMap, PiPassThroughOutput) {
     const auto out = sim::simulate_full(nl);
     EXPECT_EQ(out[0], TruthTable::var(1, 2));
     EXPECT_EQ(out[1], ~TruthTable::var(0, 2));
+}
+
+TEST(TechMap, RejectsUnrepresentableCutParams) {
+    // Cut functions are 16-bit tables: a 5-leaf cut cannot be represented.
+    Aig aig(3);
+    aig.add_po(aig.and2(aig.and2(aig.pi(0), aig.pi(1)), aig.pi(2)));
+    TechMapParams params;
+    params.cuts.max_leaves = 5;
+    EXPECT_THROW(tech_map(aig, MatchCache::standard(), params), std::invalid_argument);
+    params.cuts.max_leaves = 4;
+    params.cuts.max_cuts_per_node = net::CutSet::kMaxCutsPerNode + 1;
+    EXPECT_THROW(tech_map(aig, MatchCache::standard(), params), std::invalid_argument);
 }
 
 TEST(Netlist, FanoutAndAreaAccounting) {

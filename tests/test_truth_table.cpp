@@ -185,5 +185,197 @@ TEST(TruthTable, FromFunctionMatchesBitAccess) {
     }
 }
 
+// ---- Inline/heap storage boundary: tables of up to 6 variables live in
+// the object, wider ones on the heap; copies and moves cross the boundary.
+
+constexpr int kWidths[] = {0, 5, 6, 7, 10, 16};
+
+TruthTable random_table(int num_vars, util::Rng& rng) {
+    TruthTable t(num_vars);
+    for (std::uint32_t m = 0; m < t.num_bits(); ++m) t.set_bit(m, rng.coin(0.5));
+    return t;
+}
+
+// Flips one minterm: used to show two tables do not share storage.
+void flip(TruthTable* t, std::uint32_t minterm) {
+    t->set_bit(minterm % t->num_bits(), !t->bit(minterm % t->num_bits()));
+}
+
+TEST(TruthTableStorage, OneInlineWord) {
+    // Vars count, data pointer, inline word.
+    if constexpr (sizeof(void*) == 8) {
+        EXPECT_EQ(sizeof(TruthTable), 24u);
+    }
+}
+
+TEST(TruthTableStorage, CopyConstructionAcrossWidths) {
+    util::Rng rng(31);
+    for (const int n : kWidths) {
+        const TruthTable src = random_table(n, rng);
+        const TruthTable saved = src;
+        TruthTable copy(src);
+        EXPECT_EQ(copy, src) << n;
+        EXPECT_EQ(copy.hash(), src.hash()) << n;
+        flip(&copy, 3);
+        EXPECT_NE(copy, src) << n;
+        EXPECT_EQ(src, saved) << n;
+    }
+}
+
+TEST(TruthTableStorage, MoveConstructionAcrossWidths) {
+    util::Rng rng(32);
+    for (const int n : kWidths) {
+        TruthTable src = random_table(n, rng);
+        const TruthTable saved = src;
+        const TruthTable moved(std::move(src));
+        EXPECT_EQ(moved, saved) << n;
+        // The moved-from table is still a table and takes new contents.
+        src = TruthTable::var(0, 3);
+        EXPECT_EQ(src, TruthTable::var(0, 3)) << n;
+    }
+}
+
+TEST(TruthTableStorage, CopyAssignmentEveryDirection) {
+    util::Rng rng(33);
+    for (const int to : kWidths) {
+        for (const int from : kWidths) {
+            TruthTable dst = random_table(to, rng);
+            const TruthTable src = random_table(from, rng);
+            const TruthTable saved = src;
+            dst = src;
+            EXPECT_EQ(dst.num_vars(), from) << to << "<-" << from;
+            EXPECT_EQ(dst, src) << to << "<-" << from;
+            EXPECT_EQ(dst.hash(), src.hash()) << to << "<-" << from;
+            flip(&dst, 5);
+            EXPECT_NE(dst, src) << to << "<-" << from;
+            EXPECT_EQ(src, saved) << to << "<-" << from;
+        }
+    }
+}
+
+TEST(TruthTableStorage, MoveAssignmentEveryDirection) {
+    util::Rng rng(34);
+    for (const int to : kWidths) {
+        for (const int from : kWidths) {
+            TruthTable dst = random_table(to, rng);
+            TruthTable src = random_table(from, rng);
+            const TruthTable saved = src;
+            dst = std::move(src);
+            EXPECT_EQ(dst, saved) << to << "<-" << from;
+            // Reuse the moved-from table at the other width.
+            const TruthTable fresh = random_table(to, rng);
+            src = fresh;
+            EXPECT_EQ(src, fresh) << to << "<-" << from;
+            src = std::move(dst);
+            EXPECT_EQ(src, saved) << to << "<-" << from;
+        }
+    }
+}
+
+TEST(TruthTableStorage, SelfAssignmentKeepsContents) {
+    util::Rng rng(35);
+    for (const int n : kWidths) {
+        TruthTable t = random_table(n, rng);
+        const TruthTable saved = t;
+        TruthTable& alias = t;
+        t = alias;
+        EXPECT_EQ(t, saved) << n;
+        t = std::move(alias);
+        EXPECT_EQ(t, saved) << n;
+    }
+}
+
+TEST(TruthTableStorage, MovedFromTableIsReusable) {
+    util::Rng rng(36);
+    for (const int n : kWidths) {
+        TruthTable t = random_table(n, rng);
+        TruthTable sink(std::move(t));
+        // Every operation works on the moved-from table ...
+        EXPECT_EQ(t, t);
+        EXPECT_EQ(t.num_bits(), 1u << t.num_vars());
+        TruthTable inverted = ~t;
+        EXPECT_EQ(inverted.count_ones() + t.count_ones(), static_cast<int>(t.num_bits()));
+        // ... and it takes any width afterwards.
+        for (const int m : kWidths) {
+            const TruthTable fresh = random_table(m, rng);
+            t = fresh;
+            EXPECT_EQ(t, fresh) << n << "->" << m;
+            t &= fresh;
+            EXPECT_EQ(t, fresh) << n << "->" << m;
+            sink = std::move(t);
+            EXPECT_EQ(sink, fresh) << n << "->" << m;
+        }
+    }
+}
+
+TEST(TruthTableStorage, EqualityAndHashAcrossWidths) {
+    for (const int a : kWidths) {
+        for (const int b : kWidths) {
+            // Constant tables agree bit for bit on their common minterms, so
+            // only the width tells them apart.
+            EXPECT_EQ(TruthTable::zeros(a) == TruthTable::zeros(b), a == b) << a << " " << b;
+            EXPECT_EQ(TruthTable::ones(a) == TruthTable::ones(b), a == b) << a << " " << b;
+            if (a != b) {
+                EXPECT_NE(TruthTable::zeros(a).hash(), TruthTable::zeros(b).hash())
+                    << a << " " << b;
+            }
+        }
+        // Equal tables reached by different paths hash alike.
+        if (a > 0) {
+            const TruthTable x = TruthTable::var(a - 1, a);
+            const TruthTable y = ~~x;
+            TruthTable z(a);
+            z |= x;
+            EXPECT_EQ(x, y) << a;
+            EXPECT_EQ(x, z) << a;
+            EXPECT_EQ(x.hash(), y.hash()) << a;
+            EXPECT_EQ(x.hash(), z.hash()) << a;
+        }
+    }
+}
+
+TEST(TruthTableStorage, UnusedHighBitsStayZeroBelowSixVariables) {
+    util::Rng rng(37);
+    for (int n = 0; n < 6; ++n) {
+        const std::uint64_t used = (1ull << (1 << n)) - 1;
+        EXPECT_EQ(TruthTable::ones(n).as_u64(), used) << n;
+        EXPECT_EQ((~TruthTable::zeros(n)).as_u64(), used) << n;
+        EXPECT_EQ(TruthTable::from_u64(n, ~0ull).as_u64(), used) << n;
+        EXPECT_TRUE(TruthTable::from_u64(n, ~0ull).is_ones()) << n;
+        for (int v = 0; v < n; ++v) {
+            EXPECT_EQ(TruthTable::var(v, n).as_u64() & ~used, 0u) << n << " " << v;
+            const TruthTable f = TruthTable::from_u64(n, rng.next_u64());
+            EXPECT_EQ(f.cofactor(v, true).as_u64() & ~used, 0u) << n << " " << v;
+            EXPECT_EQ(f.cofactor(v, false).as_u64() & ~used, 0u) << n << " " << v;
+        }
+        // Narrowing through assignment leaves no bits of the wider table.
+        for (const int wide : {6, 7, 10}) {
+            TruthTable t = TruthTable::ones(wide);
+            t = TruthTable::ones(n);
+            EXPECT_EQ(t.as_u64(), used) << wide << "->" << n;
+            TruthTable u = TruthTable::ones(wide);
+            u = TruthTable::zeros(n);
+            EXPECT_TRUE(u.is_zero()) << wide << "->" << n;
+            EXPECT_EQ(u, TruthTable::zeros(n)) << wide << "->" << n;
+        }
+    }
+}
+
+TEST(TruthTableStorage, InPlaceQueriesMatchCofactorDefinitions) {
+    util::Rng rng(38);
+    for (const int n : kWidths) {
+        for (int trial = 0; trial < 4; ++trial) {
+            TruthTable f = random_table(n, rng);
+            if (trial == 1) f = TruthTable::ones(n);
+            if (trial == 2 && n > 0) f = TruthTable::var(n - 1, n);
+            EXPECT_EQ(f.is_ones(), f == ~TruthTable::zeros(n)) << n;
+            for (int v = 0; v < n; ++v) {
+                EXPECT_EQ(f.depends_on(v), f.cofactor(v, false) != f.cofactor(v, true))
+                    << n << " var " << v;
+            }
+        }
+    }
+}
+
 }  // namespace
 }  // namespace mvf::logic
