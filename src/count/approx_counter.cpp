@@ -56,6 +56,7 @@ bool ApproxResult::within_envelope(const Count128& estimate,
 
 ApproxCounter::ApproxCounter(Cnf cnf, ApproxConfig config)
     : cnf_(std::move(cnf)), config_(config) {
+    validate(cnf_);
     if (!(config.epsilon > 0.0)) {
         throw std::invalid_argument("ApproxCounter: epsilon must be > 0");
     }

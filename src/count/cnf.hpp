@@ -21,6 +21,12 @@ struct Cnf {
     std::vector<sat::Var> projection;
 };
 
+/// Throws std::invalid_argument unless num_vars >= 0 and every literal and
+/// projection variable lies in [0, num_vars).  Both counters call it before
+/// they index anything by variable or literal; cnf_from_solver output
+/// always passes.
+void validate(const Cnf& cnf);
+
 /// Snapshots `solver`'s current problem formula (see
 /// sat::Solver::snapshot_clauses) as a counting instance projected onto
 /// `projection`.  The projection variables must not have been eliminated by

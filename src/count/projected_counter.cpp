@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <span>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,13 +26,13 @@ SharedComponentCache::SharedComponentCache(std::size_t budget_bytes,
 }
 
 SharedComponentCache::Shard& SharedComponentCache::shard_for(
-    const std::vector<std::uint32_t>& key) const {
+    const ComponentKey& key) const {
     // Decorrelate from the in-shard bucket hash by mixing the high bits.
-    const std::uint64_t h = KeyHash{}(key);
+    const std::uint64_t h = key.hash;
     return shards_[static_cast<std::size_t>((h >> 17) % shards_.size())];
 }
 
-bool SharedComponentCache::lookup(const std::vector<std::uint32_t>& key,
+bool SharedComponentCache::lookup(const ComponentKey& key,
                                   Count128* out) const {
     Shard& s = shard_for(key);
     std::lock_guard lock(s.mutex);
@@ -39,10 +42,9 @@ bool SharedComponentCache::lookup(const std::vector<std::uint32_t>& key,
     return true;
 }
 
-bool SharedComponentCache::store(std::vector<std::uint32_t> key,
-                                 const Count128& value,
+bool SharedComponentCache::store(ComponentKey key, const Count128& value,
                                  std::uint64_t* evicted) {
-    const std::size_t bytes = key.size() * sizeof(std::uint32_t) + 64;
+    const std::size_t bytes = key.words.size() * sizeof(std::uint32_t) + 64;
     if (bytes > shard_budget_ / 4) return false;  // would only thrash
     Shard& s = shard_for(key);
     std::lock_guard lock(s.mutex);
@@ -56,7 +58,7 @@ bool SharedComponentCache::store(std::vector<std::uint32_t> key,
     bool victim = false;
     for (auto i = s.map.begin(); i != s.map.end();) {
         if (victim) {
-            s.bytes -= i->first.size() * sizeof(std::uint32_t) + 64;
+            s.bytes -= i->first.words.size() * sizeof(std::uint32_t) + 64;
             i = s.map.erase(i);
             ++*evicted;
         } else {
@@ -87,28 +89,57 @@ std::size_t SharedComponentCache::peak_bytes() const {
 
 // ------------------------------------------------------- ProjectedCounter --
 
-ProjectedCounter::ProjectedCounter(Cnf cnf, CounterConfig config)
-    : config_(config), num_vars_(cnf.num_vars) {
-    is_proj_.assign(static_cast<std::size_t>(num_vars_), false);
-    projection_.reserve(cnf.projection.size());
+struct ProjectedCounter::Store {
+    explicit Store(Cnf cnf);
+
+    std::span<const Lit> clause(int i) const {
+        const std::size_t b = clause_begin[static_cast<std::size_t>(i)];
+        const std::size_t e = clause_begin[static_cast<std::size_t>(i) + 1];
+        return {lits.data() + b, e - b};
+    }
+    /// The clauses containing literal l, in increasing index order.
+    std::span<const int> occurrences(Lit l) const {
+        const std::size_t b = occ_begin[static_cast<std::size_t>(l)];
+        const std::size_t e = occ_begin[static_cast<std::size_t>(l) + 1];
+        return {occ.data() + b, e - b};
+    }
+    std::size_t num_clauses() const { return all_clauses.size(); }
+
+    int num_vars = 0;
+    /// The input held an empty clause: the count is zero.
+    bool root_conflict = false;
+    std::size_t max_clause_len = 0;
+    /// Clause i is lits[clause_begin[i], clause_begin[i + 1]).
+    std::vector<Lit> lits;
+    std::vector<std::uint32_t> clause_begin;
+    /// Literal l occurs in occ[occ_begin[l], occ_begin[l + 1]).
+    std::vector<std::uint32_t> occ_begin;
+    std::vector<int> occ;
+    std::size_t projection_size = 0;  ///< distinct projection variables
+    std::vector<unsigned char> is_proj;
+    /// The root component: every clause and every variable.
+    std::vector<int> all_clauses;
+    std::vector<Var> all_vars;
+};
+
+ProjectedCounter::Store::Store(Cnf cnf) : num_vars(cnf.num_vars) {
+    validate(cnf);
+    const auto n = static_cast<std::size_t>(num_vars);
+    is_proj.assign(n, 0);
     for (const Var v : cnf.projection) {
-        assert(v >= 0 && v < num_vars_);
-        if (!is_proj_[static_cast<std::size_t>(v)]) {
-            is_proj_[static_cast<std::size_t>(v)] = true;
-            projection_.push_back(v);
+        if (!is_proj[static_cast<std::size_t>(v)]) {
+            is_proj[static_cast<std::size_t>(v)] = 1;
+            ++projection_size;
         }
     }
-    std::sort(projection_.begin(), projection_.end());
-    val_.assign(static_cast<std::size_t>(num_vars_), -1);
-    stamp_.assign(static_cast<std::size_t>(num_vars_), 0);
-    slot_of_.assign(static_cast<std::size_t>(num_vars_), -1);
+    all_vars.resize(n);
+    for (std::size_t v = 0; v < n; ++v) all_vars[v] = static_cast<Var>(v);
 
-    // Normalize into the immutable database: sorted deduplicated literals,
+    // Normalize into the flat store: sorted deduplicated literals,
     // tautologies dropped, an empty clause marking the whole formula
     // unsatisfiable.
-    db_.reserve(cnf.clauses.size());
-    for (auto& in : cnf.clauses) {
-        std::vector<Lit> c = std::move(in);
+    clause_begin.push_back(0);
+    for (std::vector<Lit>& c : cnf.clauses) {
         std::sort(c.begin(), c.end());
         c.erase(std::unique(c.begin(), c.end()), c.end());
         bool tautology = false;
@@ -120,30 +151,45 @@ ProjectedCounter::ProjectedCounter(Cnf cnf, CounterConfig config)
         }
         if (tautology) continue;
         if (c.empty()) {
-            root_conflict_ = true;
+            root_conflict = true;
             break;
         }
-        db_.push_back(std::move(c));
+        if (lits.size() + c.size() > UINT32_MAX) {
+            throw std::length_error("ProjectedCounter: over 2^32 - 1 literals");
+        }
+        lits.insert(lits.end(), c.begin(), c.end());
+        clause_begin.push_back(static_cast<std::uint32_t>(lits.size()));
+        max_clause_len = std::max(max_clause_len, c.size());
+    }
+    const std::size_t m = clause_begin.size() - 1;
+    all_clauses.resize(m);
+    for (std::size_t i = 0; i < m; ++i) all_clauses[i] = static_cast<int>(i);
+
+    // Occurrence lists by counting sort over the literals.
+    occ_begin.assign(2 * n + 1, 0);
+    for (const Lit l : lits) ++occ_begin[static_cast<std::size_t>(l) + 1];
+    for (std::size_t l = 0; l < 2 * n; ++l) occ_begin[l + 1] += occ_begin[l];
+    occ.resize(lits.size());
+    std::vector<std::uint32_t> cursor(occ_begin.begin(), occ_begin.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (const Lit l : clause(static_cast<int>(i))) {
+            occ[cursor[static_cast<std::size_t>(l)]++] = static_cast<int>(i);
+        }
     }
 }
 
-ProjectedCounter::ProjectedCounter(const ProjectedCounter& parent,
-                                   int worker_tag)
-    : config_(parent.config_),
-      num_vars_(parent.num_vars_),
-      db_(parent.db_),
-      projection_(parent.projection_),
-      is_proj_(parent.is_proj_),
-      root_conflict_(parent.root_conflict_) {
-    (void)worker_tag;
-    // Workers are plain serial counters: the driver wires up the shared
-    // cache/budget/abort pointers after construction.
-    config_.threads = 1;
-    config_.cube_vars = 0;
-    config_.pool = nullptr;
-    val_.assign(static_cast<std::size_t>(num_vars_), -1);
-    stamp_.assign(static_cast<std::size_t>(num_vars_), 0);
-    slot_of_.assign(static_cast<std::size_t>(num_vars_), -1);
+ProjectedCounter::ProjectedCounter(Cnf cnf, CounterConfig config)
+    : ProjectedCounter(std::make_shared<const Store>(std::move(cnf)), config) {}
+
+ProjectedCounter::ProjectedCounter(std::shared_ptr<const Store> store,
+                                   CounterConfig config)
+    : config_(config), store_(std::move(store)) {
+    const auto n = static_cast<std::size_t>(store_->num_vars);
+    lit_val_.assign(2 * n, -1);
+    trail_.reserve(n);
+    stamp_.assign(n, 0);
+    slot_of_.assign(n, -1);
+    clause_vars_.resize(store_->max_clause_len);
 }
 
 bool ProjectedCounter::decision_over_budget() {
@@ -174,56 +220,64 @@ bool ProjectedCounter::decision_over_budget() {
 
 void ProjectedCounter::assign(Lit l) {
     assert(lit_value(l) == -1);
-    val_[static_cast<std::size_t>(sat::lit_var(l))] =
-        sat::lit_negated(l) ? 0 : 1;
+    lit_val_[static_cast<std::size_t>(l)] = 1;
+    lit_val_[static_cast<std::size_t>(sat::lit_not(l))] = 0;
     trail_.push_back(l);
     ++stats_.propagations;
 }
 
 void ProjectedCounter::undo_to(std::size_t mark) {
     while (trail_.size() > mark) {
-        val_[static_cast<std::size_t>(sat::lit_var(trail_.back()))] = -1;
+        const Lit l = trail_.back();
+        lit_val_[static_cast<std::size_t>(l)] = -1;
+        lit_val_[static_cast<std::size_t>(sat::lit_not(l))] = -1;
         trail_.pop_back();
     }
 }
 
-/// Unit propagation over the clause-index set, to fixpoint.  Returns false
-/// on a conflict (a clause with every literal false).
-bool ProjectedCounter::bcp(const std::vector<int>& cls) {
-    std::vector<unsigned char> active(cls.size(), 1);
-    bool again = true;
-    while (again) {
-        again = false;
-        for (std::size_t i = 0; i < cls.size(); ++i) {
-            if (!active[i]) continue;
-            const std::vector<Lit>& c = db_[static_cast<std::size_t>(cls[i])];
-            Lit unit = -1;
-            int unassigned = 0;
-            bool satisfied = false;
-            for (const Lit l : c) {
-                const int v = lit_value(l);
-                if (v == 1) {
-                    satisfied = true;
-                    break;
-                }
-                if (v == -1) {
-                    if (++unassigned > 1) break;
-                    unit = l;
-                }
-            }
-            if (satisfied) {
-                active[i] = 0;
-                continue;
-            }
-            if (unassigned == 0) return false;
-            if (unassigned == 1) {
-                assign(unit);
-                active[i] = 0;
-                again = true;
-            }
+bool ProjectedCounter::propagate_clause(int ci) {
+    Lit unit = -1;
+    int unassigned = 0;
+    for (const Lit l : store_->clause(ci)) {
+        const int v = lit_value(l);
+        if (v == 1) return true;
+        if (v == -1) {
+            if (++unassigned > 1) return true;
+            unit = l;
+        }
+    }
+    if (unassigned == 0) return false;
+    assign(unit);
+    return true;
+}
+
+bool ProjectedCounter::propagate(std::size_t head) {
+    const Store& s = *store_;
+    while (head < trail_.size()) {
+        const Lit falsified = sat::lit_not(trail_[head++]);
+        for (const int ci : s.occurrences(falsified)) {
+            if (!propagate_clause(ci)) return false;
         }
     }
     return true;
+}
+
+bool ProjectedCounter::propagate_root() {
+    for (const int ci : store_->all_clauses) {
+        if (!propagate_clause(ci)) return false;
+    }
+    return propagate(0);
+}
+
+ProjectedCounter::Component ProjectedCounter::root() const {
+    return {store_->all_vars, store_->all_clauses};
+}
+
+ProjectedCounter::Frame& ProjectedCounter::frame(std::size_t depth) {
+    // A deque: growing it keeps the shallower frames (and the component
+    // spans into them) where they are.
+    while (frames_.size() <= depth) frames_.emplace_back();
+    return frames_[depth];
 }
 
 /// Cache key: the residual formula with variables renamed to their rank in
@@ -233,42 +287,42 @@ bool ProjectedCounter::bcp(const std::vector<int>& cls) {
 /// structurally identical subcircuits recur across copies under different
 /// auxiliary variable ids, and equal keys imply a projection-preserving
 /// isomorphism, hence equal counts.
-std::vector<std::uint32_t> ProjectedCounter::encode(const Component& comp) {
-    const int stamp = ++stamp_counter_;
-    for (std::size_t i = 0; i < comp.vars.size(); ++i) {
-        const Var v = comp.vars[i];
-        stamp_[static_cast<std::size_t>(v)] = stamp;
-        slot_of_[static_cast<std::size_t>(v)] = static_cast<int>(i);
-    }
-    std::vector<std::uint32_t> key;
-    key.reserve(comp.vars.size() / 32 + comp.cls.size() * 4 + 2);
-    key.push_back(static_cast<std::uint32_t>(comp.vars.size()));
+void ProjectedCounter::encode(const Component& comp) {
+    const Store& s = *store_;
+    std::vector<std::uint32_t>& key = probe_.words;
+    key.clear();
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+    const auto put = [&key, &h](std::uint32_t word) {
+        key.push_back(word);
+        h ^= word;
+        h *= 1099511628211ull;
+    };
+    put(static_cast<std::uint32_t>(comp.vars.size()));
     std::uint32_t word = 0;
     for (std::size_t i = 0; i < comp.vars.size(); ++i) {
-        if (is_proj_[static_cast<std::size_t>(comp.vars[i])]) {
-            word |= 1u << (i % 32);
-        }
+        const auto v = static_cast<std::size_t>(comp.vars[i]);
+        slot_of_[v] = static_cast<int>(i);
+        if (s.is_proj[v]) word |= 1u << (i % 32);
         if (i % 32 == 31) {
-            key.push_back(word);
+            put(word);
             word = 0;
         }
     }
-    key.push_back(word);
+    put(word);
     for (const int ci : comp.cls) {
-        for (const Lit l : db_[static_cast<std::size_t>(ci)]) {
+        for (const Lit l : s.clause(ci)) {
             if (lit_value(l) != -1) continue;
             const int local =
                 slot_of_[static_cast<std::size_t>(sat::lit_var(l))];
-            key.push_back(static_cast<std::uint32_t>(
-                2 * local + (sat::lit_negated(l) ? 1 : 0) + 1));
+            put(static_cast<std::uint32_t>(2 * local +
+                                           (sat::lit_negated(l) ? 1 : 0) + 1));
         }
-        key.push_back(0);  // clause separator (literals encode as >= 1)
+        put(0);  // clause separator (literals encode as >= 1)
     }
-    return key;
+    probe_.hash = static_cast<std::size_t>(h);
 }
 
-void ProjectedCounter::cache_store(std::vector<std::uint32_t> key,
-                                   const Count128& value) {
+void ProjectedCounter::cache_store(ComponentKey key, const Count128& value) {
     if (shared_cache_) {
         std::uint64_t evicted = 0;
         if (shared_cache_->store(std::move(key), value, &evicted)) {
@@ -277,7 +331,7 @@ void ProjectedCounter::cache_store(std::vector<std::uint32_t> key,
         stats_.cache_evictions += evicted;
         return;
     }
-    const std::size_t bytes = key.size() * sizeof(std::uint32_t) + 64;
+    const std::size_t bytes = key.words.size() * sizeof(std::uint32_t) + 64;
     if (bytes > config_.cache_bytes / 4) return;  // would only thrash
     cache_bytes_ += bytes;
     cache_.emplace(std::move(key), value);
@@ -290,7 +344,7 @@ void ProjectedCounter::cache_store(std::vector<std::uint32_t> key,
     bool victim = false;
     for (auto it = cache_.begin(); it != cache_.end();) {
         if (victim) {
-            cache_bytes_ -= it->first.size() * sizeof(std::uint32_t) + 64;
+            cache_bytes_ -= it->first.words.size() * sizeof(std::uint32_t) + 64;
             it = cache_.erase(it);
             ++stats_.cache_evictions;
         } else {
@@ -301,14 +355,14 @@ void ProjectedCounter::cache_store(std::vector<std::uint32_t> key,
 }
 
 /// Plain DPLL existence check for components without projection variables.
-bool ProjectedCounter::exists(const std::vector<int>& cls) {
+bool ProjectedCounter::exists(std::span<const int> cls) {
+    const Store& s = *store_;
     // Find a branch literal among the still-unsatisfied clauses.
     Lit branch = -1;
     for (const int ci : cls) {
-        const std::vector<Lit>& c = db_[static_cast<std::size_t>(ci)];
         bool satisfied = false;
         Lit candidate = -1;
-        for (const Lit l : c) {
+        for (const Lit l : s.clause(ci)) {
             const int v = lit_value(l);
             if (v == 1) {
                 satisfied = true;
@@ -329,7 +383,7 @@ bool ProjectedCounter::exists(const std::vector<int>& cls) {
     for (int attempt = 0; attempt < 2; ++attempt) {
         const std::size_t mark = trail_.size();
         assign(attempt == 0 ? branch : sat::lit_not(branch));
-        const bool found = bcp(cls) && exists(cls);
+        const bool found = propagate(mark) && exists(cls);
         undo_to(mark);
         if (found) return true;
     }
@@ -337,163 +391,183 @@ bool ProjectedCounter::exists(const std::vector<int>& cls) {
 }
 
 /// Builds the residual of `parent` under the current assignment, splits it
-/// into variable-connected components, and returns the product of their
-/// counts times 2^k for the parent's projection variables that came free
-/// (unassigned and no longer constrained by any clause).
-Count128 ProjectedCounter::count_children(const Component& parent) {
-    // Residual clauses and their unassigned variables.
-    std::vector<int> residual;
-    residual.reserve(parent.cls.size());
-    for (const int ci : parent.cls) {
-        const std::vector<Lit>& c = db_[static_cast<std::size_t>(ci)];
-        bool satisfied = false;
-        for (const Lit l : c) {
-            if (lit_value(l) == 1) {
-                satisfied = true;
-                break;
-            }
-        }
-        if (!satisfied) residual.push_back(ci);
-    }
-
-    // Union-find over the residual's variables.  slot_of_ maps a variable
-    // to its dense index; entries are only read behind a matching stamp,
-    // so the member array never needs clearing between calls.
-    const int stamp = ++stamp_counter_;
-    std::vector<Var> vars;
-    std::vector<int> uf;
-    const auto slot = [&](Var v) {
-        if (stamp_[static_cast<std::size_t>(v)] != stamp) {
-            stamp_[static_cast<std::size_t>(v)] = stamp;
-            slot_of_[static_cast<std::size_t>(v)] =
-                static_cast<int>(vars.size());
-            vars.push_back(v);
-            uf.push_back(static_cast<int>(uf.size()));
-        }
-        return slot_of_[static_cast<std::size_t>(v)];
-    };
-    const auto find = [&uf](int i) {
-        while (uf[static_cast<std::size_t>(i)] != i) {
-            uf[static_cast<std::size_t>(i)] =
-                uf[static_cast<std::size_t>(uf[static_cast<std::size_t>(i)])];
-            i = uf[static_cast<std::size_t>(i)];
+/// into variable-connected components on frame `depth`, and returns the
+/// product of their counts times 2^k for the parent's projection variables
+/// that came free (unassigned and no longer constrained by any clause).
+Count128 ProjectedCounter::count_children(const Component& parent,
+                                          std::size_t depth) {
+    const Store& s = *store_;
+    const auto find = [this](int i) {
+        while (uf_[static_cast<std::size_t>(i)] != i) {
+            uf_[static_cast<std::size_t>(i)] =
+                uf_[static_cast<std::size_t>(uf_[static_cast<std::size_t>(i)])];
+            i = uf_[static_cast<std::size_t>(i)];
         }
         return i;
     };
-    for (const int ci : residual) {
-        int first = -1;
-        for (const Lit l : db_[static_cast<std::size_t>(ci)]) {
-            if (lit_value(l) != -1) continue;
-            const int s = slot(sat::lit_var(l));
-            if (first < 0) {
-                first = find(s);
-            } else {
-                uf[static_cast<std::size_t>(find(s))] = first;
-                first = find(first);
+
+    // One pass over the parent's clauses: drop the satisfied ones and union
+    // the unassigned variables of the rest.  slot_of_ maps a variable to its
+    // union-find slot and is read only behind a matching stamp, so it never
+    // needs clearing between calls.
+    const int stamp = ++stamp_counter_;
+    residual_.clear();
+    uf_.clear();
+    for (const int ci : parent.cls) {
+        std::size_t n = 0;
+        bool satisfied = false;
+        for (const Lit l : s.clause(ci)) {
+            const int v = lit_value(l);
+            if (v == 1) {
+                satisfied = true;
+                break;
+            }
+            if (v == -1) clause_vars_[n++] = sat::lit_var(l);
+        }
+        if (satisfied) continue;
+        assert(n > 0);
+        int root = -1;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto v = static_cast<std::size_t>(clause_vars_[i]);
+            if (stamp_[v] != stamp) {
+                stamp_[v] = stamp;
+                slot_of_[v] = static_cast<int>(uf_.size());
+                uf_.push_back(slot_of_[v]);
+            }
+            const int r = find(slot_of_[v]);
+            if (root < 0) {
+                root = r;
+            } else if (r != root) {
+                uf_[static_cast<std::size_t>(r)] = root;
             }
         }
+        residual_.push_back({ci, root});
     }
 
+    // Number the components in order of their first residual clause (the
+    // zero-product exit below depends on it), then size each one.
+    const std::size_t slots = uf_.size();
+    comp_of_.assign(slots, -1);
+    cls_cursor_.clear();
+    for (Residual& r : residual_) {
+        int& c = comp_of_[static_cast<std::size_t>(find(r.slot))];
+        if (c < 0) {
+            c = static_cast<int>(cls_cursor_.size());
+            cls_cursor_.push_back(0);
+        }
+        r.slot = c;
+        ++cls_cursor_[static_cast<std::size_t>(c)];
+    }
+    const std::size_t n_comps = cls_cursor_.size();
+    vars_cursor_.assign(n_comps, 0);
+    for (std::size_t i = 0; i < slots; ++i) {
+        comp_of_[i] = comp_of_[static_cast<std::size_t>(find(static_cast<int>(i)))];
+        ++vars_cursor_[static_cast<std::size_t>(comp_of_[i])];
+    }
+
+    // Lay the components out on this depth's frame: clauses keep residual
+    // order, and filtering the sorted parent.vars keeps each component's
+    // variables sorted.
+    Frame& f = frame(depth);
+    f.cls.resize(residual_.size());
+    f.vars.resize(slots);
+    f.comps.resize(n_comps);
+    std::uint32_t cls_at = 0;
+    std::uint32_t vars_at = 0;
+    for (std::size_t c = 0; c < n_comps; ++c) {
+        const std::uint32_t nc = cls_cursor_[c];
+        const std::uint32_t nv = vars_cursor_[c];
+        f.comps[c] = {{f.vars.data() + vars_at, nv}, {f.cls.data() + cls_at, nc}};
+        cls_cursor_[c] = cls_at;
+        vars_cursor_[c] = vars_at;
+        cls_at += nc;
+        vars_at += nv;
+    }
+    for (const Residual& r : residual_) {
+        f.cls[cls_cursor_[static_cast<std::size_t>(r.slot)]++] = r.clause;
+    }
     // Projection variables of the parent that dropped out of every clause
     // multiply the count by 2 each.
     int free_proj = 0;
     for (const Var v : parent.vars) {
-        if (!is_proj_[static_cast<std::size_t>(v)]) continue;
-        if (val_[static_cast<std::size_t>(v)] >= 0) continue;
-        if (stamp_[static_cast<std::size_t>(v)] == stamp) continue;
-        ++free_proj;
+        const auto vi = static_cast<std::size_t>(v);
+        if (stamp_[vi] == stamp) {
+            const auto c = static_cast<std::size_t>(
+                comp_of_[static_cast<std::size_t>(slot_of_[vi])]);
+            f.vars[vars_cursor_[c]++] = v;
+        } else if (s.is_proj[vi] && lit_value(sat::mk_lit(v)) == -1) {
+            ++free_proj;
+        }
     }
+
     Count128 total = Count128::one();
     total.shift_left(free_proj);
-    if (residual.empty()) return total;
-
-    // Group clauses (and then variables) by union-find root.
-    std::vector<int> comp_of(vars.size(), -1);
-    std::vector<Component> comps;
-    for (const int ci : residual) {
-        int root = -1;
-        for (const Lit l : db_[static_cast<std::size_t>(ci)]) {
-            if (lit_value(l) == -1) {
-                root = find(
-                    slot_of_[static_cast<std::size_t>(sat::lit_var(l))]);
-                break;
-            }
-        }
-        assert(root >= 0);
-        if (comp_of[static_cast<std::size_t>(root)] < 0) {
-            comp_of[static_cast<std::size_t>(root)] =
-                static_cast<int>(comps.size());
-            comps.emplace_back();
-        }
-        comps[static_cast<std::size_t>(
-                  comp_of[static_cast<std::size_t>(root)])]
-            .cls.push_back(ci);
-    }
-    for (std::size_t s = 0; s < vars.size(); ++s) {
-        const int c = comp_of[static_cast<std::size_t>(find(static_cast<int>(s)))];
-        assert(c >= 0);
-        comps[static_cast<std::size_t>(c)].vars.push_back(vars[s]);
-    }
-
-    for (Component& comp : comps) {
+    for (std::size_t c = 0; c < n_comps; ++c) {
         ++stats_.components;
-        std::sort(comp.vars.begin(), comp.vars.end());
-        // comp.cls is already sorted: residual preserves parent.cls order.
-        total.mul(count_component(std::move(comp)));
+        total.mul(count_component(f.comps[c], depth));
         if (total.is_zero() && !total.saturated()) break;
         if (aborted_) break;
     }
     return total;
 }
 
-Count128 ProjectedCounter::count_component(Component&& comp) {
+// Branch on the projection variable whose occurrences sit in the shortest
+// residual clauses (score ~ sum over clauses of 2^-len, like sharpSAT's
+// clause-length weighting): on circuit instances that is the propagation
+// frontier -- a selector whose cell's pins are already pinned down
+// propagates its output through every copy and shatters the component.
+// Ties go to the smallest variable id; deterministic.  The key holds each
+// residual clause as its literals' ranks, so the score reads it instead of
+// the clause store.
+Var ProjectedCounter::pick_branch(const Component& comp,
+                                  const ComponentKey& key) {
+    const std::size_t n = comp.vars.size();
+    score_.assign(n, 0);
+    const std::uint32_t* mask = key.words.data() + 1;
+    const auto is_proj = [mask](std::uint32_t rank) {
+        return ((mask[rank / 32] >> (rank % 32)) & 1) != 0;
+    };
+    std::size_t i = 1 + n / 32 + 1;  // past the size and mask words
+    while (i < key.words.size()) {
+        std::size_t end = i;
+        while (key.words[end] != 0) ++end;
+        const std::size_t len = end - i;
+        const std::uint64_t w = 1ull << (len < 16 ? 32 - 2 * len : 0);
+        for (; i < end; ++i) {
+            const std::uint32_t rank = (key.words[i] - 1) / 2;
+            if (is_proj(rank)) score_[rank] += w;
+        }
+        i = end + 1;
+    }
+    Var branch = -1;
+    std::uint64_t best = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        if (score_[r] > best) {
+            best = score_[r];
+            branch = comp.vars[r];
+        }
+    }
+    return branch;
+}
+
+Count128 ProjectedCounter::count_component(const Component& comp,
+                                           std::size_t depth) {
     if (aborted_) return Count128::zero();
-    std::vector<std::uint32_t> key = encode(comp);
+    encode(comp);
     if (shared_cache_) {
         Count128 hit;
-        if (shared_cache_->lookup(key, &hit)) {
+        if (shared_cache_->lookup(probe_, &hit)) {
             ++stats_.cache_hits;
             return hit;
         }
-    } else if (const auto it = cache_.find(key); it != cache_.end()) {
+    } else if (const auto it = cache_.find(probe_); it != cache_.end()) {
         ++stats_.cache_hits;
         return it->second;
     }
+    // The children overwrite probe_, so the miss keeps its own copy.
+    ComponentKey key = probe_;
 
-    // Branch on the projection variable whose occurrences sit in the
-    // shortest residual clauses (score ~ sum over clauses of 2^-len, like
-    // sharpSAT's clause-length weighting): on circuit instances that is
-    // the propagation frontier -- a selector whose cell's pins are already
-    // pinned down propagates its output through every copy and shatters
-    // the component.  Ties go to the smallest variable id; deterministic.
-    Var branch = -1;
-    {
-        std::vector<std::uint64_t> score(comp.vars.size(), 0);
-        std::vector<std::size_t> proj_slots;
-        for (const int ci : comp.cls) {
-            proj_slots.clear();
-            int len = 0;
-            for (const Lit l : db_[static_cast<std::size_t>(ci)]) {
-                if (lit_value(l) != -1) continue;
-                ++len;
-                const Var v = sat::lit_var(l);
-                if (!is_proj_[static_cast<std::size_t>(v)]) continue;
-                const auto it = std::lower_bound(comp.vars.begin(),
-                                                 comp.vars.end(), v);
-                proj_slots.push_back(static_cast<std::size_t>(
-                    std::distance(comp.vars.begin(), it)));
-            }
-            const std::uint64_t w = 1ull << (len < 16 ? 32 - 2 * len : 0);
-            for (const std::size_t s : proj_slots) score[s] += w;
-        }
-        std::uint64_t best = 0;
-        for (std::size_t i = 0; i < comp.vars.size(); ++i) {
-            if (score[i] > best) {
-                best = score[i];
-                branch = comp.vars[i];
-            }
-        }
-    }
+    const Var branch = pick_branch(comp, key);
     if (branch < 0) {
         // No projection variable: the component only gates whether an
         // extension exists.
@@ -510,8 +584,8 @@ Count128 ProjectedCounter::count_component(Component&& comp) {
         if (decision_over_budget()) return Count128::zero();
         const std::size_t mark = trail_.size();
         assign(sat::mk_lit(branch, /*negated=*/b == 0));
-        if (bcp(comp.cls)) {
-            total.add(count_children(comp));
+        if (propagate(mark)) {
+            total.add(count_children(comp, depth + 1));
         }
         undo_to(mark);
         if (aborted_) return Count128::zero();
@@ -521,12 +595,6 @@ Count128 ProjectedCounter::count_component(Component&& comp) {
 }
 
 Count128 ProjectedCounter::count_cube(const std::vector<Lit>& cube) {
-    Component root;
-    root.vars = projection_;
-    root.cls.resize(db_.size());
-    for (std::size_t i = 0; i < db_.size(); ++i) {
-        root.cls[i] = static_cast<int>(i);
-    }
     Count128 total;
     bool consistent = true;
     for (const Lit l : cube) {
@@ -537,25 +605,24 @@ Count128 ProjectedCounter::count_cube(const std::vector<Lit>& cube) {
         }
         if (v == -1) assign(l);
     }
-    if (consistent && bcp(root.cls)) {
-        total = count_children(root);
+    if (consistent && propagate_root()) {
+        total = count_children(root(), 0);
     }
     undo_to(0);
     return total;
 }
 
-std::vector<Var> ProjectedCounter::pick_cube_vars(
-    const std::vector<int>& root_cls, int k) {
+std::vector<Var> ProjectedCounter::pick_cube_vars(int k) {
     // The same clause-length-weighted activity count_component branches
     // on, computed once over the whole root residual: the k winners are
     // the variables serial search would split on early, so the cubes cut
     // where propagation bites instead of along dead selectors.
-    std::vector<std::uint64_t> score(static_cast<std::size_t>(num_vars_), 0);
-    for (const int ci : root_cls) {
-        const std::vector<Lit>& c = db_[static_cast<std::size_t>(ci)];
+    const Store& s = *store_;
+    std::vector<std::uint64_t> score(static_cast<std::size_t>(s.num_vars), 0);
+    for (const int ci : s.all_clauses) {
         bool satisfied = false;
         int len = 0;
-        for (const Lit l : c) {
+        for (const Lit l : s.clause(ci)) {
             const int v = lit_value(l);
             if (v == 1) {
                 satisfied = true;
@@ -565,18 +632,16 @@ std::vector<Var> ProjectedCounter::pick_cube_vars(
         }
         if (satisfied || len == 0) continue;
         const std::uint64_t w = 1ull << (len < 16 ? 32 - 2 * len : 0);
-        for (const Lit l : c) {
+        for (const Lit l : s.clause(ci)) {
             if (lit_value(l) != -1) continue;
-            const Var v = sat::lit_var(l);
-            if (is_proj_[static_cast<std::size_t>(v)]) {
-                score[static_cast<std::size_t>(v)] += w;
-            }
+            const auto v = static_cast<std::size_t>(sat::lit_var(l));
+            if (s.is_proj[v]) score[v] += w;
         }
     }
     // Only constrained variables qualify (score > 0): splitting on a free
     // projection variable would just mirror every cube.
     std::vector<Var> picked;
-    for (Var v = 0; v < num_vars_; ++v) {
+    for (Var v = 0; v < s.num_vars; ++v) {
         if (score[static_cast<std::size_t>(v)] > 0) picked.push_back(v);
     }
     std::sort(picked.begin(), picked.end(), [&score](Var a, Var b) {
@@ -593,13 +658,7 @@ std::vector<Var> ProjectedCounter::pick_cube_vars(
 }
 
 void ProjectedCounter::count_cubes(Result* result) {
-    Component root;
-    root.vars = projection_;
-    root.cls.resize(db_.size());
-    for (std::size_t i = 0; i < db_.size(); ++i) {
-        root.cls[i] = static_cast<int>(i);
-    }
-    if (!bcp(root.cls)) {
+    if (!propagate_root()) {
         undo_to(0);
         return;  // UNSAT at the root: count stays zero, exact
     }
@@ -612,7 +671,7 @@ void ProjectedCounter::count_cubes(Result* result) {
         while ((1 << k) < 4 * workers && k < 10) ++k;
     }
     k = std::min(k, 16);
-    const std::vector<Var> cube_vars = pick_cube_vars(root.cls, k);
+    const std::vector<Var> cube_vars = pick_cube_vars(k);
     undo_to(0);
     const int kk = static_cast<int>(cube_vars.size());
     const std::size_t n_cubes = std::size_t{1} << kk;
@@ -631,8 +690,14 @@ void ProjectedCounter::count_cubes(Result* result) {
     };
     std::vector<WorkerOut> outs(static_cast<std::size_t>(workers));
 
+    // Workers are plain serial counters on the driver's store; the shared
+    // cache/budget/abort pointers are wired up after construction.
+    CounterConfig worker_config = config_;
+    worker_config.threads = 1;
+    worker_config.cube_vars = 0;
+    worker_config.pool = nullptr;
     const auto run_worker = [&](int w) {
-        ProjectedCounter child(*this, w);
+        ProjectedCounter child(store_, worker_config);
         child.shared_cache_ = &shared_cache;
         child.shared_abort_ = &shared_abort;
         if (config_.max_decisions > 0) {
@@ -708,23 +773,18 @@ ProjectedCounter::Result ProjectedCounter::count() {
     if (obs::tracing()) {
         span_args = report::Json::object();
         span_args.set("projection",
-                      static_cast<std::uint64_t>(projection_.size()));
-        span_args.set("clauses", static_cast<std::uint64_t>(db_.size()));
+                      static_cast<std::uint64_t>(store_->projection_size));
+        span_args.set("clauses",
+                      static_cast<std::uint64_t>(store_->num_clauses()));
         span_args.set("threads", cube_mode ? std::max(1, config_.threads) : 1);
     }
     obs::Span span("projected-count", "count", std::move(span_args));
-    if (!root_conflict_) {
+    if (!store_->root_conflict) {
         if (cube_mode) {
             count_cubes(&result);
         } else {
-            Component root;
-            root.vars = projection_;
-            root.cls.resize(db_.size());
-            for (std::size_t i = 0; i < db_.size(); ++i) {
-                root.cls[i] = static_cast<int>(i);
-            }
-            if (bcp(root.cls)) {
-                result.count = count_children(root);
+            if (propagate_root()) {
+                result.count = count_children(root(), 0);
             }
             undo_to(0);
             stats_.cache_entries = cache_.size();

@@ -22,6 +22,27 @@
 // exactly (a residual clause is its unassigned literals), so they double
 // as the cache key -- a few words per clause instead of a copy of it.
 //
+// Layout (the part that makes a decision cost what it changed): the
+// database is one flat literal array plus per-clause offsets, with flat
+// per-literal occurrence lists beside it, and the assignment is a
+// per-literal value array, so a literal's value is one load.  The store is
+// shared read-only by the cube workers of a parallel count.  Unit
+// propagation walks the occurrence lists of the literals assigned since the
+// branch, never the whole component; that finds the same fixpoint, and the
+// same conflict or none, as rescanning the component until nothing
+// changes, because (a) after the parent's fixpoint every unsatisfied clause
+// keeps two unassigned literals, so only a clause holding the negation of a
+// newly assigned literal can turn unit or empty, (b) components are
+// variable-disjoint, so a clause outside the component that holds one of
+// its unassigned variables is already satisfied, and (c) the fixpoint and
+// whether it conflicts do not depend on the visiting order.  The root (and
+// each cube) scans every clause once for units first.  Decomposition is one
+// pass over the parent's clauses on a per-depth scratch frame whose
+// capacity is kept: a component is a pair of spans into the frame of the
+// level that split it, clauses in residual order and components in order of
+// their first clause; component variables come out sorted by filtering the
+// parent's sorted list.
+//
 // Semantics: count() returns |{ assignments a to `projection` : F|a is
 // satisfiable }|.  Components containing no projection variable contribute
 // 1 or 0 via a plain DPLL existence check.  Counts are Count128 and
@@ -29,8 +50,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +99,12 @@ struct CounterConfig {
 
 struct CounterStats {
     std::uint64_t decisions = 0;      ///< branches taken (counting + existence)
-    std::uint64_t propagations = 0;   ///< literals assigned by BCP
+    /// Literals assigned by decisions and unit propagation.  The one
+    /// field the search does not fix: on a branch that ends in a conflict,
+    /// how many literals are assigned before the conflict shows depends on
+    /// the order propagation visits clauses.  Every other field is fixed by
+    /// the search alone.
+    std::uint64_t propagations = 0;
     std::uint64_t components = 0;     ///< components created by decomposition
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_stores = 0;
@@ -86,6 +114,26 @@ struct CounterStats {
     std::size_t cache_peak_bytes = 0;
 
     bool operator==(const CounterStats&) const = default;
+};
+
+/// A component-cache key: the renamed residual formula of a component (see
+/// ProjectedCounter::encode) and its 64-bit FNV-1a hash, computed while the
+/// words are written.
+struct ComponentKey {
+    std::vector<std::uint32_t> words;
+    std::size_t hash = 0;
+
+    bool operator==(const ComponentKey& other) const {
+        return hash == other.hash && words == other.words;
+    }
+};
+
+/// Returns the carried hash.  noexcept keeps std::unordered_map from
+/// caching the hash a second time in every node.
+struct ComponentKeyHash {
+    std::size_t operator()(const ComponentKey& key) const noexcept {
+        return key.hash;
+    }
 };
 
 /// Mutex-sharded component cache shared by the cube workers of one
@@ -100,34 +148,23 @@ public:
     SharedComponentCache(std::size_t budget_bytes, int shards);
 
     /// True and *out filled on a hit.
-    bool lookup(const std::vector<std::uint32_t>& key, Count128* out) const;
+    bool lookup(const ComponentKey& key, Count128* out) const;
     /// Inserts (first writer wins); *evicted gets the entries dropped by
     /// an overflow sweep.  Returns false when the entry was skipped (too
     /// big for its shard) or already present.
-    bool store(std::vector<std::uint32_t> key, const Count128& value,
-               std::uint64_t* evicted);
+    bool store(ComponentKey key, const Count128& value, std::uint64_t* evicted);
 
     std::size_t entries() const;
     std::size_t peak_bytes() const;
 
 private:
-    struct KeyHash {
-        std::size_t operator()(const std::vector<std::uint32_t>& key) const {
-            std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-            for (const std::uint32_t word : key) {
-                h ^= word;
-                h *= 1099511628211ull;
-            }
-            return static_cast<std::size_t>(h);
-        }
-    };
     struct Shard {
         mutable std::mutex mutex;
-        std::unordered_map<std::vector<std::uint32_t>, Count128, KeyHash> map;
+        std::unordered_map<ComponentKey, Count128, ComponentKeyHash> map;
         std::size_t bytes = 0;
         std::size_t peak_bytes = 0;
     };
-    Shard& shard_for(const std::vector<std::uint32_t>& key) const;
+    Shard& shard_for(const ComponentKey& key) const;
 
     std::size_t shard_budget_;
     mutable std::vector<Shard> shards_;
@@ -152,77 +189,109 @@ public:
     Result count();
 
 private:
-    /// Cube-worker clone: shares the parent's immutable database and
-    /// projection, with fresh assignment/cache state.
-    ProjectedCounter(const ProjectedCounter& parent, int worker_tag);
+    /// The immutable half of a count: the validated, normalized flat
+    /// clause store, its occurrence lists and the projection.
+    struct Store;
+    /// Fresh search state on `store`.  The cube workers of a parallel
+    /// count are built this way on the driver's store, which outlives them.
+    ProjectedCounter(std::shared_ptr<const Store> store, CounterConfig config);
     /// One decomposition unit: the unassigned variables (sorted) and the
-    /// unsatisfied clause indices (sorted) of a variable-connected region.
+    /// unsatisfied clause indices (sorted) of a variable-connected region,
+    /// as spans into the frame of the level that split it off (or into the
+    /// store, for the root).
     struct Component {
+        std::span<const sat::Var> vars;
+        std::span<const int> cls;
+    };
+    /// count_children's output at one recursion depth: the clause and
+    /// variable lists of every component it split off, back to back.
+    /// Frames are reused with their capacity, and a deeper level never
+    /// writes a shallower frame, so the spans stay valid while the
+    /// components are counted.
+    struct Frame {
         std::vector<sat::Var> vars;
         std::vector<int> cls;
+        std::vector<Component> comps;
     };
-
-    struct KeyHash {
-        std::size_t operator()(const std::vector<std::uint32_t>& key) const {
-            std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-            for (const std::uint32_t word : key) {
-                h ^= word;
-                h *= 1099511628211ull;
-            }
-            return static_cast<std::size_t>(h);
-        }
+    /// A residual clause and a union-find slot of one of its variables
+    /// (later the index of its component).
+    struct Residual {
+        int clause;
+        int slot;
     };
 
     /// -1 unknown, else 0/1 under the current partial assignment.
     int lit_value(sat::Lit l) const {
-        const signed char v = val_[static_cast<std::size_t>(sat::lit_var(l))];
-        if (v < 0) return -1;
-        return (v != 0) != sat::lit_negated(l) ? 1 : 0;
+        return lit_val_[static_cast<std::size_t>(l)];
     }
     void assign(sat::Lit l);
     void undo_to(std::size_t mark);
 
-    bool bcp(const std::vector<int>& cls);
-    Count128 count_children(const Component& parent);
-    Count128 count_component(Component&& comp);
-    bool exists(const std::vector<int>& cls);
-    std::vector<std::uint32_t> encode(const Component& comp);
-    void cache_store(std::vector<std::uint32_t> key, const Count128& value);
+    /// Assigns the last unassigned literal of clause ci when it is the
+    /// only one and nothing satisfies the clause; false when every literal
+    /// is false.
+    bool propagate_clause(int ci);
+    /// Unit propagation from trail_[head] on, through the occurrence lists
+    /// of the falsified literals.  False on a conflict.
+    bool propagate(std::size_t head);
+    /// One scan of every clause for units and conflicts, then propagate.
+    bool propagate_root();
+    Component root() const;
+    Frame& frame(std::size_t depth);
+    Count128 count_children(const Component& parent, std::size_t depth);
+    Count128 count_component(const Component& comp, std::size_t depth);
+    bool exists(std::span<const int> cls);
+    /// Writes comp's cache key and its hash into probe_, and each
+    /// variable's rank in comp.vars into slot_of_.
+    void encode(const Component& comp);
+    /// The projection variable count_component branches on (-1: none),
+    /// scored from the key encode just wrote.
+    sat::Var pick_branch(const Component& comp, const ComponentKey& key);
+    void cache_store(ComponentKey key, const Count128& value);
     /// One branch decision booked against the (possibly shared) budget;
     /// sets aborted_ and returns true when over budget or cube-cancelled.
     bool decision_over_budget();
     /// Counts the root restricted to `cube` (literals assigned before root
-    /// BCP); leaves the trail empty again.
+    /// propagation); leaves the trail empty again.
     Count128 count_cube(const std::vector<sat::Lit>& cube);
     /// The k most-active unassigned projection variables by the same
     /// clause-length-weighted score count_component branches on (call with
-    /// the root trail in place, i.e. after root BCP).
-    std::vector<sat::Var> pick_cube_vars(const std::vector<int>& root_cls,
-                                         int k);
+    /// the root trail in place, i.e. after root propagation).
+    std::vector<sat::Var> pick_cube_vars(int k);
     /// Cube-and-conquer driver (threads > 1 or cube_vars > 0).
     void count_cubes(Result* result);
 
     CounterConfig config_;
     CounterStats stats_;
+    std::shared_ptr<const Store> store_;
 
-    int num_vars_ = 0;
-    std::vector<std::vector<sat::Lit>> db_;  ///< normalized, immutable
-    std::vector<sat::Var> projection_;
-    std::vector<bool> is_proj_;
-    bool root_conflict_ = false;
-
-    std::vector<signed char> val_;
+    /// Per-literal value: -1 unassigned, else 0/1.
+    std::vector<signed char> lit_val_;
     std::vector<sat::Lit> trail_;
     /// Scratch stamps for residual-variable membership tests (a fresh
     /// stamp value per use keeps it reentrant across recursion).
     std::vector<int> stamp_;
-    /// Variable -> dense slot for the decomposition union-find; valid only
-    /// behind a matching stamp_, so it is never cleared.
+    /// Variable -> union-find slot in count_children (valid only behind a
+    /// matching stamp_, so it is never cleared), or -> rank in the
+    /// component encode last wrote.
     std::vector<int> slot_of_;
     int stamp_counter_ = 0;
     bool aborted_ = false;
 
-    std::unordered_map<std::vector<std::uint32_t>, Count128, KeyHash> cache_;
+    /// count_children scratch, all consumed before it recurses.
+    std::vector<Residual> residual_;
+    std::vector<int> uf_;
+    std::vector<int> comp_of_;
+    std::vector<std::uint32_t> cls_cursor_;
+    std::vector<std::uint32_t> vars_cursor_;
+    std::vector<sat::Var> clause_vars_;
+    /// count_children output, one frame per recursion depth.
+    std::deque<Frame> frames_;
+    /// Key of the component being looked up; copied only on a miss.
+    ComponentKey probe_;
+    std::vector<std::uint64_t> score_;
+
+    std::unordered_map<ComponentKey, Count128, ComponentKeyHash> cache_;
     std::size_t cache_bytes_ = 0;
 
     /// Cube-worker shared state (null in serial mode / on the driver).

@@ -11,10 +11,16 @@
 //     old 2^20 enumeration cap by far more than 2^20x is counted exactly
 //     (status kSolved), while enumerate mode saturates at the cap without
 //     uint64 wraparound (the overflow regression).
+//   - Golden search pins: every CounterStats field except `propagations`
+//     (decisions, components, cache traffic, evictions, existence checks)
+//     on seeded random CNFs and two attack instances, so a change to the
+//     counter's inner loop that alters the search fails here by name.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "attack/adversary.hpp"
 #include "attack/oracle_attack.hpp"
@@ -278,7 +284,46 @@ TEST(ProjectedCounter, DecisionCapAbortsWithoutExactness) {
     EXPECT_FALSE(r.exact);
 }
 
+// Malformed instances are rejected up front: both counters index arrays by
+// variable and literal, so an out-of-range id must not reach them.
+
+TEST(ProjectedCounter, RejectsNegativeVariableCount) {
+    EXPECT_THROW(ProjectedCounter(make_cnf(-1, {}, {})), std::invalid_argument);
+}
+
+TEST(ProjectedCounter, RejectsLiteralsOutsideTheVariableRange) {
+    EXPECT_THROW(ProjectedCounter(make_cnf(2, {{pos(0), pos(2)}}, {0})),
+                 std::invalid_argument);
+    EXPECT_THROW(ProjectedCounter(make_cnf(2, {{pos(0), -1}}, {0})),
+                 std::invalid_argument);
+}
+
+TEST(ProjectedCounter, RejectsProjectionOutsideTheVariableRange) {
+    EXPECT_THROW(ProjectedCounter(make_cnf(2, {{pos(0)}}, {0, 2})),
+                 std::invalid_argument);
+    EXPECT_THROW(ProjectedCounter(make_cnf(2, {{pos(0)}}, {-1})),
+                 std::invalid_argument);
+}
+
 // ------------------------------------------------------------ ApproxCounter
+
+TEST(ApproxCounter, RejectsNegativeVariableCount) {
+    EXPECT_THROW(ApproxCounter(make_cnf(-1, {}, {})), std::invalid_argument);
+}
+
+TEST(ApproxCounter, RejectsLiteralsOutsideTheVariableRange) {
+    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0), neg(2)}}, {0})),
+                 std::invalid_argument);
+    EXPECT_THROW(ApproxCounter(make_cnf(2, {{-2}}, {0})),
+                 std::invalid_argument);
+}
+
+TEST(ApproxCounter, RejectsProjectionOutsideTheVariableRange) {
+    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0)}}, {0, 2})),
+                 std::invalid_argument);
+    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0)}}, {-1})),
+                 std::invalid_argument);
+}
 
 TEST(ApproxCounter, RejectsInvalidConfig) {
     ApproxConfig bad;
@@ -568,6 +613,158 @@ TEST(CountDifferential, SkippedCountingEmitsNoCountBlock) {
     const attack::AdversaryReport parsed =
         attack::AdversaryReport::from_json(report::Json::parse(j.dump()));
     EXPECT_TRUE(parsed == report);
+}
+
+// ---------------------------------------------------------- golden search
+
+/// FNV-1a over 64-bit words: one value pins a whole series of runs.
+struct Digest {
+    std::uint64_t h = 1469598103934665603ull;
+    void add(std::uint64_t word) {
+        h ^= word;
+        h *= 1099511628211ull;
+    }
+};
+
+/// Every figure the search alone decides: the count, its exactness and all
+/// CounterStats fields but `propagations` (which depends on the order
+/// propagation visits clauses on conflicting branches).
+void add_search(Digest* d, const ProjectedCounter::Result& r) {
+    d->add(r.count.hi());
+    d->add(r.count.lo());
+    d->add(r.count.saturated() ? 1 : 0);
+    d->add(r.exact ? 1 : 0);
+    const CounterStats& s = r.stats;
+    for (const std::uint64_t field :
+         {s.decisions, s.components, s.cache_hits, s.cache_stores,
+          s.cache_evictions, s.sat_checks,
+          static_cast<std::uint64_t>(s.cache_entries),
+          static_cast<std::uint64_t>(s.cache_peak_bytes)}) {
+        d->add(field);
+    }
+}
+
+Cnf golden_random_cnf(std::uint64_t seed) {
+    util::Rng rng(seed * 7919 + 17);
+    Cnf cnf;
+    cnf.num_vars = 3 + rng.uniform_int(0, 37);  // up to 40 variables
+    const int num_clauses =
+        rng.uniform_int(cnf.num_vars / 2, 3 * cnf.num_vars);  // ratio <= 3
+    for (int c = 0; c < num_clauses; ++c) {
+        const int len = rng.coin(0.08) ? 1 : 2 + rng.uniform_int(0, 2);
+        std::vector<sat::Lit> clause;
+        for (int i = 0; i < len; ++i) {
+            const sat::Var v = rng.uniform_int(0, cnf.num_vars - 1);
+            clause.push_back(sat::mk_lit(v, rng.coin(0.5)));
+        }
+        cnf.clauses.push_back(std::move(clause));
+    }
+    for (sat::Var v = 0; v < cnf.num_vars; ++v) {
+        if (rng.coin(0.6)) cnf.projection.push_back(v);
+    }
+    return cnf;
+}
+
+TEST(ProjectedCounter, GoldenSearchOnRandomCnfs) {
+    // The search (branches, components, cache keys and entries) is part of
+    // the counter's contract: an optimization of its inner loop must leave
+    // every figure below as it is.  The sums name the path that moved: the
+    // tiny cache drives the eviction sweep, the capped run aborts, and the
+    // cube run takes the cube driver serially.
+    struct Pin {
+        const char* name;
+        CounterConfig config;
+        std::uint64_t digest;
+        std::uint64_t decisions;
+        std::uint64_t evictions;
+        std::uint64_t sat_checks;
+        std::uint64_t aborts;
+    };
+    CounterConfig tiny_cache;
+    tiny_cache.cache_bytes = 8 << 10;
+    CounterConfig cubes;
+    cubes.threads = 1;
+    cubes.cube_vars = 3;
+    CounterConfig capped;
+    capped.max_decisions = 25;
+    const Pin pins[] = {
+        {"serial", {}, 14096805626713199403ull, 48350, 0, 4007, 0},
+        {"cache_8k", tiny_cache, 9033786053172840266ull, 77245, 31394, 9602, 0},
+        {"cubes_3", cubes, 6287489588063250187ull, 46430, 0, 4007, 0},
+        {"max_decisions_25", capped, 16928515801331086323ull, 3793, 0, 405,
+         112},
+    };
+    for (const Pin& pin : pins) {
+        Digest digest;
+        std::uint64_t decisions = 0, evictions = 0, sat_checks = 0, aborts = 0;
+        for (std::uint64_t seed = 0; seed < 300; ++seed) {
+            ProjectedCounter pc(golden_random_cnf(seed), pin.config);
+            const ProjectedCounter::Result r = pc.count();
+            add_search(&digest, r);
+            decisions += r.stats.decisions;
+            evictions += r.stats.cache_evictions;
+            sat_checks += r.stats.sat_checks;
+            if (!r.exact) ++aborts;
+        }
+        EXPECT_EQ(digest.h, pin.digest) << pin.name;
+        EXPECT_EQ(decisions, pin.decisions) << pin.name;
+        EXPECT_EQ(evictions, pin.evictions) << pin.name;
+        EXPECT_EQ(sat_checks, pin.sat_checks) << pin.name;
+        EXPECT_EQ(aborts, pin.aborts) << pin.name;
+    }
+}
+
+TEST(ProjectedCounter, GoldenSearchOnAttackInstances) {
+    // The survivor counts of two randP6 attack instances (the randP shape
+    // of bench_count: 2 POs, PIs + 3 cells, rng seed salt * 6101 + PIs)
+    // over their own CEGAR inputs, with the default count parameters.
+    struct Pin {
+        std::uint64_t salt;
+        const char* survivors;
+        CounterStats stats;
+    };
+    const Pin pins[] = {
+        {10, "5040",
+         {.decisions = 11838, .components = 9880, .cache_hits = 3961,
+          .cache_stores = 5919, .cache_evictions = 0, .sat_checks = 0,
+          .cache_entries = 5919, .cache_peak_bytes = 15071384}},
+        {4, "66924",
+         {.decisions = 13968, .components = 10943, .cache_hits = 3959,
+          .cache_stores = 6984, .cache_evictions = 0, .sat_checks = 0,
+          .cache_entries = 6984, .cache_peak_bytes = 23120244}},
+    };
+    const CamoLibrary lib = standard_camo_library();
+    for (const Pin& pin : pins) {
+        const int pis = 6;
+        util::Rng rng(pin.salt * 6101 + pis);
+        const CamoNetlist nl =
+            attack::random_camo_netlist(lib, pis, 2, pis + 3, rng);
+        const std::vector<int> hidden = nl.configuration_for_code(0);
+        OracleAttackParams cegar;
+        cegar.enumerate_survivors = false;  // the inputs only
+        SimOracle oracle(nl, hidden);
+        const OracleAttackResult attack = attack::oracle_attack(nl, oracle, cegar);
+        std::vector<std::vector<bool>> answers;
+        for (const std::vector<bool>& in : attack.distinguishing_inputs) {
+            answers.push_back(oracle.query(in));
+        }
+        OracleAttackResult counted;
+        attack::count_consistent_configs(nl, attack.distinguishing_inputs,
+                                         answers, OracleAttackParams{},
+                                         &counted);
+        const std::string tag = "randP6 salt " + std::to_string(pin.salt);
+        EXPECT_EQ(counted.count_mode, CountMode::kExact) << tag;
+        EXPECT_EQ(counted.survivors.to_string(), pin.survivors) << tag;
+        const CounterStats& got = counted.count_stats;
+        EXPECT_EQ(got.decisions, pin.stats.decisions) << tag;
+        EXPECT_EQ(got.components, pin.stats.components) << tag;
+        EXPECT_EQ(got.cache_hits, pin.stats.cache_hits) << tag;
+        EXPECT_EQ(got.cache_stores, pin.stats.cache_stores) << tag;
+        EXPECT_EQ(got.cache_evictions, pin.stats.cache_evictions) << tag;
+        EXPECT_EQ(got.sat_checks, pin.stats.sat_checks) << tag;
+        EXPECT_EQ(got.cache_entries, pin.stats.cache_entries) << tag;
+        EXPECT_EQ(got.cache_peak_bytes, pin.stats.cache_peak_bytes) << tag;
+    }
 }
 
 // ------------------------------------------ cube-and-conquer differentials
