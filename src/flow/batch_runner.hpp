@@ -9,59 +9,22 @@
 // structured ScenarioRecord that serializes to JSON (report::JsonWriter),
 // the machine-readable counterpart of the benches' CSV.
 //
-// Scenario specs are plain text so new workloads need zero C++ (consumed by
-// `mvf batch`, documented in the README):
-//
-//   # one scenario per line; '#' starts a comment
-//   name=p4 funcs=present:4 seed=3 population=8 generations=4 attack=cegar
-//   funcs=des:2 seed=7 attack=cegar,plausibility camo=1 baseline=0
+// Scenarios come from the API, from `mvf run` flags or from spec files
+// (flow/scenario_keys.hpp, which also defines Scenario and the spec
+// format; `mvf --help` lists every key).
 
 #include <string>
 #include <vector>
 
 #include "flow/pipeline.hpp"
+#include "flow/scenario_keys.hpp"
 #include "report/json.hpp"
 
 namespace mvf::flow {
 
-/// One independent experiment: function set x params x seed.
-struct Scenario {
-    std::string name;          ///< defaults to "<family><n>-s<seed>"
-    std::string family = "present";  ///< "present" or "des"
-    int n = 2;                 ///< merge width (viable functions)
-    FlowParams params;
-};
-
 /// Builds the scenario's viable-function set; throws std::invalid_argument
 /// on an unknown family or out-of-range width.
 std::vector<ViableFunction> scenario_functions(const Scenario& scenario);
-
-/// Parses the spec format above; throws std::invalid_argument with a line
-/// number on malformed input.  Recognized keys: name, funcs=family:n,
-/// circuit=PATH (file-based scenario: import a BLIF/AIGER/.bench circuit
-/// instead of merging viable functions; mutually exclusive with funcs and
-/// with the S-box-flow keys population/generations/baseline/verify/
-/// final_best) with camo_density ((0,1]), camo_cells (>= 1, excludes
-/// camo_density), camo_seed (0 = scenario seed) and
-/// camo_policy=random|fanout|depth, seed,
-/// population, generations, attack (comma-separated adversaries or "none"),
-/// baseline, camo, verify, final_best (0/1 flags),
-/// count_mode=exact|approx|enumerate, count_cache_mb (exact),
-/// epsilon/delta (approx), max_survivors (enumerate; implies it when no
-/// count_mode is named), enum_survivors, preprocess, shared_miter,
-/// canonical_inputs, and the oracle threat-model keys query_budget (> 0),
-/// oracle_noise ([0, 1)), oracle_cache, save_transcript/replay_transcript/
-/// emit_proof (file paths; emit_proof writes a verifiable
-/// audit::AttackProof for the CEGAR run), neighborhood_queries (bit-flip
-/// neighbors queried per distinguishing input), random_warmup,
-/// random_queries, metrics (0/1: per-attack latency histograms in the
-/// report).  Contradictory keys (e.g. epsilon with count_mode=enumerate,
-/// oracle_noise with replay_transcript, or emit_proof with a portfolio
-/// attack) are rejected, not ignored.
-std::vector<Scenario> parse_scenario_spec(const std::string& text);
-
-/// parse_scenario_spec over a file's contents.
-std::vector<Scenario> load_scenario_spec(const std::string& path);
 
 /// Outcome of one scenario (always produced; `ok` distinguishes results
 /// from failures so one bad scenario cannot sink a batch).

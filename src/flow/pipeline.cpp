@@ -8,6 +8,7 @@
 
 #include "audit/attack_proof.hpp"
 #include "camo/inject.hpp"
+#include "flow/scenario_keys.hpp"
 #include "flow/stage_io.hpp"
 #include "io/import.hpp"
 #include "obs/trace.hpp"
@@ -188,31 +189,13 @@ void AttackStage::run(FlowContext& ctx) {
     }
     const camo::CamoNetlist& netlist = *ctx.result.camouflaged;
 
-    if (!ctx.params.emit_proof.empty()) {
-        // Harnesses reject these combinations at parse time; API users get
-        // the same contract here.
-        if (!ctx.params.replay_transcript.empty()) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof cannot be combined with "
-                "replay_transcript -- a replayed run has no chip to commit "
-                "for");
-        }
-        const int members =
-            ctx.params.oracle.portfolio > 0
-                ? ctx.params.oracle.portfolio
-                : std::max(1, ctx.params.oracle.attack_threads);
-        if (members > 1) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof requires a serial CEGAR attack -- "
-                "portfolio members' queries interleave into a sequence no "
-                "transcript can replay");
-        }
-        if (std::find(adversaries_.begin(), adversaries_.end(), "cegar") ==
-            adversaries_.end()) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof requires the cegar adversary in "
-                "the panel");
-        }
+    // Scenario validation rejects these at parse time; API users get the
+    // same rule here.
+    const std::string proof_conflict = emit_proof_conflict(
+        ctx.params, adversaries_,
+        [](std::string_view key) { return std::string(key); });
+    if (!proof_conflict.empty()) {
+        throw std::invalid_argument("AttackStage: " + proof_conflict);
     }
 
     attack::AdversaryOptions options;
@@ -418,25 +401,24 @@ Pipeline Pipeline::standard(const FlowParams& params) {
     if (!params.circuit.path.empty()) {
         p.add_stage<ImportStage>();
         if (params.run_camo_mapping) p.add_stage<InjectStage>();
-        if (!params.adversaries.empty()) {
-            p.add_stage<AttackStage>(params.adversaries);
-        } else if (params.run_oracle_attack) {
-            p.add_stage<AttackStage>();
+    } else {
+        p.add_stage<PinSearchStage>();
+        p.add_stage<SynthesizeStage>();
+        if (params.run_camo_mapping) {
+            p.add_stage<CamoCoverStage>();
+            if (params.verify) p.add_stage<ValidateStage>();
         }
-        return p;
     }
-    p.add_stage<PinSearchStage>();
-    p.add_stage<SynthesizeStage>();
-    if (params.run_camo_mapping) {
-        p.add_stage<CamoCoverStage>();
-        if (params.verify) p.add_stage<ValidateStage>();
-    }
-    if (!params.adversaries.empty()) {
-        p.add_stage<AttackStage>(params.adversaries);
-    } else if (params.run_oracle_attack) {
-        p.add_stage<AttackStage>();
+    if (std::vector<std::string> panel = attack_panel(params); !panel.empty()) {
+        p.add_stage<AttackStage>(std::move(panel));
     }
     return p;
+}
+
+std::vector<std::string> attack_panel(const FlowParams& params) {
+    if (!params.adversaries.empty()) return params.adversaries;
+    if (params.run_oracle_attack) return {"cegar"};
+    return {};
 }
 
 }  // namespace mvf::flow

@@ -185,6 +185,11 @@ private:
     std::vector<std::string> adversaries_;
 };
 
+/// The adversaries Pipeline::standard gives the attack stage: the explicit
+/// list, else {"cegar"} when params.run_oracle_attack, else none (no
+/// attack stage).
+std::vector<std::string> attack_panel(const FlowParams& params);
+
 /// Outcome of Pipeline::run.
 struct PipelineStatus {
     bool completed = true;  ///< false when cancellation/deadline stopped it

@@ -30,11 +30,17 @@
 // (SHA-256 of its bytes) into every subset, so editing the benchmark on
 // disk changes the spec hash and invalidates stage-cache entries instead
 // of warm-hitting stale snapshots.
+//
+// The canonical form and the per-stage subsets are generated from the
+// scenario-key table (flow/scenario_keys.hpp): each hashed row names its
+// canonical path and owning stages, and a stage's subset is every row
+// owned at or before it in the scenario's chain, plus the computed
+// entries (schema, family/n or kind/circuit_sha256).
 
 #include <string>
 #include <string_view>
 
-#include "flow/batch_runner.hpp"
+#include "flow/scenario_keys.hpp"
 #include "report/json.hpp"
 
 namespace mvf::flow {

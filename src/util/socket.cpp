@@ -187,19 +187,23 @@ void Socket::close() {
     buffer_.clear();
 }
 
-ListenSocket::~ListenSocket() { close(); }
+ListenSocket::~ListenSocket() { release(); }
 
 ListenSocket::ListenSocket(ListenSocket&& other) noexcept
-    : fd_(other.fd_), port_(other.port_), addr_(std::move(other.addr_)) {
+    : fd_(other.fd_),
+      port_(other.port_),
+      addr_(std::move(other.addr_)),
+      shut_down_(other.shut_down_) {
     other.fd_ = -1;
 }
 
 ListenSocket& ListenSocket::operator=(ListenSocket&& other) noexcept {
     if (this != &other) {
-        close();
+        release();
         fd_ = other.fd_;
         port_ = other.port_;
         addr_ = std::move(other.addr_);
+        shut_down_ = other.shut_down_;
         other.fd_ = -1;
     }
     return *this;
@@ -285,16 +289,24 @@ Socket ListenSocket::accept() {
 }
 
 void ListenSocket::close() {
-    if (fd_ >= 0) {
-        // shutdown() unblocks a concurrent accept() (it returns EINVAL)
-        // without racing the fd number the way a bare close() would.
-        ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
-        if (addr_.is_unix && !addr_.path.empty()) {
-            ::unlink(addr_.path.c_str());
-        }
+    if (fd_ < 0 || shut_down_) return;
+    // Only shutdown(): it wakes a concurrent accept() (which then fails
+    // with EINVAL) and leaves fd_ alone.  Closing the descriptor here, on
+    // another thread than the accept loop, would race that loop's read of
+    // fd_ and could let accept() run on a reused descriptor number; the
+    // destructor releases it once the loop is gone.
+    ::shutdown(fd_, SHUT_RDWR);
+    shut_down_ = true;
+    if (addr_.is_unix && !addr_.path.empty()) {
+        ::unlink(addr_.path.c_str());
     }
+}
+
+void ListenSocket::release() {
+    if (fd_ < 0) return;
+    close();
+    ::close(fd_);
+    fd_ = -1;
 }
 
 void ignore_sigpipe() { ::signal(SIGPIPE, SIG_IGN); }

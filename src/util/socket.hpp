@@ -88,14 +88,18 @@ public:
     /// closed (or errored) -- the accept loop's exit signal.
     Socket accept();
 
-    /// Unblocks a concurrent accept() and releases the socket (and the
-    /// unix socket file).
+    /// Unblocks a concurrent accept() and removes the unix socket file.
+    /// Safe to call from another thread than the accept loop; the
+    /// descriptor itself is released by the destructor.
     void close();
 
 private:
+    void release();
+
     int fd_ = -1;
     int port_ = 0;
     SocketAddr addr_;
+    bool shut_down_ = false;  ///< close() ran
 };
 
 /// Idempotently installs SIG_IGN for SIGPIPE (belt to MSG_NOSIGNAL's

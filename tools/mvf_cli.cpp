@@ -18,20 +18,18 @@
 //   mvf check-trace FILE                  validate an NDJSON/Chrome trace
 //   mvf verify-proof FILE                 verify an --emit-proof artifact
 //
-// Scenario flags (run/attack): --funcs FAMILY:N --seed S --population P
-// --generations G --quick --no-baseline --no-camo --no-verify
-// --adversaries a,b --json FILE; or --circuit FILE with --camo-density,
-// --camo-cells, --camo-seed, --camo-policy to attack an imported
-// BLIF/AIGER/.bench benchmark instead of a merged S-box function set.
+// Scenario flags (run/attack) come from the scenario-key table
+// (flow/scenario_keys.hpp): --funcs FAMILY:N, --circuit FILE, --seed S and
+// every other key, spelled --key-name; `mvf --help` lists them.  This file
+// keeps the process flags (--json --jobs --spec --verbose --trace
+// --trace-format --metrics) and the --quick preset.
 //
 // Observability (run/attack/batch): --trace FILE --trace-format ndjson|chrome
 // --metrics
 //
 // Exit codes: 0 success; 1 scenario/validation failure; 2 usage error.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -41,7 +39,6 @@
 #include "attack/adversary.hpp"
 #include "audit/attack_proof.hpp"
 #include "camo/camo_cell.hpp"
-#include "camo/inject.hpp"
 #include "flow/batch_runner.hpp"
 #include "flow/stage_io.hpp"
 #include "map/gate_library.hpp"
@@ -80,81 +77,15 @@ int usage() {
         "  verify-proof verify an attack-proof artifact written by\n"
         "               --emit-proof (chip-free replay + commitment check)\n"
         "\n"
-        "scenario options (run/attack):\n"
-        "  --funcs FAMILY:N   viable set: present:2..16 or des:1..8 (default present:2)\n"
-        "  --circuit FILE     import a benchmark circuit (BLIF, AIGER aag/aig,\n"
-        "                     or ISCAS .bench) instead of merging a viable\n"
-        "                     set; camouflage it with --camo-* and attack it\n"
-        "                     (excludes --funcs and the GA/baseline flags)\n"
-        "  --camo-density D   camouflage this fraction of the mapped cells,\n"
-        "                     D in (0, 1] (default 0.1; --circuit only)\n"
-        "  --camo-cells N     camouflage exactly N cells instead of a\n"
-        "                     fraction (excludes --camo-density)\n"
-        "  --camo-seed S      cell-selection seed (default: the --seed value)\n"
-        "  --camo-policy P    which cells to pick: random (default), fanout\n"
-        "                     (highest fanout first), depth (deepest first)\n"
-        "  --seed S           RNG seed (default 1)\n"
-        "  --population P     GA population (default 48)\n"
-        "  --generations G    GA generations (default 60)\n"
-        "  --quick            small budgets (population 8, generations 4)\n"
-        "  --no-baseline      skip the equal-budget random baseline\n"
-        "  --no-camo          skip camouflage covering (Phase III)\n"
-        "  --no-verify        skip configuration replay validation\n"
-        "  --adversaries A,B  adversaries for the attack stage\n"
-        "  --count-mode M     CEGAR survivor counting: exact (projected model\n"
-        "                     counter, uncapped; default), approx (ApproxMC-\n"
-        "                     style (eps,delta) estimate), enumerate (legacy\n"
-        "                     capped model enumeration)\n"
-        "  --count-cache-mb N component-cache budget for exact counting\n"
-        "                     (default 64)\n"
-        "  --count-max-decisions N\n"
-        "                     exact-counter branch budget before falling back\n"
-        "                     to capped enumeration (default 100000; 0 = off)\n"
-        "  --epsilon E        approx tolerance (default 0.8; approx only)\n"
-        "  --delta D          approx error probability (default 0.2; approx only)\n"
-        "  --max-survivors N  cap the enumerate count (implies\n"
-        "                     --count-mode enumerate; --quick caps at 256)\n"
-        "  --no-enumerate     skip survivor counting entirely\n"
-        "  --no-preprocess    disable SAT preprocessing/inprocessing\n"
-        "  --no-shared-miter  legacy two-copy CEGAR encoding\n"
-        "  --canonical-inputs lex-min distinguishing inputs (deterministic\n"
-        "                     attack transcripts; costly at 16+ PIs)\n"
-        "  --attack-threads N worker threads for the attack: portfolio CEGAR\n"
-        "                     members and cube-and-conquer counter workers\n"
-        "                     (default 1 = serial; counts bit-identical)\n"
-        "  --portfolio N      pin the CEGAR portfolio member count (0 =\n"
-        "                     follow --attack-threads, 1 = force serial)\n"
-        "  --cube-vars K      selector-cube width for the parallel counter\n"
-        "                     (0 = auto from --attack-threads; max 16)\n"
-        "  --elim-occ N       BVE occurrence bound (default 32)\n"
-        "  --elim-growth N    BVE clause-growth bound (default 8)\n"
+        "scenario options (run/attack; a spec line for batch/submit writes\n"
+        "key=value with the key's name, e.g. camo_density=0.4, and 0/1 for\n"
+        "the --[no-] switches):\n"
+        "%s"
         "\n"
-        "oracle threat-model options (run/attack):\n"
-        "  --query-budget N   the chip answers at most N patterns; the CEGAR\n"
-        "                     attack then terminates honestly with status\n"
-        "                     \"query budget\" (N > 0)\n"
-        "  --oracle-noise P   flip each answered output bit with probability\n"
-        "                     P in [0, 1) (measurement error)\n"
-        "  --oracle-cache     dedupe repeated patterns before they reach the\n"
-        "                     budget/chip\n"
-        "  --save-transcript FILE\n"
-        "                     record the attacker-visible oracle transcript\n"
-        "                     as JSON\n"
-        "  --replay-transcript FILE\n"
-        "                     replay a recorded transcript instead of\n"
-        "                     consulting the chip (contradicts --oracle-noise)\n"
-        "  --emit-proof FILE  write a verifiable attack-proof artifact for\n"
-        "                     the CEGAR run (commitment-chained transcript;\n"
-        "                     check it with mvf verify-proof)\n"
-        "  --random-warmup N  CEGAR warm-up: N random patterns queried in\n"
-        "                     word-parallel blocks before the loop\n"
-        "  --neighborhood-queries N\n"
-        "                     additionally query N single-bit-flip neighbors\n"
-        "                     of each distinguishing input (survivor-\n"
-        "                     preserving extra pruning)\n"
-        "  --random-queries N pattern budget of the random-sampling baseline\n"
-        "                     adversary (default 128)\n"
-        "\n"
+        "run/attack options:\n"
+        "  --quick            small budgets unless given: population 8,\n"
+        "                     generations 4, max-survivors 256,\n"
+        "                     count-max-decisions 20000\n"
         "  --json FILE        also write the JSON record(s) to FILE\n"
         "\n"
         "observability options (run/attack/batch):\n"
@@ -167,7 +98,7 @@ int usage() {
         "                     the --json report as \"metrics\")\n"
         "\n"
         "batch options:\n"
-        "  --spec FILE        scenario spec (required); see README for the format\n"
+        "  --spec FILE        scenario spec (required; scenario keys go here)\n"
         "  --jobs N           worker threads (default 1)\n"
         "  --json FILE        write the batch report to FILE\n"
         "  --verbose          per-scenario progress on stderr\n"
@@ -190,7 +121,8 @@ int usage() {
         "                     the file passes mvf check-trace)\n"
         "  --no-wait          return after the ack, don't wait for results\n"
         "  --timeout S        server-side job deadline in seconds\n"
-        "  --json FILE        write the results report to FILE\n");
+        "  --json FILE        write the results report to FILE\n",
+        flow::scenario_help().c_str());
     return 2;
 }
 
@@ -203,32 +135,14 @@ bool next_value(int argc, char** argv, int* i, std::string* out) {
     return true;
 }
 
-/// std::stoi with a usage error instead of an uncaught exception on junk.
+/// A process flag's number through the scenario table's strict parser;
+/// prints a usage error on junk.
 bool parse_int_flag(const std::string& value, const char* flag, int* out) {
     try {
-        std::size_t used = 0;
-        const int parsed = std::stoi(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        *out = parsed;
+        *out = flow::parse_int(value);
         return true;
-    } catch (const std::exception&) {
-        std::fprintf(stderr, "mvf: %s expects an integer, got \"%s\"\n", flag,
-                     value.c_str());
-        return false;
-    }
-}
-
-bool parse_u64_flag(const std::string& value, const char* flag,
-                    std::uint64_t* out) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t parsed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        *out = parsed;
-        return true;
-    } catch (const std::exception&) {
-        std::fprintf(stderr, "mvf: %s expects an unsigned integer, got \"%s\"\n",
-                     flag, value.c_str());
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "mvf: %s %s\n", flag, e.what());
         return false;
     }
 }
@@ -236,515 +150,77 @@ bool parse_u64_flag(const std::string& value, const char* flag,
 bool parse_double_flag(const std::string& value, const char* flag,
                        double* out) {
     try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        *out = parsed;
+        *out = flow::parse_double(value);
         return true;
-    } catch (const std::exception&) {
-        std::fprintf(stderr, "mvf: %s expects a number, got \"%s\"\n", flag,
-                     value.c_str());
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "mvf: %s %s\n", flag, e.what());
         return false;
     }
 }
 
-/// Process-level observability switches (run/attack/batch).
-struct ObsFlags {
+/// Process-level switches of run/attack/batch.
+struct ProcessFlags {
+    std::string json_path;
+    std::string spec_path;  ///< batch
+    int jobs = 1;           ///< batch
+    bool verbose = false;   ///< batch
+    bool quick = false;     ///< run/attack
     std::string trace_path;  ///< empty = tracing off
     obs::TraceFormat trace_format = obs::TraceFormat::kNdjson;
     bool metrics = false;
 };
 
-/// Parses the shared scenario flags into `scenario`; `json_path` receives
-/// --json.  Returns false (after printing) on a bad flag.
-bool parse_scenario_flags(int argc, char** argv, int start,
-                          flow::Scenario* scenario, std::string* json_path,
-                          int* jobs, std::string* spec_path, bool* verbose,
-                          ObsFlags* obs_flags) {
-    // --quick provides defaults, applied after the loop so an explicit
-    // --population/--generations/--max-survivors wins regardless of the
-    // order the flags appear in.
-    bool quick = false;
-    bool population_set = false;
-    bool generations_set = false;
-    bool survivors_set = false;
-    bool count_mode_set = false;
-    bool eps_delta_set = false;
-    bool cache_mb_set = false;
-    bool decisions_set = false;
-    bool no_enumerate_set = false;
-    bool noise_set = false;
-    bool funcs_set = false;
-    bool camo_density_set = false;
-    bool camo_cells_set = false;
-    // Any --camo-* flag: they configure the injection pass, which only
-    // exists on the --circuit path.
-    bool camo_flag_set = false;
-    // Flags that steer the S-box synthesis flow, which --circuit skips;
-    // remembered by name for the error message.
-    std::string sbox_only_flag;
-    const auto note_sbox_only = [&sbox_only_flag](const char* flag) {
-        if (sbox_only_flag.empty()) sbox_only_flag = flag;
-    };
-    for (int i = start; i < argc; ++i) {
+/// Parses run/attack arguments (scenario flags go into `draft`) or, with a
+/// null draft, batch arguments.  Returns false (after printing) on a usage
+/// error.
+bool parse_flags(int argc, char** argv, flow::ScenarioDraft* draft,
+                 ProcessFlags* flags) {
+    const bool batch = draft == nullptr;
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string value;
-        if (arg == "--circuit") {
+        if (arg == "--json") {
+            if (!next_value(argc, argv, &i, &flags->json_path)) return false;
+        } else if (arg == "--trace") {
+            if (!next_value(argc, argv, &i, &flags->trace_path)) return false;
+        } else if (arg == "--trace-format") {
             if (!next_value(argc, argv, &i, &value)) return false;
-            if (value.empty()) {
-                std::fprintf(stderr, "mvf: --circuit expects a file path\n");
-                return false;
-            }
-            scenario->params.circuit.path = value;
-        } else if (arg == "--camo-density") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_double_flag(value, "--camo-density",
-                                   &scenario->params.circuit.camo_density)) {
-                return false;
-            }
-            if (!(scenario->params.circuit.camo_density > 0.0 &&
-                  scenario->params.circuit.camo_density <= 1.0)) {
-                std::fprintf(stderr, "mvf: --camo-density must be in (0, 1]\n");
-                return false;
-            }
-            camo_density_set = true;
-            camo_flag_set = true;
-        } else if (arg == "--camo-cells") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--camo-cells",
-                                &scenario->params.circuit.camo_cells)) {
-                return false;
-            }
-            if (scenario->params.circuit.camo_cells < 1) {
-                std::fprintf(stderr, "mvf: --camo-cells must be >= 1\n");
-                return false;
-            }
-            camo_cells_set = true;
-            camo_flag_set = true;
-        } else if (arg == "--camo-seed") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_u64_flag(value, "--camo-seed",
-                                &scenario->params.circuit.camo_seed)) {
-                return false;
-            }
-            camo_flag_set = true;
-        } else if (arg == "--camo-policy") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            camo::InjectPolicy policy;
-            if (!camo::inject_policy_from_name(value, &policy)) {
-                std::fprintf(stderr,
-                             "mvf: --camo-policy expects random, fanout or "
-                             "depth, got \"%s\"\n",
-                             value.c_str());
-                return false;
-            }
-            scenario->params.circuit.camo_policy = value;
-            camo_flag_set = true;
-        } else if (arg == "--funcs") {
-            funcs_set = true;
-            if (!next_value(argc, argv, &i, &value)) return false;
-            const std::size_t colon = value.find(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr, "mvf: --funcs expects FAMILY:N\n");
-                return false;
-            }
-            scenario->family = value.substr(0, colon);
-            try {
-                scenario->n = std::stoi(value.substr(colon + 1));
-            } catch (const std::exception&) {
-                std::fprintf(stderr, "mvf: bad --funcs width in \"%s\"\n",
-                             value.c_str());
-                return false;
-            }
-        } else if (arg == "--seed") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (arg == "--population") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--population",
-                                &scenario->params.ga.population)) {
-                return false;
-            }
-            population_set = true;
-            note_sbox_only("--population");
-        } else if (arg == "--generations") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--generations",
-                                &scenario->params.ga.generations)) {
-                return false;
-            }
-            generations_set = true;
-            note_sbox_only("--generations");
-        } else if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--max-survivors") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_u64_flag(value, "--max-survivors",
-                                &scenario->params.oracle.max_survivors)) {
-                return false;
-            }
-            survivors_set = true;
-        } else if (arg == "--count-mode") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!attack::count_mode_from_name(
-                    value, &scenario->params.oracle.count_mode)) {
-                std::fprintf(stderr,
-                             "mvf: --count-mode expects exact, approx or "
-                             "enumerate, got \"%s\"\n",
-                             value.c_str());
-                return false;
-            }
-            count_mode_set = true;
-        } else if (arg == "--count-cache-mb") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--count-cache-mb",
-                                &scenario->params.oracle.count_cache_mb)) {
-                return false;
-            }
-            if (scenario->params.oracle.count_cache_mb <= 0) {
-                std::fprintf(stderr, "mvf: --count-cache-mb must be > 0\n");
-                return false;
-            }
-            cache_mb_set = true;
-        } else if (arg == "--count-max-decisions") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_u64_flag(
-                    value, "--count-max-decisions",
-                    &scenario->params.oracle.count_max_decisions)) {
-                return false;
-            }
-            cache_mb_set = true;  // same exact-only applicability rule
-            decisions_set = true;
-        } else if (arg == "--epsilon") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_double_flag(value, "--epsilon",
-                                   &scenario->params.oracle.epsilon)) {
-                return false;
-            }
-            if (!(scenario->params.oracle.epsilon > 0.0)) {
-                std::fprintf(stderr, "mvf: --epsilon must be > 0\n");
-                return false;
-            }
-            eps_delta_set = true;
-        } else if (arg == "--delta") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_double_flag(value, "--delta",
-                                   &scenario->params.oracle.delta)) {
-                return false;
-            }
-            if (!(scenario->params.oracle.delta > 0.0 &&
-                  scenario->params.oracle.delta < 1.0)) {
-                std::fprintf(stderr, "mvf: --delta must be in (0, 1)\n");
-                return false;
-            }
-            eps_delta_set = true;
-        } else if (arg == "--no-enumerate") {
-            scenario->params.oracle.enumerate_survivors = false;
-            no_enumerate_set = true;
-        } else if (arg == "--no-preprocess") {
-            scenario->params.oracle.solver.preprocess = false;
-        } else if (arg == "--no-shared-miter") {
-            scenario->params.oracle.shared_miter = false;
-        } else if (arg == "--canonical-inputs") {
-            scenario->params.oracle.canonical_inputs = true;
-        } else if (arg == "--attack-threads") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--attack-threads",
-                                &scenario->params.oracle.attack_threads)) {
-                return false;
-            }
-            if (scenario->params.oracle.attack_threads < 1) {
-                std::fprintf(stderr, "mvf: --attack-threads must be >= 1\n");
-                return false;
-            }
-        } else if (arg == "--portfolio") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--portfolio",
-                                &scenario->params.oracle.portfolio)) {
-                return false;
-            }
-            if (scenario->params.oracle.portfolio < 0) {
-                std::fprintf(stderr, "mvf: --portfolio must be >= 0\n");
-                return false;
-            }
-        } else if (arg == "--cube-vars") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--cube-vars",
-                                &scenario->params.oracle.cube_vars)) {
-                return false;
-            }
-            if (scenario->params.oracle.cube_vars < 0 ||
-                scenario->params.oracle.cube_vars > 16) {
-                std::fprintf(stderr, "mvf: --cube-vars must be in 0..16\n");
-                return false;
-            }
-        } else if (arg == "--elim-occ") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--elim-occ",
-                                &scenario->params.oracle.solver.elim_occ_limit)) {
-                return false;
-            }
-        } else if (arg == "--elim-growth") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--elim-growth",
-                                &scenario->params.oracle.solver.elim_growth)) {
-                return false;
-            }
-        } else if (arg == "--query-budget") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_u64_flag(value, "--query-budget",
-                                &scenario->params.oracle_model.query_budget)) {
-                return false;
-            }
-            if (scenario->params.oracle_model.query_budget == 0) {
-                std::fprintf(stderr,
-                             "mvf: --query-budget must be > 0 (omit the flag "
-                             "for an unlimited oracle)\n");
-                return false;
-            }
-        } else if (arg == "--oracle-noise") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_double_flag(value, "--oracle-noise",
-                                   &scenario->params.oracle_model.noise)) {
-                return false;
-            }
-            if (!(scenario->params.oracle_model.noise >= 0.0 &&
-                  scenario->params.oracle_model.noise < 1.0)) {
-                std::fprintf(stderr, "mvf: --oracle-noise must be in [0, 1)\n");
-                return false;
-            }
-            noise_set = true;
-        } else if (arg == "--oracle-cache") {
-            scenario->params.oracle_model.cache = true;
-        } else if (arg == "--save-transcript") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.save_transcript = value;
-        } else if (arg == "--replay-transcript") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.replay_transcript = value;
-        } else if (arg == "--emit-proof") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.emit_proof = value;
-        } else if (arg == "--neighborhood-queries") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--neighborhood-queries",
-                                &scenario->params.oracle.neighborhood_queries)) {
-                return false;
-            }
-            if (scenario->params.oracle.neighborhood_queries < 0) {
-                std::fprintf(stderr,
-                             "mvf: --neighborhood-queries must be >= 0\n");
-                return false;
-            }
-        } else if (arg == "--random-warmup") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--random-warmup",
-                                &scenario->params.oracle.random_warmup)) {
-                return false;
-            }
-            if (scenario->params.oracle.random_warmup < 0) {
-                std::fprintf(stderr, "mvf: --random-warmup must be >= 0\n");
-                return false;
-            }
-        } else if (arg == "--random-queries") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--random-queries",
-                                &scenario->params.random_queries)) {
-                return false;
-            }
-            if (scenario->params.random_queries <= 0) {
-                std::fprintf(stderr, "mvf: --random-queries must be > 0\n");
-                return false;
-            }
-        } else if (arg == "--no-baseline") {
-            scenario->params.run_random_baseline = false;
-            note_sbox_only("--no-baseline");
-        } else if (arg == "--no-camo") {
-            scenario->params.run_camo_mapping = false;
-        } else if (arg == "--no-verify") {
-            scenario->params.verify = false;
-            note_sbox_only("--no-verify");
-        } else if (arg == "--adversaries") {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.adversaries.clear();
-            std::istringstream in(value);
-            std::string item;
-            while (std::getline(in, item, ',')) {
-                if (!item.empty()) scenario->params.adversaries.push_back(item);
-            }
-        } else if (arg == "--trace" && obs_flags) {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            obs_flags->trace_path = value;
-        } else if (arg == "--trace-format" && obs_flags) {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!obs::trace_format_from_name(value,
-                                             &obs_flags->trace_format)) {
+            if (!obs::trace_format_from_name(value, &flags->trace_format)) {
                 std::fprintf(stderr,
                              "mvf: --trace-format expects ndjson or chrome, "
                              "got \"%s\"\n",
                              value.c_str());
                 return false;
             }
-        } else if (arg == "--metrics" && obs_flags) {
-            obs_flags->metrics = true;
-        } else if (arg == "--json" && json_path) {
+        } else if (arg == "--metrics") {
+            flags->metrics = true;
+        } else if (!batch && arg == "--quick") {
+            flags->quick = true;
+        } else if (batch && arg == "--spec") {
+            if (!next_value(argc, argv, &i, &flags->spec_path)) return false;
+        } else if (batch && arg == "--jobs") {
             if (!next_value(argc, argv, &i, &value)) return false;
-            *json_path = value;
-        } else if (arg == "--jobs" && jobs) {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            if (!parse_int_flag(value, "--jobs", jobs)) return false;
-        } else if (arg == "--spec" && spec_path) {
-            if (!next_value(argc, argv, &i, &value)) return false;
-            *spec_path = value;
-        } else if (arg == "--verbose" && verbose) {
-            *verbose = true;
-        } else {
-            std::fprintf(stderr, "mvf: unknown option %s\n", arg.c_str());
+            if (!parse_int_flag(value, "--jobs", &flags->jobs)) return false;
+        } else if (batch && arg == "--verbose") {
+            flags->verbose = true;
+        } else if (batch && flow::is_scenario_flag(arg)) {
+            std::fprintf(stderr,
+                         "mvf batch: %s is a scenario key; it belongs in the "
+                         "spec file\n",
+                         arg.c_str());
             return false;
-        }
-    }
-    // Circuit scenarios are file-based: the subject comes from the
-    // benchmark, so --funcs and the S-box synthesis flags contradict
-    // --circuit, and the --camo-* knobs require it (mirrors
-    // parse_scenario_spec for the spec-file keys).
-    const bool is_circuit = !scenario->params.circuit.path.empty();
-    if (is_circuit && funcs_set) {
-        std::fprintf(stderr,
-                     "mvf: --circuit and --funcs name two different "
-                     "subjects; pick one\n");
-        return false;
-    }
-    if (!is_circuit && camo_flag_set) {
-        std::fprintf(stderr,
-                     "mvf: --camo-density/--camo-cells/--camo-seed/"
-                     "--camo-policy require --circuit (the S-box flow "
-                     "camouflages via Phase III covering)\n");
-        return false;
-    }
-    if (is_circuit && !sbox_only_flag.empty()) {
-        std::fprintf(stderr,
-                     "mvf: %s steers the S-box synthesis flow, which "
-                     "--circuit scenarios skip\n",
-                     sbox_only_flag.c_str());
-        return false;
-    }
-    if (camo_density_set && camo_cells_set) {
-        std::fprintf(stderr,
-                     "mvf: --camo-density and --camo-cells both size the "
-                     "camouflage budget; pick one\n");
-        return false;
-    }
-    if (is_circuit) {
-        // The plausibility attacker needs the viable-function targets,
-        // which only the S-box flow has.
-        for (const std::string& adv : scenario->params.adversaries) {
-            if (adv == "plausibility") {
-                std::fprintf(stderr,
-                             "mvf: adversary \"%s\" needs the viable-"
-                             "function set; --circuit scenarios support "
-                             "oracle-granted adversaries (cegar, "
-                             "random-sampling)\n",
-                             adv.c_str());
+        } else {
+            bool known = false;
+            try {
+                known = !batch && draft->set_flag(argc, argv, &i);
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "mvf: %s\n", e.what());
                 return false;
             }
-        }
-        scenario->family = "circuit";
-        scenario->n = 0;
-    }
-    // Contradictory counting flags are a usage error, never silently
-    // ignored: each flag only applies to one --count-mode.
-    using attack::CountMode;
-    if (survivors_set) {
-        if (count_mode_set &&
-            scenario->params.oracle.count_mode != CountMode::kEnumerate) {
-            std::fprintf(stderr,
-                         "mvf: --max-survivors only applies to --count-mode "
-                         "enumerate\n");
-            return false;
-        }
-        // A survivor cap is a request for capped enumeration.
-        scenario->params.oracle.count_mode = CountMode::kEnumerate;
-    }
-    if (eps_delta_set &&
-        (!count_mode_set ||
-         scenario->params.oracle.count_mode != CountMode::kApprox)) {
-        std::fprintf(stderr,
-                     "mvf: --epsilon/--delta require --count-mode approx\n");
-        return false;
-    }
-    if (cache_mb_set &&
-        scenario->params.oracle.count_mode != CountMode::kExact) {
-        std::fprintf(stderr,
-                     "mvf: --count-cache-mb/--count-max-decisions only apply "
-                     "to --count-mode exact\n");
-        return false;
-    }
-    if (no_enumerate_set &&
-        (count_mode_set || survivors_set || cache_mb_set || eps_delta_set)) {
-        std::fprintf(stderr,
-                     "mvf: --no-enumerate skips survivor counting; it "
-                     "contradicts the --count-mode/--max-survivors/"
-                     "--count-cache-mb/--count-max-decisions/--epsilon/"
-                     "--delta flags\n");
-        return false;
-    }
-    // Replay serves recorded answers; fresh measurement noise on top would
-    // corrupt a transcript that already embeds the noise it was recorded
-    // under.
-    if (noise_set && !scenario->params.replay_transcript.empty()) {
-        std::fprintf(stderr,
-                     "mvf: --replay-transcript replays recorded answers; it "
-                     "contradicts --oracle-noise\n");
-        return false;
-    }
-    // A cache above a replaying transcript desynchronizes the replay
-    // cursor on duplicate patterns.
-    if (scenario->params.oracle_model.cache &&
-        !scenario->params.replay_transcript.empty()) {
-        std::fprintf(stderr,
-                     "mvf: --replay-transcript contradicts --oracle-cache\n");
-        return false;
-    }
-    // A transcript is one member's ordered view; racing a portfolio over a
-    // replay is contradictory.
-    if (scenario->params.oracle.portfolio > 1 &&
-        !scenario->params.replay_transcript.empty()) {
-        std::fprintf(stderr,
-                     "mvf: --replay-transcript contradicts --portfolio\n");
-        return false;
-    }
-    // A proof certifies a fresh serial CEGAR run: replaying a transcript
-    // proves nothing new, and portfolio members interleave their queries
-    // into a non-replayable sequence.
-    if (!scenario->params.emit_proof.empty()) {
-        if (!scenario->params.replay_transcript.empty()) {
-            std::fprintf(stderr,
-                         "mvf: --emit-proof contradicts --replay-transcript\n");
-            return false;
-        }
-        const int members =
-            scenario->params.oracle.portfolio > 0
-                ? scenario->params.oracle.portfolio
-                : std::max(1, scenario->params.oracle.attack_threads);
-        if (members > 1) {
-            std::fprintf(stderr,
-                         "mvf: --emit-proof requires a serial CEGAR attack "
-                         "(use --portfolio 1 or --attack-threads 1)\n");
-            return false;
-        }
-    }
-    if (quick) {
-        if (!population_set) scenario->params.ga.population = 8;
-        if (!generations_set) scenario->params.ga.generations = 4;
-        // Enumerating a million survivors dominates quick runs on big
-        // configuration spaces; a small cap still shows the shape.  The
-        // cap governs enumerate mode AND the exact counter's fallback
-        // path, so it is lowered regardless of the counting mode -- and
-        // so is the exact decision budget, which is otherwise a few
-        // seconds of burn on dense instances.
-        if (!survivors_set) scenario->params.oracle.max_survivors = 256;
-        if (!decisions_set) {
-            scenario->params.oracle.count_max_decisions = 20'000;
+            if (!known) {
+                std::fprintf(stderr, "mvf: unknown option %s\n", arg.c_str());
+                return false;
+            }
         }
     }
     return true;
@@ -815,30 +291,29 @@ int write_report(const std::string& path,
     return 0;
 }
 
-int run_scenarios(const std::vector<flow::Scenario>& scenarios, int jobs,
-                  bool verbose, const std::string& json_path,
-                  const ObsFlags& obs_flags) {
+int run_scenarios(const std::vector<flow::Scenario>& scenarios,
+                  const ProcessFlags& flags) {
     // The sink outlives the batch; uninstall before it is destroyed so no
     // late event races the close.
     std::optional<obs::TraceSink> sink;
-    if (!obs_flags.trace_path.empty()) {
-        sink.emplace(obs_flags.trace_path, obs_flags.trace_format);
+    if (!flags.trace_path.empty()) {
+        sink.emplace(flags.trace_path, flags.trace_format);
         if (!sink->ok()) {
             std::fprintf(stderr, "mvf: cannot open trace file %s\n",
-                         obs_flags.trace_path.c_str());
+                         flags.trace_path.c_str());
             return 2;
         }
         obs::set_trace_sink(&*sink);
     }
-    if (obs_flags.metrics) {
+    if (flags.metrics) {
         obs::MetricsRegistry::global().reset();
         obs::set_metrics_enabled(true);
     }
 
     util::Stopwatch sw;
     flow::BatchParams batch;
-    batch.jobs = jobs;
-    batch.verbose = verbose;
+    batch.jobs = flags.jobs;
+    batch.verbose = flags.verbose;
     const std::vector<flow::ScenarioRecord> records =
         flow::BatchRunner(batch).run(scenarios);
     const double total = sw.elapsed_seconds();
@@ -848,7 +323,7 @@ int run_scenarios(const std::vector<flow::Scenario>& scenarios, int jobs,
         sink->flush();
     }
     std::optional<report::Json> metrics;
-    if (obs_flags.metrics) {
+    if (flags.metrics) {
         obs::set_metrics_enabled(false);
         metrics = obs::MetricsRegistry::global().snapshot_json();
     }
@@ -861,7 +336,7 @@ int run_scenarios(const std::vector<flow::Scenario>& scenarios, int jobs,
     std::printf("%d scenario%s, %d failure%s, %.1fs (jobs=%d)\n",
                 static_cast<int>(records.size()),
                 records.size() == 1 ? "" : "s", failures,
-                failures == 1 ? "" : "s", total, jobs);
+                failures == 1 ? "" : "s", total, flags.jobs);
     if (metrics) {
         std::printf("metrics:\n%s\n", metrics->dump(2).c_str());
     }
@@ -871,84 +346,72 @@ int run_scenarios(const std::vector<flow::Scenario>& scenarios, int jobs,
                     static_cast<unsigned long long>(sink->events()),
                     std::string(obs::trace_format_name(sink->format())).c_str());
     }
-    if (!json_path.empty()) {
-        const int rc = write_report(json_path, records, total,
+    if (!flags.json_path.empty()) {
+        const int rc = write_report(flags.json_path, records, total,
                                     metrics ? &*metrics : nullptr);
         if (rc != 0) return rc;
-        std::printf("report written to %s\n", json_path.c_str());
+        std::printf("report written to %s\n", flags.json_path.c_str());
     }
     return failures == 0 ? 0 : 1;
 }
 
-/// "bench/c17.bench" -> "c17": default scenario name for --circuit runs.
-std::string file_stem(const std::string& path) {
-    const std::size_t slash = path.find_last_of("/\\");
-    std::string stem =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    const std::size_t dot = stem.find_last_of('.');
-    if (dot != std::string::npos && dot > 0) stem = stem.substr(0, dot);
-    return stem;
-}
-
 int cmd_run(int argc, char** argv, bool force_attack) {
-    flow::Scenario scenario;
-    std::string json_path;
-    ObsFlags obs_flags;
-    if (!parse_scenario_flags(argc, argv, 2, &scenario, &json_path, nullptr,
-                              nullptr, nullptr, &obs_flags)) {
-        return 2;
-    }
-    const bool is_circuit = !scenario.params.circuit.path.empty();
-    if (force_attack && scenario.params.adversaries.empty()) {
-        if (is_circuit) {
-            // Imported circuits have no viable-function set, so only the
-            // oracle-granted adversaries apply.
-            scenario.params.adversaries = {"cegar", "random-sampling"};
-        } else {
-            scenario.params.adversaries =
-                attack::AdversaryRegistry::instance().names();
+    flow::ScenarioDraft draft(flow::ScenarioDraft::Front::kCli);
+    ProcessFlags flags;
+    if (!parse_flags(argc, argv, &draft, &flags)) return 2;
+    flow::FlowParams& params = draft.scenario.params;
+    if (flags.quick) {
+        // Presets: an explicit flag wins wherever it appears.  Enumerating
+        // a million survivors dominates quick runs on big configuration
+        // spaces; a small cap still shows the shape.  The cap governs
+        // enumerate mode AND the exact counter's fallback, so it is lowered
+        // whatever the counting mode, and so is the exact decision budget,
+        // otherwise a few seconds of burn on dense instances.
+        if (!draft.given("population")) params.ga.population = 8;
+        if (!draft.given("generations")) params.ga.generations = 4;
+        if (!draft.given("max_survivors")) params.oracle.max_survivors = 256;
+        if (!draft.given("count_max_decisions")) {
+            params.oracle.count_max_decisions = 20'000;
         }
     }
-    if (scenario.name.empty()) {
-        scenario.name =
-            is_circuit
-                ? file_stem(scenario.params.circuit.path) + "-s" +
-                      std::to_string(scenario.params.seed)
-                : scenario.family + std::to_string(scenario.n) + "-s" +
-                      std::to_string(scenario.params.seed);
+    if (force_attack && params.adversaries.empty()) {
+        // Imported circuits have no viable-function set, so only the
+        // oracle-granted adversaries apply.
+        params.adversaries =
+            params.circuit.path.empty()
+                ? attack::AdversaryRegistry::instance().names()
+                : std::vector<std::string>{"cegar", "random-sampling"};
     }
-    return run_scenarios({scenario}, /*jobs=*/1, /*verbose=*/false, json_path,
-                         obs_flags);
+    std::vector<flow::Scenario> scenarios;
+    try {
+        scenarios.push_back(std::move(draft).finish());
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "mvf: %s\n", e.what());
+        return 2;
+    }
+    return run_scenarios(scenarios, flags);
 }
 
 int cmd_batch(int argc, char** argv) {
-    flow::Scenario ignored;
-    std::string json_path;
-    std::string spec_path;
-    int jobs = 1;
-    bool verbose = false;
-    ObsFlags obs_flags;
-    if (!parse_scenario_flags(argc, argv, 2, &ignored, &json_path, &jobs,
-                              &spec_path, &verbose, &obs_flags)) {
-        return 2;
-    }
-    if (spec_path.empty()) {
+    ProcessFlags flags;
+    if (!parse_flags(argc, argv, nullptr, &flags)) return 2;
+    if (flags.spec_path.empty()) {
         std::fprintf(stderr, "mvf batch: --spec FILE is required\n");
         return 2;
     }
     std::vector<flow::Scenario> scenarios;
     try {
-        scenarios = flow::load_scenario_spec(spec_path);
+        scenarios = flow::load_scenario_spec(flags.spec_path);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "mvf batch: %s\n", e.what());
         return 2;
     }
     if (scenarios.empty()) {
         std::fprintf(stderr, "mvf batch: %s contains no scenarios\n",
-                     spec_path.c_str());
+                     flags.spec_path.c_str());
         return 2;
     }
-    return run_scenarios(scenarios, jobs, verbose, json_path, obs_flags);
+    return run_scenarios(scenarios, flags);
 }
 
 int cmd_adversaries() {
