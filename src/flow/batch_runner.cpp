@@ -33,7 +33,11 @@ ScenarioRecord run_scenario(const Scenario& scenario, int index,
     record.family = scenario.family;
     record.n = scenario.n;
     record.seed = scenario.params.seed;
-    record.spec_hash = spec_hash(scenario);
+    // One reading of the circuit file per run: the spec hash and every
+    // stage key below hash the same bytes, and the next run reads the file
+    // again, so an edit on disk still misses the stage cache.
+    const std::string fingerprint = circuit_fingerprint(scenario);
+    record.spec_hash = spec_hash(scenario, fingerprint);
 
     util::Stopwatch sw;
     try {
@@ -49,8 +53,8 @@ ScenarioRecord run_scenario(const Scenario& scenario, int index,
         ctx.progress = hooks.progress;
         if (hooks.stage_store) {
             ctx.stage_store = hooks.stage_store;
-            ctx.stage_key = [&scenario](std::string_view stage) {
-                return stage_cache_key(scenario, stage);
+            ctx.stage_key = [&scenario, &fingerprint](std::string_view stage) {
+                return stage_cache_key(scenario, stage, fingerprint);
             };
         }
         const PipelineStatus ps = Pipeline::standard(scenario.params).run(ctx);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "util/hash.hpp"
@@ -11,17 +12,10 @@ namespace mvf::flow {
 
 namespace {
 
-/// SHA-256 of the file's bytes, or "unreadable" when it cannot be opened.
-/// Never throws: spec hashes are stamped into records before the pipeline
-/// runs, so a missing circuit file must surface as the import stage's
-/// ParseError, not here.
-std::string file_fingerprint(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return "unreadable";
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return util::sha256_hex(bytes.str());
-}
+/// Getter of one canonical-tree leaf.  `fingerprint` is the circuit
+/// file's, read once by the caller (see circuit_fingerprint).
+using LeafGetter =
+    std::function<report::Json(const Scenario&, std::string_view fingerprint)>;
 
 /// A node of one chain's canonical JSON tree.  Children are sorted by name,
 /// report::canonicalized's order, so a subset is emitted canonical without
@@ -29,12 +23,12 @@ std::string file_fingerprint(const std::string& path) {
 struct Node {
     std::string name;
     int stage = 0;
-    KeyGetter get;  ///< leaves only
+    LeafGetter get;  ///< leaves only
     std::vector<Node> children;
 };
 
 void insert(Node* node, const std::vector<std::string>& path, int stage,
-            KeyGetter get) {
+            LeafGetter get) {
     for (const std::string& part : path) {
         auto it = std::find_if(
             node->children.begin(), node->children.end(),
@@ -70,7 +64,10 @@ Chain build_chain(bool circuit) {
         c.stages.assign(kSboxStages.begin(), kSboxStages.end());
     }
     const auto computed = [&c](const char* name, int stage, KeyGetter get) {
-        insert(&c.root, {name}, stage, std::move(get));
+        insert(&c.root, {name}, stage,
+               [get = std::move(get)](const Scenario& s, std::string_view) {
+                   return get(s);
+               });
     };
     computed("schema", 0,
              [](const Scenario&) { return report::Json(kSpecSchemaVersion); });
@@ -80,9 +77,10 @@ Chain build_chain(bool circuit) {
         // rather than warm-hit a stale snapshot.
         computed("kind", 0,
                  [](const Scenario&) { return report::Json("circuit"); });
-        computed("circuit_sha256", 0, [](const Scenario& s) {
-            return report::Json(file_fingerprint(s.params.circuit.path));
-        });
+        insert(&c.root, {"circuit_sha256"}, 0,
+               [](const Scenario&, std::string_view fingerprint) {
+                   return report::Json(std::string(fingerprint));
+               });
     } else {
         computed("family", 0,
                  [](const Scenario& s) { return report::Json(s.family); });
@@ -95,7 +93,10 @@ Chain build_chain(bool circuit) {
     for (const ScenarioKey& k : scenario_keys()) {
         const int stage = circuit ? k.owner.circuit_stage : k.owner.sbox_stage;
         if (stage != kNoStage && !k.owner.path.empty()) {
-            insert(&c.root, k.owner.path, stage, k.get);
+            insert(&c.root, k.owner.path, stage,
+                   [get = k.get](const Scenario& s, std::string_view) {
+                       return get(s);
+                   });
         }
     }
     sort_tree(&c.root);
@@ -108,13 +109,20 @@ const Chain& chain_of(const Scenario& s) {
     return s.params.circuit.path.empty() ? sbox : circuit;
 }
 
-report::Json emit(const Node& node, const Scenario& s, int stage) {
-    if (node.get) return node.get(s);
+report::Json emit(const Node& node, const Scenario& s,
+                  std::string_view fingerprint, int stage) {
+    if (node.get) return node.get(s, fingerprint);
     report::Json j = report::Json::object();
     for (const Node& c : node.children) {
-        if (c.stage <= stage) j.set(c.name, emit(c, s, stage));
+        if (c.stage <= stage) j.set(c.name, emit(c, s, fingerprint, stage));
     }
     return j;
+}
+
+/// The full canonical form: every stage's subset.
+report::Json canonical_form(const Scenario& s, std::string_view fingerprint) {
+    const Chain& c = chain_of(s);
+    return emit(c.root, s, fingerprint, static_cast<int>(c.stages.size()));
 }
 
 /// True when a row that ties the run to files the cache cannot see
@@ -137,23 +145,41 @@ bool uncacheable(const Scenario& s) {
 
 }  // namespace
 
+std::string circuit_fingerprint(const Scenario& scenario) {
+    const std::string& path = scenario.params.circuit.path;
+    if (path.empty()) return "";
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return "unreadable";
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return util::sha256_hex(bytes.str());
+}
+
 report::Json canonical_spec_json(const Scenario& scenario) {
-    const Chain& c = chain_of(scenario);
-    return emit(c.root, scenario, static_cast<int>(c.stages.size()));
+    return canonical_form(scenario, circuit_fingerprint(scenario));
 }
 
 std::string spec_hash(const Scenario& scenario) {
-    return util::fnv1a64_hex(canonical_spec_json(scenario).dump());
+    return spec_hash(scenario, circuit_fingerprint(scenario));
+}
+
+std::string spec_hash(const Scenario& scenario, std::string_view fingerprint) {
+    return util::fnv1a64_hex(canonical_form(scenario, fingerprint).dump());
 }
 
 std::string stage_cache_key(const Scenario& scenario, std::string_view stage) {
+    return stage_cache_key(scenario, stage, circuit_fingerprint(scenario));
+}
+
+std::string stage_cache_key(const Scenario& scenario, std::string_view stage,
+                            std::string_view fingerprint) {
     const Chain& c = chain_of(scenario);
     // Custom stages opt into caching by name, not by default.
     const auto it = std::find(c.stages.begin(), c.stages.end(), stage);
     if (it == c.stages.end() || uncacheable(scenario)) return "";
     const int index = static_cast<int>(it - c.stages.begin());
-    return util::fnv1a64_hex(emit(c.root, scenario, index).dump()) + ":s" +
-           std::to_string(scenario.params.seed) + ":" + std::string(stage);
+    return util::fnv1a64_hex(emit(c.root, scenario, fingerprint, index).dump()) +
+           ":s" + std::to_string(scenario.params.seed) + ":" + std::string(stage);
 }
 
 }  // namespace mvf::flow

@@ -50,11 +50,23 @@ namespace mvf::flow {
 /// entries from older builds miss instead of deserializing garbage.
 inline constexpr int kSpecSchemaVersion = 1;
 
+/// SHA-256 (hex) of the bytes of the circuit file a circuit scenario
+/// names, or "unreadable" when it cannot be opened; "" for S-box
+/// scenarios.  Never throws: spec hashes are stamped into records before
+/// the pipeline runs, so a missing circuit file must surface as the import
+/// stage's ParseError, not here.  Each call reads the whole file, so a run
+/// reads it once and hands the result to the overloads below.
+std::string circuit_fingerprint(const Scenario& scenario);
+
 /// Full canonical form (keys sorted, defaults materialized, seed included).
 report::Json canonical_spec_json(const Scenario& scenario);
 
-/// 16-hex-digit FNV-1a of canonical_spec_json's compact dump.
+/// 16-hex-digit FNV-1a of canonical_spec_json's compact dump.  This form
+/// and stage_cache_key's below fingerprint the circuit file themselves;
+/// the overloads taking `fingerprint` (circuit_fingerprint of the same
+/// scenario) hash one reading of the file consistently.
 std::string spec_hash(const Scenario& scenario);
+std::string spec_hash(const Scenario& scenario, std::string_view fingerprint);
 
 /// Cache key "<subset-hash>:s<seed>:<stage>" for one pipeline stage, where
 /// the subset hash covers exactly the parameters stages up to and
@@ -62,5 +74,7 @@ std::string spec_hash(const Scenario& scenario);
 /// names and for scenarios whose results depend on state outside the spec
 /// (transcript record/replay files).
 std::string stage_cache_key(const Scenario& scenario, std::string_view stage);
+std::string stage_cache_key(const Scenario& scenario, std::string_view stage,
+                            std::string_view fingerprint);
 
 }  // namespace mvf::flow

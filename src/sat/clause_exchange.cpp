@@ -11,7 +11,7 @@ ClauseExchange::ClauseExchange(int members, int max_lits,
       max_clauses_(max_clauses),
       cursor_(static_cast<std::size_t>(std::max(1, members)), 0) {}
 
-void ClauseExchange::publish(int member, const std::vector<Lit>& lits,
+void ClauseExchange::publish(int member, std::span<const Lit> lits,
                              std::uint64_t epoch) {
     assert(member >= 0 && member < static_cast<int>(cursor_.size()));
     std::lock_guard lock(mutex_);
@@ -20,12 +20,15 @@ void ClauseExchange::publish(int member, const std::vector<Lit>& lits,
         ++stats_.dropped;
         return;
     }
-    pool_.push_back({member, epoch, lits});
+    pool_.push_back(
+        {member, epoch, lits_.size(), static_cast<std::uint32_t>(lits.size())});
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
     ++stats_.published;
 }
 
 std::size_t ClauseExchange::fetch(int member, std::uint64_t max_epoch,
-                                  std::vector<std::vector<Lit>>* out) {
+                                  std::vector<Lit>* lits,
+                                  std::vector<std::uint32_t>* sizes) {
     assert(member >= 0 && member < static_cast<int>(cursor_.size()));
     std::lock_guard lock(mutex_);
     std::size_t& cursor = cursor_[static_cast<std::size_t>(member)];
@@ -34,7 +37,9 @@ std::size_t ClauseExchange::fetch(int member, std::uint64_t max_epoch,
         const Entry& e = pool_[cursor];
         if (e.member != member) {
             if (e.epoch > max_epoch) break;  // eligible later, not yet
-            out->push_back(e.lits);
+            const auto first = lits_.begin() + static_cast<std::ptrdiff_t>(e.begin);
+            lits->insert(lits->end(), first, first + e.size);
+            sizes->push_back(e.size);
             ++appended;
         }
         ++cursor;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "sat/solver.hpp"
@@ -45,17 +46,18 @@ public:
     /// Exporter side: offers a learned clause (units included) tagged with
     /// the exporter's epoch.  Oversized clauses and pool overflow are
     /// silently dropped (counted in stats).
-    void publish(int member, const std::vector<Lit>& lits,
-                 std::uint64_t epoch);
+    void publish(int member, std::span<const Lit> lits, std::uint64_t epoch);
 
     /// Importer side: appends every clause published by OTHER members with
-    /// epoch <= `max_epoch` that this member has not received yet.  The
+    /// epoch <= `max_epoch` that this member has not received yet, as
+    /// literals to `lits` and one length per clause to `sizes` (flat, so
+    /// an import allocates nothing once the buffers are warm).  The
     /// per-member cursor stops at the first not-yet-eligible entry (its
     /// epoch may become eligible once the member stamps more constraints),
-    /// so nothing is ever skipped permanently.  Returns the number
-    /// appended.
+    /// so nothing is ever skipped permanently.  Returns the number of
+    /// clauses appended.
     std::size_t fetch(int member, std::uint64_t max_epoch,
-                      std::vector<std::vector<Lit>>* out);
+                      std::vector<Lit>* lits, std::vector<std::uint32_t>* sizes);
 
     struct Stats {
         std::uint64_t published = 0;  ///< clauses accepted into the pool
@@ -65,16 +67,19 @@ public:
     Stats stats() const;
 
 private:
+    /// One pooled clause: lits_[begin, begin + size).
     struct Entry {
         int member;
         std::uint64_t epoch;
-        std::vector<Lit> lits;
+        std::size_t begin;
+        std::uint32_t size;
     };
 
     const int max_lits_;
     const std::size_t max_clauses_;
     mutable std::mutex mutex_;
     std::vector<Entry> pool_;
+    std::vector<Lit> lits_;
     std::vector<std::size_t> cursor_;  ///< per member: first unprocessed
     Stats stats_;
 };

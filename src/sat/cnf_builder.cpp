@@ -15,10 +15,23 @@ CnfBuilder::CnfBuilder(const CamoNetlist& netlist, Solver* solver,
 
     selector_.resize(static_cast<std::size_t>(netlist.num_nodes()));
     fixed_choice_.assign(static_cast<std::size_t>(netlist.num_nodes()), -1);
+    cell_first_fn_.assign(
+        static_cast<std::size_t>(netlist.library().num_cells()), -1);
     for (int id = 0; id < netlist.num_nodes(); ++id) {
         const CamoNetlist::Node& n = netlist.node(id);
         if (n.kind != CamoNetlist::NodeKind::kCell) continue;
         const camo::CamoCell& cell = netlist.library().cell(n.camo_cell_id);
+        int& first_fn = cell_first_fn_[static_cast<std::size_t>(n.camo_cell_id)];
+        if (first_fn < 0) {
+            first_fn = static_cast<int>(fn_support_.size());
+            for (const TruthTable& f : cell.plausible) {
+                const std::vector<int> pins = f.support();
+                fn_support_.push_back(
+                    {static_cast<std::uint32_t>(support_pins_.size()),
+                     static_cast<std::uint32_t>(pins.size())});
+                support_pins_.insert(support_pins_.end(), pins.begin(), pins.end());
+            }
+        }
         const bool fixed =
             fixed_nominal && (*fixed_nominal)[static_cast<std::size_t>(id)];
         if (fixed) {
@@ -110,12 +123,11 @@ CnfBuilder::Copy CnfBuilder::stamp(std::span<const Lit> pi_lits, bool fold,
         if (fold && sel.size() == 1) {
             // Single plausible function: if the support is constant, so is
             // the output -- no variable, no clauses.
-            const TruthTable& f0 = cell.plausible[static_cast<std::size_t>(
-                plausible_index(id, 0))];
-            const std::vector<int> support = f0.support();
+            const int fn = plausible_index(id, 0);
+            const TruthTable& f0 = cell.plausible[static_cast<std::size_t>(fn)];
             std::uint32_t pins = 0;
             bool all_known = true;
-            for (const int pin : support) {
+            for (const int pin : support(n.camo_cell_id, fn)) {
                 const std::size_t fid = static_cast<std::size_t>(
                     n.fanins[static_cast<std::size_t>(pin)]);
                 if (known[fid] < 0) {
@@ -138,15 +150,15 @@ CnfBuilder::Copy CnfBuilder::stamp(std::span<const Lit> pi_lits, bool fold,
         // Selecting function j binds the output to f_j of the fanin values,
         // one clause per minterm of f_j's support.
         for (std::size_t j = 0; j < sel.size(); ++j) {
-            const TruthTable& fj = cell.plausible[static_cast<std::size_t>(
-                plausible_index(id, j))];
-            const std::vector<int> support = fj.support();
-            const int k = static_cast<int>(support.size());
+            const int fn = plausible_index(id, j);
+            const TruthTable& fj = cell.plausible[static_cast<std::size_t>(fn)];
+            const std::span<const int> sup = support(n.camo_cell_id, fn);
+            const int k = static_cast<int>(sup.size());
             for (std::uint32_t pp = 0; pp < (1u << k); ++pp) {
                 std::uint32_t pins = 0;
                 for (int b = 0; b < k; ++b) {
                     if ((pp >> b) & 1) {
-                        pins |= 1u << support[static_cast<std::size_t>(b)];
+                        pins |= 1u << sup[static_cast<std::size_t>(b)];
                     }
                 }
                 const bool fout = fj.bit(pins);
@@ -154,7 +166,7 @@ CnfBuilder::Copy CnfBuilder::stamp(std::span<const Lit> pi_lits, bool fold,
                 clause.clear();
                 clause.push_back(mk_lit(sel[j], true));
                 for (int b = 0; b < k; ++b) {
-                    const int pin = support[static_cast<std::size_t>(b)];
+                    const int pin = sup[static_cast<std::size_t>(b)];
                     const Lit fl =
                         value[static_cast<std::size_t>(n.fanins[static_cast<std::size_t>(pin)])];
                     const bool want = (pp >> b) & 1;

@@ -117,6 +117,14 @@ private:
                const ShareSource* share, std::vector<Lit>* values_out,
                std::vector<signed char>* known_out, int* shared_cells_out);
 
+    /// Support pins of plausible function `fn` of library cell `cell`,
+    /// ascending (TruthTable::support, computed once per builder).
+    std::span<const int> support(int cell, int fn) const {
+        const SupportRange r = fn_support_[static_cast<std::size_t>(
+            cell_first_fn_[static_cast<std::size_t>(cell)] + fn)];
+        return {support_pins_.data() + r.begin, r.size};
+    }
+
     /// Plausible index encoded by selector `j` of node `id`: fixed cells
     /// have one selector bound to their true function's index, free cells
     /// map selector j to plausible j.
@@ -132,6 +140,16 @@ private:
     /// Per node: the plausible index a fixed_nominal cell is bound to, or
     /// -1 when the cell's selector ranges over the full plausible set.
     std::vector<int> fixed_choice_;
+    /// The supports of every plausible function of the library cells the
+    /// netlist uses: cell_first_fn_[cell] (-1 if unused) indexes the
+    /// cell's function 0 in fn_support_, whose ranges index support_pins_.
+    struct SupportRange {
+        std::uint32_t begin;
+        std::uint32_t size;
+    };
+    std::vector<int> cell_first_fn_;
+    std::vector<SupportRange> fn_support_;
+    std::vector<int> support_pins_;
 };
 
 }  // namespace mvf::sat

@@ -78,7 +78,10 @@ bool Preprocessor::snapshot() {
     Solver& s = *solver_;
     const std::size_t nv = static_cast<std::size_t>(s.num_vars());
     frozen_.resize(nv, false);
-    fixed_.assign(s.assigns_.begin(), s.assigns_.end());
+    fixed_.resize(nv);
+    for (Var v = 0; v < static_cast<Var>(nv); ++v) {
+        fixed_[static_cast<std::size_t>(v)] = s.var_value(v);
+    }
     occ_.assign(2 * nv, {});
     cls_.clear();
     sig_.clear();
@@ -86,17 +89,15 @@ bool Preprocessor::snapshot() {
     queued_.clear();
     subsume_queue_.clear();
     unit_queue_.clear();
-    learned_.clear();
 
+    // Learned clauses stay in the solver's arena until commit().
     std::vector<Lit> tmp;
-    for (const Solver::Clause& c : s.clauses_) {
-        if (c.learned) {
-            learned_.emplace_back(c.lits, c.activity);
-            continue;
-        }
+    for (Solver::CRef cr = 0; cr < s.arena_.size(); cr += s.clause_words(cr)) {
+        if (s.clause_learned(cr)) continue;
         tmp.clear();
         bool satisfied = false;
-        for (const Lit l : c.lits) {
+        const Lit* lits = s.lits(cr);
+        for (const Lit l : std::span<const Lit>(lits, s.clause_size(cr))) {
             const Value v = fixed_value(l);
             if (v == Value::kTrue) {
                 satisfied = true;
@@ -412,21 +413,26 @@ void Preprocessor::commit() {
     Solver& s = *solver_;
     const std::size_t nv = static_cast<std::size_t>(s.num_vars());
 
-    s.clauses_.clear();
+    // The new database is appended behind the old one, which still holds
+    // the learned clauses, and the old prefix is erased at the end.
+    const Solver::CRef old_end = static_cast<Solver::CRef>(s.arena_.size());
+    s.num_clauses_ = 0;
+    s.num_learned_ = 0;
     for (std::size_t ci = 0; ci < cls_.size(); ++ci) {
         if (dead_[ci]) continue;
-        s.clauses_.push_back({std::move(cls_[ci]), false, 0.0});
+        s.alloc_clause(cls_[ci], /*learned=*/false);
     }
     // Re-admit surviving learned clauses: entailed by the original
     // formula, hence sound alongside the simplified one as long as they
     // avoid eliminated variables.
     std::vector<Lit> learned_units;
-    s.num_learned_ = 0;
     std::vector<Lit> tmp;
-    for (auto& [lits, activity] : learned_) {
+    for (Solver::CRef cr = 0; cr < old_end; cr += s.clause_words(cr)) {
+        if (!s.clause_learned(cr)) continue;
         tmp.clear();
         bool drop = false;
-        for (const Lit l : lits) {
+        const Lit* lits = s.lits(cr);
+        for (const Lit l : std::span<const Lit>(lits, s.clause_size(cr))) {
             if (s.eliminated_[static_cast<std::size_t>(lit_var(l))]) {
                 drop = true;
                 break;
@@ -448,15 +454,15 @@ void Preprocessor::commit() {
             learned_units.push_back(tmp[0]);
             continue;
         }
-        s.clauses_.push_back({tmp, true, activity});
-        ++s.num_learned_;
+        s.alloc_clause(tmp, /*learned=*/true, s.activity(cr));
     }
+    s.arena_.erase(s.arena_.begin(), s.arena_.begin() + old_end);
+    cls_.clear();
 
     // Rebuild derived state: watches, reasons (everything on the trail is
     // a level-0 fact now), branching heap (without eliminated vars).
-    for (auto& w : s.watches_) w.clear();
-    for (int ci = 0; ci < static_cast<int>(s.clauses_.size()); ++ci) s.attach(ci);
-    std::fill(s.reason_.begin(), s.reason_.end(), Solver::kNoReason);
+    s.attach_all();
+    for (Solver::VarData& d : s.vardata_) d.reason = Solver::kNoReason;
     s.heap_.clear();
     std::fill(s.heap_pos_.begin(), s.heap_pos_.end(), -1);
     for (Var v = 0; v < static_cast<int>(nv); ++v) s.heap_insert(v);
@@ -468,8 +474,7 @@ void Preprocessor::commit() {
     // already-assigned variable.
     s.qhead_ = s.trail_.size();
     for (Var v = 0; v < static_cast<int>(nv); ++v) {
-        if (fixed_[v] != Value::kUnknown &&
-            s.assigns_[static_cast<std::size_t>(v)] == Value::kUnknown) {
+        if (fixed_[v] != Value::kUnknown && s.var_value(v) == Value::kUnknown) {
             s.enqueue(mk_lit(v, fixed_[v] == Value::kFalse), Solver::kNoReason);
         }
     }
@@ -482,7 +487,7 @@ void Preprocessor::commit() {
         }
         s.enqueue(l, Solver::kNoReason);
     }
-    if (s.propagate() >= 0) s.ok_ = false;
+    if (s.propagate() != Solver::kNoReason) s.ok_ = false;
 
     s.stats_.eliminated_vars += stats_.eliminated_vars;
     s.stats_.subsumed_clauses += stats_.subsumed_clauses;

@@ -127,9 +127,6 @@ private:
     std::vector<Lit> unit_queue_;
     std::vector<int> subsume_queue_;
     std::vector<bool> queued_;
-    // Learned clauses carried across the run (re-added at commit unless
-    // they mention an eliminated variable).
-    std::vector<std::pair<std::vector<Lit>, double>> learned_;
     std::uint64_t budget_ = 0;  // literal-comparison budget for subsumption
 };
 

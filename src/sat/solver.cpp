@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <queue>
+#include <cstring>
+#include <stdexcept>
 
 #include "sat/clause_exchange.hpp"
 
@@ -36,12 +37,12 @@ std::uint64_t luby(std::uint64_t i) {
 
 Var Solver::new_var() {
     const Var v = num_vars();
-    assigns_.push_back(Value::kUnknown);
+    values_.push_back(Value::kUnknown);
+    values_.push_back(Value::kUnknown);
     polarity_.push_back(phase_seed_ != 0 && phase_bit(phase_seed_, v));
-    level_.push_back(0);
-    reason_.push_back(kNoReason);
+    vardata_.push_back({kNoReason, 0});
     activity_.push_back(0.0);
-    seen_.push_back(false);
+    seen_.push_back(0);
     eliminated_.push_back(false);
     watches_.emplace_back();
     watches_.emplace_back();
@@ -125,12 +126,16 @@ void Solver::set_clause_exchange(ClauseExchange* exchange, int member) {
 
 bool Solver::import_exchange_clauses() {
     assert(decision_level() == 0);
-    import_scratch_.clear();
-    if (exchange_->fetch(exchange_member_, exchange_epoch_,
-                         &import_scratch_) == 0) {
+    import_lits_.clear();
+    import_sizes_.clear();
+    if (exchange_->fetch(exchange_member_, exchange_epoch_, &import_lits_,
+                         &import_sizes_) == 0) {
         return true;
     }
-    for (std::vector<Lit>& lits : import_scratch_) {
+    std::size_t begin = 0;
+    for (const std::uint32_t size : import_sizes_) {
+        const std::span<const Lit> lits(import_lits_.data() + begin, size);
+        begin += size;
         // Clauses touching a locally-eliminated variable are skipped:
         // preprocessing diverges across members, and re-introducing an
         // eliminated variable would bypass the constraints removed with
@@ -146,46 +151,84 @@ bool Solver::import_exchange_clauses() {
         }
         if (!usable) continue;
         // Same level-0 simplification as add_clause, but the survivors are
-        // marked learned so reduce_db can drop them again.
-        std::sort(lits.begin(), lits.end());
-        std::vector<Lit> out;
-        bool tautology_or_sat = false;
-        for (const Lit l : lits) {
-            if (!out.empty() && out.back() == l) continue;
-            if (!out.empty() && out.back() == lit_not(l)) {
-                tautology_or_sat = true;
-                break;
-            }
-            if (value(l) == Value::kTrue) {
-                tautology_or_sat = true;
-                break;
-            }
-            if (value(l) == Value::kFalse) continue;
-            out.push_back(l);
-        }
-        if (tautology_or_sat) continue;
-        if (out.empty()) {
-            // The import is entailed by a prefix of this member's own
-            // formula, so an empty clause is a sound UNSAT verdict.
-            ok_ = false;
+        // marked learned so reduce_db can drop them again.  An import is
+        // entailed by a prefix of this member's own formula, so an empty
+        // clause is a sound UNSAT verdict.
+        add_scratch_.assign(lits.begin(), lits.end());
+        const int n = simplify_at_level0(&add_scratch_);
+        if (n < 0) continue;
+        if (!add_simplified(add_scratch_.data(), n, /*learned=*/true)) {
             return false;
         }
-        if (out.size() == 1) {
-            enqueue(out[0], kNoReason);
-            if (propagate() >= 0) {
-                ok_ = false;
-                return false;
-            }
-            continue;
-        }
-        clauses_.push_back({std::move(out), true, 0.0});
-        ++num_learned_;
-        attach(static_cast<int>(clauses_.size()) - 1);
     }
     return true;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+double Solver::activity(CRef cr) const {
+    double a;
+    std::memcpy(&a, &arena_[cr + 1 + clause_size(cr)], sizeof a);
+    return a;
+}
+
+void Solver::set_activity(CRef cr, double a) {
+    std::memcpy(&arena_[cr + 1 + clause_size(cr)], &a, sizeof a);
+}
+
+Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, bool learned,
+                                  double activity) {
+    assert(lits.size() >= 2);
+    const std::size_t words = 1 + lits.size() + (learned ? 2 : 0);
+    if (arena_.size() + words >= kNoReason) {
+        throw std::length_error("sat::Solver: clause arena exceeds 2^32 words");
+    }
+    const CRef cr = static_cast<CRef>(arena_.size());
+    arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 |
+                     (learned ? kLearned : 0));
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
+    if (learned) {
+        arena_.resize(arena_.size() + 2);
+        set_activity(cr, activity);
+        ++num_learned_;
+    }
+    ++num_clauses_;
+    return cr;
+}
+
+int Solver::simplify_at_level0(std::vector<Lit>* lits) const {
+    std::vector<Lit>& c = *lits;
+    std::sort(c.begin(), c.end());
+    int n = 0;
+    for (const Lit l : c) {
+        if (n > 0 && c[static_cast<std::size_t>(n - 1)] == l) continue;
+        if (n > 0 && c[static_cast<std::size_t>(n - 1)] == lit_not(l)) {
+            return -1;  // tautology
+        }
+        const Value v = value(l);
+        if (v == Value::kTrue) return -1;  // already satisfied
+        if (v == Value::kFalse) continue;  // dead literal
+        c[static_cast<std::size_t>(n++)] = l;
+    }
+    return n;
+}
+
+bool Solver::add_simplified(const Lit* lits, int n, bool learned) {
+    if (n == 0) {
+        ok_ = false;
+        return false;
+    }
+    if (n == 1) {
+        enqueue(lits[0], kNoReason);
+        if (propagate() != kNoReason) {
+            ok_ = false;
+            return false;
+        }
+        return true;
+    }
+    attach(alloc_clause({lits, static_cast<std::size_t>(n)}, learned));
+    return true;
+}
+
+bool Solver::add_clause(std::span<const Lit> lits) {
     if (!ok_) return false;
     assert(decision_level() == 0);
 #ifndef NDEBUG
@@ -193,122 +236,105 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     // constraints removed with it; callers must freeze such variables.
     for (const Lit l : lits) assert(!eliminated_[static_cast<std::size_t>(lit_var(l))]);
 #endif
-    // Simplify: drop duplicate/false literals, detect tautologies/sat.
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
-    for (const Lit l : lits) {
-        if (!out.empty() && out.back() == l) continue;
-        if (!out.empty() && out.back() == lit_not(l)) return true;  // tautology
-        if (value(l) == Value::kTrue) return true;                  // already sat
-        if (value(l) == Value::kFalse) continue;                    // dead lit
-        out.push_back(l);
-    }
-    if (out.empty()) {
-        ok_ = false;
-        return false;
-    }
-    if (out.size() == 1) {
-        enqueue(out[0], kNoReason);
-        if (propagate() >= 0) {
-            ok_ = false;
-            return false;
-        }
-        return true;
-    }
-    clauses_.push_back({std::move(out), false, 0.0});
-    attach(static_cast<int>(clauses_.size()) - 1);
-    return true;
+    add_scratch_.assign(lits.begin(), lits.end());
+    const int n = simplify_at_level0(&add_scratch_);
+    if (n < 0) return true;
+    return add_simplified(add_scratch_.data(), n, /*learned=*/false);
 }
 
 std::vector<std::vector<Lit>> Solver::snapshot_clauses() const {
     assert(decision_level() == 0);
     if (!ok_) return {{}};
     std::vector<std::vector<Lit>> out;
-    out.reserve(trail_.size() + clauses_.size());
+    out.reserve(trail_.size() + num_clauses_);
     for (const Lit l : trail_) out.push_back({l});
-    for (const Clause& c : clauses_) {
-        if (c.learned) continue;
-        out.push_back(c.lits);
+    for (CRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+        if (clause_learned(cr)) continue;
+        out.emplace_back(lits(cr), lits(cr) + clause_size(cr));
     }
     return out;
 }
 
-void Solver::attach(int clause_idx) {
-    const Clause& c = clauses_[static_cast<std::size_t>(clause_idx)];
+void Solver::attach(CRef cr) {
+    const Lit* c = lits(cr);
     // The sibling watched literal doubles as the blocker: for binary
     // clauses it is exact, and for longer ones it is a good first guess.
-    watches_[static_cast<std::size_t>(lit_not(c.lits[0]))].push_back(
-        {clause_idx, c.lits[1]});
-    watches_[static_cast<std::size_t>(lit_not(c.lits[1]))].push_back(
-        {clause_idx, c.lits[0]});
+    watches_[static_cast<std::size_t>(lit_not(c[0]))].push_back({cr, c[1]});
+    watches_[static_cast<std::size_t>(lit_not(c[1]))].push_back({cr, c[0]});
 }
 
-void Solver::enqueue(Lit l, int reason) {
-    assert(value(l) == Value::kUnknown);
-    const Var v = lit_var(l);
-    assigns_[static_cast<std::size_t>(v)] =
-        lit_negated(l) ? Value::kFalse : Value::kTrue;
-    level_[static_cast<std::size_t>(v)] = decision_level();
-    reason_[static_cast<std::size_t>(v)] = reason;
-    polarity_[static_cast<std::size_t>(v)] = !lit_negated(l);
-    trail_.push_back(l);
+void Solver::attach_all() {
+    for (auto& w : watches_) w.clear();
+    for (CRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) attach(cr);
 }
 
-int Solver::propagate() {
+Solver::CRef Solver::propagate() {
+    // Neither the values nor the arena reallocate while propagating (only
+    // new_var and alloc_clause grow them), so their bases can live in
+    // registers across the watch-list pushes and enqueues below.
+    const Value* const values = values_.data();
+    std::uint32_t* const arena = arena_.data();
+    const auto value = [values](Lit l) {
+        return values[static_cast<std::size_t>(l)];
+    };
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
         ++stats_.propagations;
         std::vector<Watcher>& watch_list = watches_[static_cast<std::size_t>(p)];
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < watch_list.size(); ++i) {
-            const Watcher w = watch_list[i];
+        const Lit not_p = lit_not(p);
+        // Kept watchers are compacted to the front as the list is read.
+        // Moved ones go to other lists only (a new watch is not false, and
+        // not_p is), so these pointers stay valid throughout.
+        Watcher* read = watch_list.data();
+        Watcher* keep = read;
+        Watcher* const end = read + watch_list.size();
+        while (read != end) {
+            const Watcher w = *read++;
             // Satisfied via the blocking literal: done without touching the
             // clause (the common case on long CEGAR runs).
             if (value(w.blocker) == Value::kTrue) {
-                watch_list[keep++] = w;
+                *keep++ = w;
                 continue;
             }
-            const int ci = w.clause;
-            Clause& c = clauses_[static_cast<std::size_t>(ci)];
-            // Make sure the falsified literal is lits[1].
-            const Lit not_p = lit_not(p);
-            if (c.lits[0] == not_p) std::swap(c.lits[0], c.lits[1]);
-            assert(c.lits[1] == not_p);
-            const Lit first = c.lits[0];
+            const CRef cr = w.clause;
+            Lit* c = reinterpret_cast<Lit*>(arena + cr + 1);
+            // Make sure the falsified literal is c[1].
+            if (c[0] == not_p) std::swap(c[0], c[1]);
+            assert(c[1] == not_p);
+            const Lit first = c[0];
             if (first != w.blocker && value(first) == Value::kTrue) {
                 // Satisfied by the other watched literal; remember it as
                 // the blocker for next time.
-                watch_list[keep++] = {ci, first};
+                *keep++ = {cr, first};
                 continue;
             }
             // Look for a new literal to watch.
+            const std::uint32_t size = arena[cr] >> 2;
             bool moved = false;
-            for (std::size_t k = 2; k < c.lits.size(); ++k) {
-                if (value(c.lits[k]) != Value::kFalse) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches_[static_cast<std::size_t>(lit_not(c.lits[1]))]
-                        .push_back({ci, first});
+            for (std::uint32_t k = 2; k < size; ++k) {
+                if (value(c[k]) != Value::kFalse) {
+                    std::swap(c[1], c[k]);
+                    watches_[static_cast<std::size_t>(lit_not(c[1]))].push_back(
+                        {cr, first});
                     moved = true;
                     break;
                 }
             }
             if (moved) continue;
             // Unit or conflicting.
-            watch_list[keep++] = {ci, first};
+            *keep++ = {cr, first};
             if (value(first) == Value::kFalse) {
                 // Conflict: restore remaining watches and report.
-                for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
-                    watch_list[keep++] = watch_list[j];
-                }
-                watch_list.resize(keep);
+                while (read != end) *keep++ = *read++;
+                watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
                 qhead_ = trail_.size();
-                return ci;
+                return cr;
             }
-            enqueue(first, ci);
+            enqueue(first, cr);
         }
-        watch_list.resize(keep);
+        watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
     }
-    return -1;
+    return kNoReason;
 }
 
 void Solver::bump_var(Var v) {
@@ -325,13 +351,13 @@ void Solver::bump_var(Var v) {
 
 void Solver::decay_var_activity() { var_inc_ /= 0.95; }
 
-void Solver::bump_clause(int clause_idx) {
-    Clause& c = clauses_[static_cast<std::size_t>(clause_idx)];
-    if (!c.learned) return;
-    c.activity += cla_inc_;
-    if (c.activity > 1e20) {
-        for (auto& cl : clauses_) {
-            if (cl.learned) cl.activity *= 1e-20;
+void Solver::bump_clause(CRef cr) {
+    if (!clause_learned(cr)) return;
+    const double a = activity(cr) + cla_inc_;
+    set_activity(cr, a);
+    if (a > 1e20) {
+        for (CRef c = 0; c < arena_.size(); c += clause_words(c)) {
+            if (clause_learned(c)) set_activity(c, activity(c) * 1e-20);
         }
         cla_inc_ *= 1e-20;
     }
@@ -339,85 +365,85 @@ void Solver::bump_clause(int clause_idx) {
 
 void Solver::decay_clause_activity() { cla_inc_ /= 0.999; }
 
-bool Solver::clause_locked(int clause_idx) const {
-    const Clause& c = clauses_[static_cast<std::size_t>(clause_idx)];
-    const Var v = lit_var(c.lits[0]);
-    return value(c.lits[0]) == Value::kTrue &&
-           reason_[static_cast<std::size_t>(v)] == clause_idx;
+bool Solver::clause_locked(CRef cr) const {
+    const Lit first = lits(cr)[0];
+    return value(first) == Value::kTrue && reason(lit_var(first)) == cr;
 }
 
 void Solver::reduce_db() {
     assert(decision_level() == 0);
     // Candidates: learned, longer than binary, and not the reason of a
     // current (level-0) assignment.  The lowest-activity half goes.
-    std::vector<int> candidates;
-    for (int ci = 0; ci < static_cast<int>(clauses_.size()); ++ci) {
-        const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-        if (c.learned && c.lits.size() > 2 && !clause_locked(ci)) {
-            candidates.push_back(ci);
+    reduce_candidates_.clear();
+    for (CRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+        if (clause_learned(cr) && clause_size(cr) > 2 && !clause_locked(cr)) {
+            reduce_candidates_.push_back(cr);
         }
     }
-    std::sort(candidates.begin(), candidates.end(), [this](int a, int b) {
-        return clauses_[static_cast<std::size_t>(a)].activity <
-               clauses_[static_cast<std::size_t>(b)].activity;
-    });
-
-    std::vector<bool> drop(clauses_.size(), false);
-    const std::size_t victims = candidates.size() / 2;
-    for (std::size_t i = 0; i < victims; ++i) {
-        drop[static_cast<std::size_t>(candidates[i])] = true;
-    }
+    std::sort(reduce_candidates_.begin(), reduce_candidates_.end(),
+              [this](CRef a, CRef b) { return activity(a) < activity(b); });
+    const std::size_t victims = reduce_candidates_.size() / 2;
     if (victims == 0) return;
+    std::size_t victim_words = 0;
+    for (std::size_t i = 0; i < victims; ++i) {
+        const CRef cr = reduce_candidates_[i];
+        arena_[cr] |= kDeleted;
+        victim_words += clause_words(cr);
+    }
 
-    // Compact the clause vector and remap every stored index.
-    std::vector<int> remap(clauses_.size(), -1);
-    std::vector<Clause> kept;
-    kept.reserve(clauses_.size() - victims);
+    // Compact into a fresh arena, keeping clause order.  Each kept clause
+    // leaves its new CRef in its old lits[0], so a reason follows its
+    // clause through the old header (a dropped one becomes kNoReason).
+    std::vector<std::uint32_t> to;
+    to.reserve(arena_.size() - victim_words);
+    num_clauses_ = 0;
     num_learned_ = 0;
-    for (std::size_t i = 0; i < clauses_.size(); ++i) {
-        if (drop[i]) continue;
-        remap[i] = static_cast<int>(kept.size());
-        kept.push_back(std::move(clauses_[i]));
-        if (kept.back().learned) ++num_learned_;
+    for (CRef cr = 0; cr < arena_.size();) {
+        const std::uint32_t words = clause_words(cr);
+        if ((arena_[cr] & kDeleted) == 0) {
+            const auto moved = static_cast<std::uint32_t>(to.size());
+            to.insert(to.end(), arena_.begin() + cr, arena_.begin() + cr + words);
+            arena_[cr + 1] = moved;
+            ++num_clauses_;
+            if (clause_learned(cr)) ++num_learned_;
+        }
+        cr += words;
     }
-    clauses_ = std::move(kept);
-    for (auto& w : watches_) w.clear();
-    for (int ci = 0; ci < static_cast<int>(clauses_.size()); ++ci) attach(ci);
-    for (auto& r : reason_) {
-        if (r != kNoReason) r = remap[static_cast<std::size_t>(r)];
+    for (VarData& d : vardata_) {
+        if (d.reason == kNoReason) continue;
+        d.reason = (arena_[d.reason] & kDeleted) ? kNoReason : arena_[d.reason + 1];
     }
+    arena_ = std::move(to);
+    attach_all();
     ++stats_.reduces;
     stats_.learned_removed += victims;
 }
 
-void Solver::analyze(int conflict, std::vector<Lit>* learned_out,
-                     int* backtrack_level) {
-    learned_out->clear();
-    learned_out->push_back(0);  // placeholder for the asserting literal
+int Solver::analyze(CRef conflict) {
+    learned_.clear();
+    learned_.push_back(0);  // placeholder for the asserting literal
+    marked_.clear();        // every var whose seen_ flag we set
 
     int counter = 0;
     Lit p = -1;
     int index = static_cast<int>(trail_.size()) - 1;
-    int ci = conflict;
-    std::vector<Var> marked;  // every var whose seen_ flag we set
+    CRef cr = conflict;
 
     do {
-        bump_clause(ci);
-        const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-        const std::size_t start = (p == -1) ? 0 : 1;
-        for (std::size_t k = start; k < c.lits.size(); ++k) {
-            const Lit q = c.lits[k];
+        bump_clause(cr);
+        const Lit* c = lits(cr);
+        const std::uint32_t size = clause_size(cr);
+        for (std::uint32_t k = (p == -1) ? 0 : 1; k < size; ++k) {
+            const Lit q = c[k];
             const Var v = lit_var(q);
-            if (seen_[static_cast<std::size_t>(v)] ||
-                level_[static_cast<std::size_t>(v)] == 0)
-                continue;
-            seen_[static_cast<std::size_t>(v)] = true;
-            marked.push_back(v);
+            if (seen_[static_cast<std::size_t>(v)] || level(v) == 0) continue;
+            seen_[static_cast<std::size_t>(v)] = 1;
+            marked_.push_back(v);
             bump_var(v);
-            if (level_[static_cast<std::size_t>(v)] == decision_level()) {
+            if (level(v) == decision_level()) {
                 ++counter;
             } else {
-                learned_out->push_back(q);
+                learned_.push_back(q);
             }
         }
         // Find the next seen literal on the trail.
@@ -426,86 +452,77 @@ void Solver::analyze(int conflict, std::vector<Lit>* learned_out,
         }
         p = trail_[static_cast<std::size_t>(index)];
         --index;
-        seen_[static_cast<std::size_t>(lit_var(p))] = false;
-        ci = reason_[static_cast<std::size_t>(lit_var(p))];
+        seen_[static_cast<std::size_t>(lit_var(p))] = 0;
+        cr = reason(lit_var(p));
         --counter;
     } while (counter > 0);
-    (*learned_out)[0] = lit_not(p);
+    learned_[0] = lit_not(p);
 
     // Clause minimization: drop literals implied by the rest of the clause.
     std::uint32_t abstract_levels = 0;
-    for (std::size_t i = 1; i < learned_out->size(); ++i) {
-        abstract_levels |=
-            1u << (level_[static_cast<std::size_t>(lit_var((*learned_out)[i]))] & 31);
+    for (std::size_t i = 1; i < learned_.size(); ++i) {
+        abstract_levels |= 1u << (level(lit_var(learned_[i])) & 31);
     }
-    std::vector<Lit> minimized{(*learned_out)[0]};
-    for (std::size_t i = 1; i < learned_out->size(); ++i) {
-        const Lit l = (*learned_out)[i];
-        if (reason_[static_cast<std::size_t>(lit_var(l))] == kNoReason ||
-            !lit_redundant(l, abstract_levels)) {
-            minimized.push_back(l);
+    std::size_t kept = 1;
+    for (std::size_t i = 1; i < learned_.size(); ++i) {
+        const Lit l = learned_[i];
+        if (reason(lit_var(l)) == kNoReason || !lit_redundant(l, abstract_levels)) {
+            learned_[kept++] = l;
         }
     }
-    *learned_out = std::move(minimized);
+    learned_.resize(kept);
 
     // Compute backtrack level = second-highest level in the clause.
-    *backtrack_level = 0;
-    if (learned_out->size() > 1) {
+    int backtrack_level = 0;
+    if (learned_.size() > 1) {
         std::size_t max_i = 1;
-        for (std::size_t i = 2; i < learned_out->size(); ++i) {
-            if (level_[static_cast<std::size_t>(lit_var((*learned_out)[i]))] >
-                level_[static_cast<std::size_t>(lit_var((*learned_out)[max_i]))]) {
+        for (std::size_t i = 2; i < learned_.size(); ++i) {
+            if (level(lit_var(learned_[i])) > level(lit_var(learned_[max_i]))) {
                 max_i = i;
             }
         }
-        std::swap((*learned_out)[1], (*learned_out)[max_i]);
-        *backtrack_level = level_[static_cast<std::size_t>(lit_var((*learned_out)[1]))];
+        std::swap(learned_[1], learned_[max_i]);
+        backtrack_level = level(lit_var(learned_[1]));
     }
 
     // Clear every mark set during this analysis (including literals dropped
     // by minimization -- leaking those would poison later analyses).
-    for (const Var v : marked) {
-        seen_[static_cast<std::size_t>(v)] = false;
-    }
+    for (const Var v : marked_) seen_[static_cast<std::size_t>(v)] = 0;
+    return backtrack_level;
 }
 
 bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
     analyze_stack_.assign(1, l);
-    std::vector<Var> to_clear;
+    redundant_marks_.clear();
     bool redundant = true;
     while (!analyze_stack_.empty() && redundant) {
         const Lit cur = analyze_stack_.back();
         analyze_stack_.pop_back();
-        const int ci = reason_[static_cast<std::size_t>(lit_var(cur))];
-        if (ci == kNoReason) {
+        const CRef cr = reason(lit_var(cur));
+        if (cr == kNoReason) {
             redundant = false;
             break;
         }
-        const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-        for (std::size_t k = 1; k < c.lits.size(); ++k) {
-            const Lit q = c.lits[k];
+        const Lit* c = lits(cr);
+        const std::uint32_t size = clause_size(cr);
+        for (std::uint32_t k = 1; k < size; ++k) {
+            const Lit q = c[k];
             const Var v = lit_var(q);
-            if (seen_[static_cast<std::size_t>(v)] ||
-                level_[static_cast<std::size_t>(v)] == 0)
-                continue;
-            if (reason_[static_cast<std::size_t>(v)] == kNoReason ||
-                ((1u << (level_[static_cast<std::size_t>(v)] & 31)) & abstract_levels) == 0) {
+            if (seen_[static_cast<std::size_t>(v)] || level(v) == 0) continue;
+            if (reason(v) == kNoReason ||
+                ((1u << (level(v) & 31)) & abstract_levels) == 0) {
                 redundant = false;
                 break;
             }
-            seen_[static_cast<std::size_t>(v)] = true;
-            to_clear.push_back(v);
+            seen_[static_cast<std::size_t>(v)] = 1;
+            redundant_marks_.push_back(v);
             analyze_stack_.push_back(q);
         }
     }
-    if (!redundant) {
-        for (const Var v : to_clear) seen_[static_cast<std::size_t>(v)] = false;
-    }
-    // On success, marks stay set; analyze() clears only kept literals, so
-    // clear the extras here as well to stay consistent.
-    if (redundant) {
-        for (const Var v : to_clear) seen_[static_cast<std::size_t>(v)] = false;
-    }
+    // The marks set here only served this query.  Clear them whatever the
+    // verdict, so that during minimization seen_ holds exactly the learned
+    // clause's own literals and analyze() has nothing extra to clear.
+    for (const Var v : redundant_marks_) seen_[static_cast<std::size_t>(v)] = 0;
     return redundant;
 }
 
@@ -514,9 +531,11 @@ void Solver::backtrack(int target_level) {
     const std::size_t limit =
         static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target_level)]);
     for (std::size_t i = trail_.size(); i > limit; --i) {
-        const Var v = lit_var(trail_[i - 1]);
-        assigns_[static_cast<std::size_t>(v)] = Value::kUnknown;
-        reason_[static_cast<std::size_t>(v)] = kNoReason;
+        const Lit l = trail_[i - 1];
+        const Var v = lit_var(l);
+        values_[static_cast<std::size_t>(l)] = Value::kUnknown;
+        values_[static_cast<std::size_t>(lit_not(l))] = Value::kUnknown;
+        vardata_[static_cast<std::size_t>(v)].reason = kNoReason;
         heap_insert(v);
     }
     trail_.resize(limit);
@@ -527,7 +546,7 @@ void Solver::backtrack(int target_level) {
 Lit Solver::pick_branch() {
     while (!heap_.empty()) {
         const Var v = heap_pop();
-        if (assigns_[static_cast<std::size_t>(v)] == Value::kUnknown &&
+        if (var_value(v) == Value::kUnknown &&
             !eliminated_[static_cast<std::size_t>(v)]) {
             return mk_lit(v, !polarity_[static_cast<std::size_t>(v)]);
         }
@@ -599,13 +618,13 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
     }
 #endif
     backtrack(0);
-    if (propagate() >= 0) {
+    if (propagate() != kNoReason) {
         ok_ = false;
         return finish(Result::kUnsat);
     }
     if (learned_budget_ <= 0.0) {
         learned_budget_ =
-            std::max(2000.0, static_cast<double>(clauses_.size()) / 3.0);
+            std::max(2000.0, static_cast<double>(num_clauses_) / 3.0);
     }
 
     std::uint64_t restart_round = 0;
@@ -613,10 +632,9 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
     std::uint64_t conflicts_this_round = 0;
     std::uint64_t conflicts_this_call = 0;
 
-    std::vector<Lit> learned;
     while (true) {
-        const int conflict = propagate();
-        if (conflict >= 0) {
+        const CRef conflict = propagate();
+        if (conflict != kNoReason) {
             ++stats_.conflicts;
             ++conflicts_this_round;
             // NB the level-0 check below must come first: a level-0
@@ -641,23 +659,20 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
                 ok_ = false;
                 return finish(Result::kUnsat);
             }
-            int bt_level = 0;
-            analyze(conflict, &learned, &bt_level);
-            backtrack(bt_level);
+            backtrack(analyze(conflict));
             if (exchange_ &&
-                static_cast<int>(learned.size()) <= exchange_->max_lits()) {
-                exchange_->publish(exchange_member_, learned,
+                static_cast<int>(learned_.size()) <= exchange_->max_lits()) {
+                exchange_->publish(exchange_member_, learned_,
                                    exchange_epoch_);
             }
-            if (learned.size() == 1) {
-                enqueue(learned[0], kNoReason);
+            if (learned_.size() == 1) {
+                enqueue(learned_[0], kNoReason);
             } else {
-                clauses_.push_back({learned, true, 0.0});
+                const CRef cr = alloc_clause(learned_, /*learned=*/true);
                 ++stats_.learned;
-                ++num_learned_;
-                attach(static_cast<int>(clauses_.size()) - 1);
-                bump_clause(static_cast<int>(clauses_.size()) - 1);
-                enqueue(learned[0], static_cast<int>(clauses_.size()) - 1);
+                attach(cr);
+                bump_clause(cr);
+                enqueue(learned_[0], cr);
             }
             decay_var_activity();
             decay_clause_activity();
@@ -718,8 +733,7 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
             // by model_value() if anything actually reads them.
             model_.assign(static_cast<std::size_t>(num_vars()), false);
             for (Var v = 0; v < num_vars(); ++v) {
-                model_[static_cast<std::size_t>(v)] =
-                    assigns_[static_cast<std::size_t>(v)] == Value::kTrue;
+                model_[static_cast<std::size_t>(v)] = var_value(v) == Value::kTrue;
             }
             model_extended_ = eliminations_.empty();
             backtrack(0);

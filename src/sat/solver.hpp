@@ -14,8 +14,33 @@
 // To keep long runs from degrading, the learned-clause database is reduced
 // periodically (MiniSat-style activity-sorted halving with locked/binary
 // clauses retained).
+//
+// Clause storage is one flat std::uint32_t arena.  A clause is addressed
+// by the 32-bit offset of its header word (CRef):
+//
+//   header            size << 2 | deleted << 1 | learned
+//   size words        the literals; lits[0] and lits[1] are watched
+//   2 words           learned clauses only: the double activity
+//
+// reduce_db compacts the arena into a fresh one, leaving each moved
+// clause's new CRef in its old lits[0] so reasons are forwarded through
+// the old headers.  Variable values are kept per literal, so value() is
+// one load, and analysis, minimization and clause addition run on member
+// scratch buffers: the search allocates only when the arena, a watch list
+// or a scratch buffer outgrows its capacity.
+//
+// The search is pinned by test_sat_golden, and the layout leaves it
+// alone: watch lists keep their order, propagate() swaps literals in the
+// same places, reduce_db sorts the same candidate sequence with the same
+// activity comparator, activities stay doubles, and num_clauses() counts
+// problem plus learned clauses (CEGAR schedules inprocessing on its
+// growth).  A change that moves any conflict, decision or propagation
+// count is a search change: it needs its own measurement and new pins.
 
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace mvf::sat {
@@ -73,14 +98,18 @@ public:
     };
 
     Var new_var();
-    int num_vars() const { return static_cast<int>(assigns_.size()); }
+    int num_vars() const { return static_cast<int>(vardata_.size()); }
     /// Clauses currently in the database (problem + learned); the CEGAR
     /// attack uses growth of this figure to schedule inprocessing.
-    std::size_t num_clauses() const { return clauses_.size(); }
+    std::size_t num_clauses() const { return num_clauses_; }
 
-    /// Adds a clause (copied).  Returns false if the clause is trivially
-    /// unsatisfiable at level 0 (solver becomes permanently UNSAT).
-    bool add_clause(std::vector<Lit> lits);
+    /// Adds a clause; `lits` is only read.  Returns false if the clause is
+    /// trivially unsatisfiable at level 0 (solver becomes permanently
+    /// UNSAT).
+    bool add_clause(std::span<const Lit> lits);
+    bool add_clause(std::initializer_list<Lit> lits) {
+        return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+    }
 
     /// Convenience overloads.
     bool add_unit(Lit a) { return add_clause({a}); }
@@ -168,13 +197,14 @@ public:
     void set_exchange_epoch(std::uint64_t epoch) { exchange_epoch_ = epoch; }
 
 private:
-    friend class Preprocessor;  // rewrites clauses_/watches_ wholesale
+    friend class Preprocessor;  // rewrites the arena and watches_ wholesale
 
-    struct Clause {
-        std::vector<Lit> lits;
-        bool learned = false;
-        double activity = 0.0;
-    };
+    /// Offset of a clause's header word in arena_.
+    using CRef = std::uint32_t;
+    static constexpr CRef kNoReason = ~CRef{0};
+    static constexpr std::uint32_t kLearned = 1;
+    static constexpr std::uint32_t kDeleted = 2;
+
     /// Model-extension record for one variable removed by bounded variable
     /// elimination: the original clauses in which the variable occurred
     /// with polarity `negated` (the smaller occurrence side).  The other
@@ -190,33 +220,75 @@ private:
     /// watch traversals end here, so this trades one extra int per watcher
     /// for a large cut in cache misses on the hot path.
     struct Watcher {
-        int clause;
+        CRef clause;
         Lit blocker;
     };
-    static constexpr int kNoReason = -1;
 
-    Value value(Lit l) const {
-        const Value v = assigns_[static_cast<std::size_t>(lit_var(l))];
-        if (v == Value::kUnknown) return Value::kUnknown;
-        return (v == Value::kTrue) != lit_negated(l) ? Value::kTrue : Value::kFalse;
+    Value value(Lit l) const { return values_[static_cast<std::size_t>(l)]; }
+    Value var_value(Var v) const { return value(mk_lit(v)); }
+    int level(Var v) const { return vardata_[static_cast<std::size_t>(v)].level; }
+    CRef reason(Var v) const { return vardata_[static_cast<std::size_t>(v)].reason; }
+
+    // Arena access.  lits() stays valid until the arena next grows (a
+    // clause is added) or is compacted (reduce_db, Preprocessor commit).
+    // It reads the std::uint32_t words as Lit (int): a signed and an
+    // unsigned type of one width may alias.
+    std::uint32_t clause_size(CRef cr) const { return arena_[cr] >> 2; }
+    bool clause_learned(CRef cr) const { return (arena_[cr] & kLearned) != 0; }
+    Lit* lits(CRef cr) { return reinterpret_cast<Lit*>(&arena_[cr + 1]); }
+    const Lit* lits(CRef cr) const {
+        return reinterpret_cast<const Lit*>(&arena_[cr + 1]);
     }
+    /// Words the clause occupies: header, literals, learned activity.
+    std::uint32_t clause_words(CRef cr) const {
+        return 1 + clause_size(cr) + (clause_learned(cr) ? 2 : 0);
+    }
+    double activity(CRef cr) const;
+    void set_activity(CRef cr, double a);
+    /// Appends a clause of >= 2 literals (counted in num_clauses_, and in
+    /// num_learned_ when learned); does not attach it.
+    CRef alloc_clause(std::span<const Lit> lits, bool learned,
+                      double activity = 0.0);
+    /// Level-0 simplification shared by add_clause and the exchange
+    /// import: sorts `lits` in place, drops duplicate and false literals
+    /// and returns the kept prefix's length, or -1 when the clause is a
+    /// tautology or already satisfied.
+    int simplify_at_level0(std::vector<Lit>* lits) const;
+    /// Adds a simplified clause of `n` literals from `lits`: an empty one
+    /// makes the database UNSAT, a unit is enqueued and propagated, a
+    /// longer one allocated and attached.  Returns false when the database
+    /// became UNSAT.
+    bool add_simplified(const Lit* lits, int n, bool learned);
 
-    void enqueue(Lit l, int reason);
-    int propagate();  // returns conflicting clause index or -1
-    void analyze(int conflict, std::vector<Lit>* learned_out, int* backtrack_level);
+    void enqueue(Lit l, CRef reason) {
+        assert(value(l) == Value::kUnknown);
+        const Var v = lit_var(l);
+        values_[static_cast<std::size_t>(l)] = Value::kTrue;
+        values_[static_cast<std::size_t>(lit_not(l))] = Value::kFalse;
+        vardata_[static_cast<std::size_t>(v)].level = decision_level();
+        vardata_[static_cast<std::size_t>(v)].reason = reason;
+        polarity_[static_cast<std::size_t>(v)] = !lit_negated(l);
+        trail_.push_back(l);
+    }
+    CRef propagate();  // returns the conflicting clause or kNoReason
+    /// First-UIP analysis into learned_ (asserting literal first) and the
+    /// backtrack level.
+    int analyze(CRef conflict);
     bool lit_redundant(Lit l, std::uint32_t abstract_levels);
     void backtrack(int level);
     Lit pick_branch();
     void bump_var(Var v);
     void decay_var_activity();
-    void bump_clause(int clause_idx);
+    void bump_clause(CRef cr);
     void decay_clause_activity();
-    void attach(int clause_idx);
+    void attach(CRef cr);
+    /// Rebuilds every watch list from the arena, in clause order.
+    void attach_all();
     void heap_insert(Var v);
     Var heap_pop();
     void heap_up(int i);
     void heap_down(int i);
-    bool clause_locked(int clause_idx) const;
+    bool clause_locked(CRef cr) const;
     void reduce_db();  // requires decision level 0
     void extend_model() const;  // reconstruct eliminated vars (lazy, after kSat)
     /// Pulls eligible foreign clauses from the exchange (decision level 0
@@ -225,12 +297,19 @@ private:
 
     int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
-    std::vector<Clause> clauses_;
+    std::vector<std::uint32_t> arena_;
+    std::size_t num_clauses_ = 0;                // live clauses in arena_
     std::vector<std::vector<Watcher>> watches_;  // per literal
-    std::vector<Value> assigns_;
+    std::vector<Value> values_;   // per literal
     std::vector<bool> polarity_;  // saved phases
-    std::vector<int> level_;
-    std::vector<int> reason_;
+    /// Per var, side by side because analysis reads both: the clause that
+    /// implied it (kNoReason for decisions, assumptions and units) and its
+    /// decision level.
+    struct VarData {
+        CRef reason;
+        int level;
+    };
+    std::vector<VarData> vardata_;
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::size_t qhead_ = 0;
@@ -248,7 +327,6 @@ private:
     ClauseExchange* exchange_ = nullptr;
     int exchange_member_ = 0;
     std::uint64_t exchange_epoch_ = 0;
-    std::vector<std::vector<Lit>> import_scratch_;
     double cla_inc_ = 1.0;
     std::uint64_t num_learned_ = 0;  // learned clauses currently in the DB
     double learned_budget_ = 0.0;    // adaptive limit; grows after each reduce
@@ -261,9 +339,17 @@ private:
     Stats stats_;
     SolveDelta last_solve_;
 
-    // scratch for analyze()
-    std::vector<bool> seen_;
-    std::vector<Lit> analyze_stack_;
+    // Scratch buffers, reused so the search does not allocate per clause
+    // or per conflict.
+    std::vector<std::uint8_t> seen_;  // per var, analyze()/lit_redundant()
+    std::vector<Lit> learned_;        // analyze() output
+    std::vector<Var> marked_;         // vars analyze() marked seen
+    std::vector<Lit> analyze_stack_;  // lit_redundant() DFS
+    std::vector<Var> redundant_marks_;  // vars lit_redundant() marked seen
+    std::vector<Lit> add_scratch_;    // add_clause()/import simplification
+    std::vector<CRef> reduce_candidates_;
+    std::vector<Lit> import_lits_;    // fetched exchange clauses, flat
+    std::vector<std::uint32_t> import_sizes_;
 };
 
 }  // namespace mvf::sat

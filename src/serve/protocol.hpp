@@ -22,7 +22,9 @@
 //   shutdown  -                                {"ok":true} then server exits
 //
 // Errors: {"ok":false,"error":"..."} -- unknown op, malformed JSON,
-// unknown job id, malformed scenario spec.
+// unknown job id, malformed scenario spec.  A request line longer than
+// kMaxRequestLine bytes gets one error line, and the server then drops the
+// connection (it stops reading mid-line, so the stream is out of step).
 //
 // records_hash is the bit-identity fingerprint CI keys on: the batch
 // records as JSON with volatile members (wall-clock timings, latency
@@ -30,6 +32,7 @@
 // FNV-1a hashed -- equal hashes mean semantically identical results, no
 // matter which stages came from the cache.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -40,6 +43,11 @@ namespace mvf::serve {
 
 /// Protocol schema version, echoed in every ack.
 inline constexpr int kProtocolVersion = 1;
+
+/// Longest request line the server buffers (1 MiB: a submitted spec text
+/// of thousands of scenario lines fits many times over).  Responses are
+/// not capped.
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 /// Recursively removes volatile members ("seconds", "total_seconds",
 /// "solve_seconds", "metrics", "cache_hits") -- everything that may

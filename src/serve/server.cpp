@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "serve/protocol.hpp"
@@ -114,8 +115,15 @@ void Server::session(util::Socket socket) {
         session_sockets_.push_back(shared);
     }
     std::string line;
-    while (!stopping_.load(std::memory_order_acquire) &&
-           shared->recv_line(&line)) {
+    while (!stopping_.load(std::memory_order_acquire)) {
+        const util::Socket::Recv got = shared->recv_line(&line, kMaxRequestLine);
+        if (got == util::Socket::Recv::kTooLong) {
+            shared->send_line(error_line(
+                "request line exceeds " + std::to_string(kMaxRequestLine) +
+                " bytes; closing the connection"));
+            break;
+        }
+        if (got != util::Socket::Recv::kLine) break;
         if (line.empty()) continue;
         if (!handle(*shared, line)) break;
     }

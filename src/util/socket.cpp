@@ -80,8 +80,11 @@ std::string SocketAddr::to_string() const {
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      scanned_(other.scanned_) {
     other.fd_ = -1;
+    other.scanned_ = 0;
 }
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -89,7 +92,9 @@ Socket& Socket::operator=(Socket&& other) noexcept {
         close();
         fd_ = other.fd_;
         buffer_ = std::move(other.buffer_);
+        scanned_ = other.scanned_;
         other.fd_ = -1;
+        other.scanned_ = 0;
     }
     return *this;
 }
@@ -158,19 +163,23 @@ bool Socket::send_line(std::string_view data) {
     return send_all(line);
 }
 
-bool Socket::recv_line(std::string* line) {
+Socket::Recv Socket::recv_line(std::string* line, std::size_t max_line) {
     while (true) {
-        const std::size_t nl = buffer_.find('\n');
+        const std::size_t nl = buffer_.find('\n', scanned_);
         if (nl != std::string::npos) {
-            *line = buffer_.substr(0, nl);
+            if (nl > max_line) return Recv::kTooLong;
+            line->assign(buffer_, 0, nl);
             buffer_.erase(0, nl + 1);
+            scanned_ = 0;
             if (!line->empty() && line->back() == '\r') line->pop_back();
-            return true;
+            return Recv::kLine;
         }
+        scanned_ = buffer_.size();
+        if (buffer_.size() > max_line) return Recv::kTooLong;
         char chunk[4096];
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return false;  // EOF or error; partial line is dropped
+        if (n <= 0) return Recv::kClosed;  // partial line is dropped
         buffer_.append(chunk, static_cast<std::size_t>(n));
     }
 }
@@ -185,6 +194,7 @@ void Socket::close() {
         fd_ = -1;
     }
     buffer_.clear();
+    scanned_ = 0;
 }
 
 ListenSocket::~ListenSocket() { release(); }

@@ -51,9 +51,19 @@ public:
     /// Convenience: data + '\n'.
     bool send_line(std::string_view data);
 
-    /// Reads up to the next '\n' (stripped; a trailing '\r' too).  False on
-    /// EOF/error with no buffered line.
-    bool recv_line(std::string* line);
+    /// Outcome of a capped recv_line.
+    enum class Recv { kLine, kClosed, kTooLong };
+
+    /// Reads up to the next '\n' (stripped; a trailing '\r' too).  kClosed
+    /// on EOF/error with no buffered line.  A line longer than `max_line`
+    /// bytes returns kTooLong as soon as more than `max_line` bytes of it
+    /// are buffered, without reading the rest; the stream is then out of
+    /// step and should be dropped.  Each received byte is scanned once.
+    Recv recv_line(std::string* line, std::size_t max_line);
+    /// Uncapped: for peers trusted to send bounded lines.
+    bool recv_line(std::string* line) {
+        return recv_line(line, std::string::npos) == Recv::kLine;
+    }
 
     /// Half-closes the write side (peer sees EOF after draining).
     void shutdown_write();
@@ -61,7 +71,8 @@ public:
 
 private:
     int fd_ = -1;
-    std::string buffer_;  ///< bytes past the last returned line
+    std::string buffer_;     ///< bytes past the last returned line
+    std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
 };
 
 /// Bound + listening socket.  For unix addresses, a stale socket file at

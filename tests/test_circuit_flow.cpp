@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "attack/oracle.hpp"
@@ -108,6 +109,69 @@ TEST(CircuitSpec, HashCoversFileContents) {
     // snapshot of the old file.
     EXPECT_NE(spec_hash(s), before);
     EXPECT_NE(stage_cache_key(s, "import"), key_before);
+}
+
+/// Records every stage key the pipeline looks up or stores; never hits.
+class KeyRecorder final : public StageStore {
+public:
+    bool load(const std::string& key, report::Json*) override {
+        keys.insert(key);
+        return false;
+    }
+    void store(const std::string& key, const report::Json&) override {
+        keys.insert(key);
+    }
+    std::set<std::string> keys;
+};
+
+TEST(CircuitSpec, OneRunHashesOneReadingOfTheFile) {
+    // run_scenario fingerprints the circuit once: the record's spec_hash
+    // and every stage key it uses hash the file as it was when the run
+    // began, even when the file changes mid-run.  The next run reads it
+    // again, so its keys follow the edit.
+    const std::string path = write_temp_circuit("run_once_c17.bench", kC17Bench);
+    Scenario s;
+    s.family = "circuit";
+    s.n = 0;
+    s.params.circuit.path = path;
+    s.params.adversaries = {"cegar"};
+    const auto keys_now = [&s] {
+        std::set<std::string> keys;
+        for (const std::string_view stage : kCircuitStages) {
+            keys.insert(stage_cache_key(s, stage));
+        }
+        return keys;
+    };
+    const std::string hash_before = spec_hash(s);
+    const std::set<std::string> keys_before = keys_now();
+    ASSERT_EQ(keys_before.size(), kCircuitStages.size());
+
+    KeyRecorder first_store;
+    ScenarioRunHooks hooks;
+    hooks.stage_store = &first_store;
+    hooks.progress = [&path](const StageEvent& ev) {
+        if (ev.stage == "import") {
+            std::ofstream out(path, std::ios::app);
+            out << "# edited after the import stage\n";
+        }
+    };
+    const ScenarioRecord first = run_scenario(s, 0, hooks);
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_EQ(first.spec_hash, hash_before);
+    EXPECT_EQ(first_store.keys, keys_before);
+
+    const std::set<std::string> keys_after = keys_now();
+    KeyRecorder second_store;
+    hooks.stage_store = &second_store;
+    hooks.progress = nullptr;
+    const ScenarioRecord second = run_scenario(s, 0, hooks);
+    ASSERT_TRUE(second.ok) << second.error;
+    EXPECT_NE(second.spec_hash, first.spec_hash);
+    EXPECT_EQ(second.spec_hash, spec_hash(s));
+    EXPECT_EQ(second_store.keys, keys_after);
+    for (const std::string& key : second_store.keys) {
+        EXPECT_EQ(keys_before.count(key), 0u) << key;
+    }
 }
 
 // ------------------------------------------- CEGAR vs exhaustive survivors --

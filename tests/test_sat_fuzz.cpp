@@ -20,12 +20,15 @@
 #include <vector>
 
 #include "sat/simplify.hpp"
+#include "sat_corpus.hpp"
 #include "util/rng.hpp"
 
 namespace mvf::sat {
 namespace {
 
-using Clauses = std::vector<std::vector<Lit>>;
+using corpus::Clauses;
+using corpus::make_instance;
+using corpus::random_clause;
 
 bool model_satisfies(const Solver& s, const Clauses& clauses) {
     for (const auto& cl : clauses) {
@@ -41,85 +44,13 @@ bool model_satisfies(const Solver& s, const Clauses& clauses) {
     return true;
 }
 
-std::vector<Lit> random_clause(util::Rng& rng, int nv, int min_w, int max_w) {
-    std::vector<Lit> cl;
-    const int w = min_w + rng.uniform_int(0, max_w - min_w);
-    for (int k = 0; k < w; ++k) {
-        cl.push_back(mk_lit(rng.uniform_int(0, nv - 1), rng.coin(0.5)));
-    }
-    return cl;
-}
-
-/// Generates one instance of the mixed family.  kind cycles through
-/// random-width CNF, 3-SAT at ~4.2 clauses/var, pigeonhole (UNSAT and SAT
-/// shapes), and xor/parity chains -- the structured ones stress long
-/// resolution and strengthening, the random ones cover the verdict space.
-Clauses make_instance(util::Rng& rng, int kind, int* nv_out) {
-    Clauses clauses;
-    switch (kind % 4) {
-        case 0: {  // random width 1-4
-            const int nv = 5 + rng.uniform_int(0, 15);
-            const int nc = 3 + rng.uniform_int(0, 5 * nv);
-            for (int c = 0; c < nc; ++c) {
-                clauses.push_back(random_clause(rng, nv, 1, 4));
-            }
-            *nv_out = nv;
-            return clauses;
-        }
-        case 1: {  // 3-SAT near the phase transition
-            const int nv = 8 + rng.uniform_int(0, 12);
-            const int nc = static_cast<int>(4.2 * nv) + rng.uniform_int(-nv, nv);
-            for (int c = 0; c < nc; ++c) {
-                clauses.push_back(random_clause(rng, nv, 3, 3));
-            }
-            *nv_out = nv;
-            return clauses;
-        }
-        case 2: {  // pigeonhole: p pigeons into h holes
-            const int h = 2 + rng.uniform_int(0, 3);
-            const int p = h + rng.uniform_int(0, 1);  // SAT or UNSAT shape
-            const int nv = p * h;
-            for (int i = 0; i < p; ++i) {
-                std::vector<Lit> at_least;
-                for (int j = 0; j < h; ++j) at_least.push_back(mk_lit(i * h + j));
-                clauses.push_back(at_least);
-            }
-            for (int j = 0; j < h; ++j) {
-                for (int a = 0; a < p; ++a) {
-                    for (int b = a + 1; b < p; ++b) {
-                        clauses.push_back(
-                            {mk_lit(a * h + j, true), mk_lit(b * h + j, true)});
-                    }
-                }
-            }
-            *nv_out = nv;
-            return clauses;
-        }
-        default: {  // xor chain x0^x1, x1^x2, ... with random parities
-            const int nv = 6 + rng.uniform_int(0, 10);
-            for (int i = 0; i + 1 < nv; ++i) {
-                const bool parity = rng.coin(0.5);
-                // x_i ^ x_{i+1} = parity as two binary clauses
-                clauses.push_back({mk_lit(i, parity), mk_lit(i + 1, false)});
-                clauses.push_back({mk_lit(i, !parity), mk_lit(i + 1, true)});
-            }
-            // A few random ternaries on top to vary the verdict.
-            for (int c = 0; c < nv / 2; ++c) {
-                clauses.push_back(random_clause(rng, nv, 2, 3));
-            }
-            *nv_out = nv;
-            return clauses;
-        }
-    }
-}
-
 // ---------------------------------------------------------------- verdicts
 
 class SatFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SatFuzz, PreprocessedVerdictMatchesPlainAndModelsAreReal) {
     // 8 shards x 100 instances = 800 differential cases.
-    util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6364136223846793005ull + 17);
+    util::Rng rng(corpus::fuzz_shard_seed(GetParam()));
     for (int trial = 0; trial < 100; ++trial) {
         int nv = 0;
         const Clauses clauses = make_instance(rng, trial, &nv);
@@ -193,7 +124,7 @@ TEST_P(SatFuzzIncremental, SolveUnderAssumptionsAfterPreprocessing) {
     // additions (over frozen + fresh variables) with assumption solves,
     // with occasional re-preprocessing.  Cross-checked against brute force
     // over the full (original + added) clause set.
-    util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ull + 99);
+    util::Rng rng(corpus::incremental_shard_seed(GetParam()));
     for (int trial = 0; trial < 40; ++trial) {
         const int nv = 5 + rng.uniform_int(0, 4);  // + 5 fresh vars, brute-forced
         Solver s;

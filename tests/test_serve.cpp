@@ -305,6 +305,36 @@ TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {
     ASSERT_TRUE(fresh.ok) << fresh.error;
 }
 
+TEST(Server, OverlongRequestLineIsRefusedAndTheServerStaysUp) {
+    ServerParams params;
+    params.listen = temp_unix_addr("mvf_serve_overlong.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+
+    // A 10 MB line with no newline in its first kMaxRequestLine bytes: the
+    // server answers one error line and drops the session instead of
+    // buffering it.  The sender runs on its own thread, because the
+    // server stops reading long before the line ends.
+    util::Socket raw = util::Socket::connect(running.server.bound_addr());
+    const std::string big(10'000'000, 'x');
+    std::thread sender([&raw, &big] {
+        raw.send_all(big + "\n");
+        raw.shutdown_write();
+    });
+    std::string reply;
+    ASSERT_TRUE(raw.recv_line(&reply));
+    const report::Json j = report::Json::parse(reply);
+    EXPECT_FALSE(j.at("ok").as_bool());
+    EXPECT_NE(j.at("error").as_string().find("exceeds"), std::string::npos);
+    EXPECT_FALSE(raw.recv_line(&reply));  // the session is gone
+    sender.join();
+
+    // A new connection is served as before.
+    const Client client(running.server.bound_addr());
+    std::string error;
+    EXPECT_TRUE(client.ping(&error)) << error;
+}
+
 TEST(Server, ShutdownOpStopsTheAcceptLoop) {
     ServerParams params;
     params.listen = temp_unix_addr("mvf_serve_shutdown.sock");
