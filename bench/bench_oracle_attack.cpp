@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
 #include "attack/oracle.hpp"
 #include "attack/oracle_attack.hpp"
@@ -360,10 +359,11 @@ int main(int argc, char** argv) {
 
     // Query-selection baseline (ROADMAP): a pre-loop random warm-up block
     // through the word-parallel path prunes the viable set before any
-    // distinguishing input is solved for, cutting the (expensive) CEGAR
-    // iterations.  Measured at 12 PIs, where 64 random patterns cover
-    // enough of the input space to bite (at 16+ PIs the effect needs
-    // proportionally larger warm-ups; the block path makes them cheap).
+    // distinguishing input is solved for.  It trades chip queries for
+    // CEGAR iterations: fewer distinguishing inputs, but more patterns
+    // asked of the chip in total, so the line prints both.  Measured at 12
+    // PIs, where 64 random patterns cover enough of the input space to
+    // bite (at 16+ PIs the effect needs proportionally larger warm-ups).
     {
         const int pis = 12;
         util::Rng rng(args.seed * 977 + static_cast<std::uint64_t>(pis));
@@ -388,68 +388,21 @@ int main(int argc, char** argv) {
             std::exit(1);
         }
         std::printf(
-            "\nrandom warm-up on rand%d: 64 block-queried patterns cut "
-            "distinguishing inputs %d -> %d (%.3fs -> %.3fs CEGAR)\n\n",
-            pis, base.queries, warm.queries, base.seconds, warm.seconds);
+            "\nrandom warm-up on rand%d: chip queries %d -> %d (%d warm-up + "
+            "%d distinguishing), %.3fs -> %.3fs CEGAR\n\n",
+            pis, base.queries, warm.warmup_queries + warm.queries,
+            warm.warmup_queries, warm.queries, base.seconds, warm.seconds);
         if (bj.enabled()) {
             report::Json w = report::Json::object();
             w.set("pis", pis);
             w.set("base_queries", base.queries);
             w.set("warm_queries", warm.queries);
+            w.set("warmup_queries", warm.warmup_queries);
             w.set("base_seconds", base.seconds);
             w.set("warm_seconds", warm.seconds);
             bj.set("random_warmup", std::move(w));
         }
     }
-
-    // Neighborhood warm-up (ROADMAP carry-over): seed the pruning with
-    // bit-flip neighborhoods of the distinguishing inputs the solver
-    // already proved informative, instead of (or on top of) blind random
-    // patterns.  Survivor-preserving by construction -- extra I/O
-    // constraints only remove configurations the chip disagrees with --
-    // and asserted so here on the same rand12/rand16 netlists as the cost
-    // table.
-    for (const int pis : {12, 16}) {
-        util::Rng rng(args.seed * 977 + static_cast<std::uint64_t>(pis));
-        const camo::CamoNetlist nl = attack::random_camo_netlist(
-            camo_lib, pis, pis == 12 ? 3 : 4, pis == 12 ? 24 : 32, rng);
-        attack::SimOracle oracle(nl, nl.configuration_for_code(0));
-        attack::OracleAttackParams np = attack_params;
-        np.solver.preprocess = true;
-        np.shared_miter = true;
-        const attack::OracleAttackResult base =
-            attack::oracle_attack(nl, oracle, np);
-        np.neighborhood_queries = 16;
-        const attack::OracleAttackResult nb =
-            attack::oracle_attack(nl, oracle, np);
-        if (nb.surviving_configs != base.surviving_configs ||
-            nb.status != base.status) {
-            std::fprintf(stderr,
-                         "FATAL: neighborhood queries changed the attack "
-                         "outcome on rand%d (%llu vs %llu survivors)\n",
-                         pis,
-                         static_cast<unsigned long long>(nb.surviving_configs),
-                         static_cast<unsigned long long>(base.surviving_configs));
-            std::exit(1);
-        }
-        std::printf(
-            "neighborhood warm-up on rand%d: 16 bit-flip neighbors per "
-            "distinguishing input, %d -> %d distinguishing inputs "
-            "(+%d neighbor queries, %.3fs -> %.3fs, survivors preserved)\n",
-            pis, base.queries, nb.queries, nb.warmup_queries, base.seconds,
-            nb.seconds);
-        if (bj.enabled()) {
-            report::Json w = report::Json::object();
-            w.set("pis", pis);
-            w.set("base_queries", base.queries);
-            w.set("neighborhood_queries", nb.queries);
-            w.set("neighbor_patterns", nb.warmup_queries);
-            w.set("base_seconds", base.seconds);
-            w.set("neighborhood_seconds", nb.seconds);
-            bj.set("neighborhood_rand" + std::to_string(pis), std::move(w));
-        }
-    }
-    std::printf("\n");
 
     // Committing-oracle overhead at rand16: a real committed run must
     // preserve the attack outcome bit for bit (commitments observe, never
@@ -530,100 +483,6 @@ int main(int argc, char** argv) {
                          "FATAL: committing costs %.2f%% of attack wall time "
                          "(acceptance bound: 5%%)\n", pct);
             std::exit(1);
-        }
-    }
-
-    // Portfolio CEGAR at rand16: 4 diversified members (branching-phase +
-    // warm-up seeds) race on one netlist, sharing oracle answers through
-    // one caching layer and short learned clauses through ClauseExchange.
-    // The survivor figures are schedule-invariant (asserted), the winner's
-    // transcript replays bit-identically chip-free (asserted), and the
-    // wall-clock gain over the serial loop is the measurement.  The 2x
-    // acceptance bound only applies to full runs: --quick CI runners may
-    // not have 4 free cores.
-    {
-        const int pis = 16;
-        util::Rng rng(args.seed * 977 + static_cast<std::uint64_t>(pis));
-        const camo::CamoNetlist nl =
-            attack::random_camo_netlist(camo_lib, pis, 4, 32, rng);
-        attack::SimOracle oracle(nl, nl.configuration_for_code(0));
-        attack::OracleAttackParams pp = attack_params;
-        pp.solver.preprocess = true;
-        pp.shared_miter = true;
-        pp.random_warmup = 64;
-        pp.warmup_seed = args.seed;
-
-        // Best-of-1 each: the runs are seconds long and the equality
-        // asserts are the point; timing noise only blurs the speedup line.
-        const attack::OracleAttackResult serial =
-            attack::oracle_attack(nl, oracle, pp);
-        attack::OracleAttackParams port = pp;
-        port.attack_threads = 4;
-        const attack::OracleAttackResult racing =
-            attack::oracle_attack(nl, oracle, port);
-        // rand16 legitimately ends at the enumeration cap (kSurvivorLimit)
-        // under these attack params; what the race must preserve is the
-        // serial outcome, whatever it is — same status, same figures.
-        if (racing.status != serial.status || racing.winner < 0 ||
-            racing.surviving_configs != serial.surviving_configs ||
-            racing.survivors.to_string() != serial.survivors.to_string()) {
-            std::fprintf(
-                stderr,
-                "FATAL: portfolio diverged from serial on rand%d (winner %d, "
-                "survivors %llu vs %llu)\n",
-                pis, racing.winner,
-                static_cast<unsigned long long>(racing.surviving_configs),
-                static_cast<unsigned long long>(serial.surviving_configs));
-            std::exit(1);
-        }
-
-        attack::TranscriptOracle replayer(racing.winner_transcript);
-        const attack::OracleAttackResult replayed =
-            attack::oracle_attack(nl, replayer, port);
-        if (replayed.queries != racing.queries ||
-            replayed.warmup_queries != racing.warmup_queries ||
-            replayed.distinguishing_inputs != racing.distinguishing_inputs ||
-            replayed.surviving_configs != racing.surviving_configs) {
-            std::fprintf(stderr,
-                         "FATAL: winner transcript did not replay "
-                         "bit-identically (queries %d vs %d)\n",
-                         replayed.queries, racing.queries);
-            std::exit(1);
-        }
-
-        const double speedup = racing.seconds > 0.0
-                                   ? serial.seconds / racing.seconds
-                                   : 0.0;
-        std::printf(
-            "\nportfolio CEGAR on rand%d: serial %.3fs -> 4 members %.3fs "
-            "(%.1fx, winner %d, %d+%d queries, replay bit-identical)\n",
-            pis, serial.seconds, racing.seconds, speedup, racing.winner,
-            racing.warmup_queries, racing.queries);
-        if (bj.enabled()) {
-            report::Json p = report::Json::object();
-            p.set("pis", pis);
-            p.set("members", 4);
-            p.set("serial_seconds", serial.seconds);
-            p.set("portfolio_seconds", racing.seconds);
-            p.set("speedup", speedup);
-            p.set("winner", racing.winner);
-            p.set("queries", racing.queries);
-            p.set("warmup_queries", racing.warmup_queries);
-            bj.set("portfolio", std::move(p));
-        }
-        // The 2x bound is only meaningful where 4 members can actually run
-        // concurrently; on fewer cores the replay/divergence checks above
-        // still hold, but the timing is just timesharing.
-        const unsigned cores = std::thread::hardware_concurrency();
-        if (!args.quick && cores >= 4 && speedup < 2.0) {
-            std::fprintf(stderr,
-                         "FATAL: portfolio speedup at 4 members is %.2fx "
-                         "(acceptance bound: 2x)\n",
-                         speedup);
-            std::exit(1);
-        } else if (!args.quick && cores < 4) {
-            std::printf("  (speedup bound skipped: %u core%s)\n", cores,
-                        cores == 1 ? "" : "s");
         }
     }
 

@@ -175,8 +175,8 @@ struct OracleStats {
 
 /// Counts queries, blocks and patterns that were actually ANSWERED (a
 /// budget trip below propagates before the counters move, so accounting
-/// stays exact).  The counters are atomics, so a portfolio of attack
-/// threads sharing one stack accounts correctly without a lock.
+/// stays exact).  The counters are atomics, so several threads sharing
+/// one stack account correctly without a lock.
 class CountingOracle final : public OracleDecorator {
 public:
     using OracleDecorator::OracleDecorator;
@@ -200,7 +200,7 @@ private:
 /// misses are forwarded as ONE smaller block so batching is preserved).
 ///
 /// Thread-safe: one mutex guards the cache map AND is held across the
-/// forwarding call, so concurrent users (a portfolio sharing one stack)
+/// forwarding call, so concurrent users (threads sharing one stack)
 /// serialize through the cache -- which also makes everything BELOW it in
 /// the stack (budget, noise, the SimOracle itself) safe to share, since
 /// only one thread is ever inside the wrapped oracle at a time.
@@ -313,7 +313,7 @@ struct OracleTranscript {
 ///
 /// Deliberately NOT thread-safe: a transcript is one ordered query
 /// sequence, so each recorder/replayer belongs to exactly one attack
-/// thread (the portfolio gives every member its own recorder above one
+/// thread (concurrent attackers each need their own recorder, above a
 /// shared, locking CachingOracle).
 class TranscriptOracle final : public Oracle {
 public:

@@ -3,20 +3,15 @@
 #include <cassert>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <future>
-#include <mutex>
 
 #include "count/approx_counter.hpp"
 #include "count/cnf.hpp"
 #include "obs/trace.hpp"
-#include "sat/clause_exchange.hpp"
 #include "sat/cnf_builder.hpp"
 #include "sim/netlist_sim.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mvf::attack {
 
@@ -278,370 +273,8 @@ void count_consistent_configs(const CamoNetlist& netlist,
     finish_span();
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Portfolio CEGAR (attack_threads / portfolio > 1).
-//
-// N members race the CEGAR loop on one netlist.  Soundness and replay hinge
-// on one discipline: a shared append-only ANSWER LOG of (input, answer)
-// pairs, which every member stamps into its solver IN LOG ORDER, exactly one
-// stamp per solve.  Member formulas are therefore prefixes of one monotone
-// chain -- same clauses, same variable ids at equal stamp counts -- which is
-// what makes sat::ClauseExchange sharing sound (see clause_exchange.hpp).
-// It also makes the winner's transcript a valid serial attack transcript:
-// incorporation order == transcript order == stamp order, every solve sits
-// between consecutive stamps, and imported clauses are entailed by stamped
-// prefixes (so removing them -- which is what a replay does -- changes no
-// verdict).  Adding constraints only shrinks the model set, so the one
-// wrinkle (a live member solving once per stamp where its warm-up region
-// stamped a batch) cannot flip an intermediate SAT to UNSAT either.
-// ---------------------------------------------------------------------------
-
-/// The shared constraint sequence.  Append-only and deliberately WITHOUT
-/// deduplication: the serial attack stamps duplicate warm-up patterns
-/// twice, and the replay loop consumes exactly one transcript entry per
-/// solve, so the log must preserve multiplicity to replay bit-identically.
-struct AnswerLog {
-    std::mutex mutex;
-    std::vector<OracleTranscript::Entry> entries;
-
-    void append(const std::vector<bool>& in, const std::vector<bool>& out) {
-        std::lock_guard lock(mutex);
-        entries.push_back({in, out});
-    }
-    std::size_t size() {
-        std::lock_guard lock(mutex);
-        return entries.size();
-    }
-    OracleTranscript::Entry get(std::size_t i) {
-        std::lock_guard lock(mutex);
-        return entries[i];  // append-only: i < size() is stable
-    }
-};
-
-struct PortfolioShared {
-    const CamoNetlist* netlist = nullptr;
-    const OracleAttackParams* params = nullptr;
-    /// Shared, locking; wraps the caller's oracle so every member sees one
-    /// answer per pattern and repeats cost no budget.
-    CachingOracle* cache = nullptr;
-    AnswerLog log;
-    sat::ClauseExchange exchange;
-    std::atomic<bool> cancel{false};
-
-    explicit PortfolioShared(int members) : exchange(members) {}
-};
-
-struct MemberOutcome {
-    OracleAttackResult result;
-    std::vector<std::vector<bool>> constraint_inputs;
-    std::vector<std::vector<bool>> answers;
-    OracleTranscript transcript;
-    bool converged = false;  ///< proved the miter UNSAT (not cancelled/parked)
-};
-
-/// splitmix64 finalizer over (seed, member): decorrelated diversification
-/// seeds.  Member 0 always gets the serial attack's exact trajectory.
-std::uint64_t portfolio_mix(std::uint64_t seed, int member) {
-    std::uint64_t z =
-        seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(member) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-void run_portfolio_member(int member, PortfolioShared* shared,
-                          MemberOutcome* out) {
-    const CamoNetlist& netlist = *shared->netlist;
-    const OracleAttackParams& params = *shared->params;
-    const int m = netlist.num_pis();
-    OracleAttackResult& result = out->result;
-
-    // Identical construction order to the serial attack => identical
-    // variable ids across members at equal stamp counts.
-    sat::Solver solver;
-    if (member > 0) {
-        solver.set_phase_seed(portfolio_mix(params.warmup_seed, member));
-    }
-    sat::CnfBuilder family_a(netlist, &solver, params.fixed_nominal);
-    sat::CnfBuilder family_b(netlist, &solver, params.fixed_nominal);
-    std::vector<sat::Lit> shared_x;
-    shared_x.reserve(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) shared_x.push_back(sat::mk_lit(solver.new_var()));
-    sat::CnfBuilder::Copy miter_a, miter_b;
-    if (params.shared_miter) {
-        sat::CnfBuilder::SharedCopy sc =
-            sat::CnfBuilder::add_shared_copies(family_a, family_b, shared_x);
-        result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-        miter_a = std::move(sc.a);
-        miter_b = std::move(sc.b);
-    } else {
-        miter_a = family_a.add_copy(shared_x);
-        miter_b = family_b.add_copy(shared_x);
-    }
-    std::vector<sat::Lit> any_diff;
-    for (int q = 0; q < netlist.num_pos(); ++q) {
-        const sat::Lit d = sat::mk_lit(solver.new_var());
-        const sat::Lit a = miter_a.po[static_cast<std::size_t>(q)];
-        const sat::Lit b = miter_b.po[static_cast<std::size_t>(q)];
-        solver.add_ternary(sat::lit_not(d), a, b);
-        solver.add_ternary(sat::lit_not(d), sat::lit_not(a), sat::lit_not(b));
-        any_diff.push_back(d);
-    }
-    solver.add_clause(any_diff);
-    solver.set_clause_exchange(&shared->exchange, member);
-
-    const auto make_preprocessor = [&]() {
-        sat::Preprocessor pre(&solver, params.solver);
-        const std::vector<sat::Var> fa = family_a.frozen_vars();
-        const std::vector<sat::Var> fb = family_b.frozen_vars();
-        pre.freeze_all(fa);
-        pre.freeze_all(fb);
-        pre.freeze_lits(shared_x);
-        return pre;
-    };
-    std::size_t preprocessed_size = 0;
-    if (params.solver.preprocess) {
-        make_preprocessor().run();
-        preprocessed_size = solver.num_clauses();
-    }
-
-    const auto constrain_both = [&](const std::vector<bool>& in,
-                                    const std::vector<bool>& answer) {
-        if (params.shared_miter) {
-            sat::CnfBuilder::SharedCopy sc =
-                sat::CnfBuilder::add_shared_copies(family_a, family_b, in);
-            result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-            pin_outputs(&solver, sc.a, answer);
-            pin_outputs(&solver, sc.b, answer);
-        } else {
-            add_io_constraint(&solver, &family_a, in, answer, false);
-            add_io_constraint(&solver, &family_b, in, answer, false);
-        }
-    };
-
-    // Per-member recorder above the shared cache: the member's transcript
-    // is exactly the pairs it stamped, in stamp order.
-    TranscriptOracle recorder(*shared->cache);
-    std::size_t stamped = 0;
-    const auto incorporate_one = [&]() -> bool {
-        const OracleTranscript::Entry e = shared->log.get(stamped);
-        std::vector<bool> answer;
-        try {
-            // Through the recorder, which forwards to the shared cache: a
-            // guaranteed hit (the appender queried through the cache), so
-            // incorporating foreign pairs costs no chip access or budget.
-            answer = recorder.query(e.inputs);
-        } catch (const OracleBudgetExceeded&) {
-            result.status = OracleAttackResult::Status::kQueryBudget;
-            return false;
-        }
-        constrain_both(e.inputs, answer);
-        out->constraint_inputs.push_back(e.inputs);
-        out->answers.push_back(std::move(answer));
-        ++stamped;
-        solver.set_exchange_epoch(stamped);
-        if (result.warmup_queries < params.random_warmup) {
-            ++result.warmup_queries;
-        } else {
-            ++result.queries;
-            result.distinguishing_inputs.push_back(e.inputs);
-        }
-        return true;
-    };
-
-    // Warm-up: every member contributes its own (diversified) random
-    // patterns to the log, then stamps its quota -- without intermediate
-    // solves, mirroring both the serial loop and the replay path.
-    bool stopped = false;
-    if (params.random_warmup > 0) {
-        util::Rng wrng(member == 0
-                           ? params.warmup_seed
-                           : portfolio_mix(params.warmup_seed ^ 0x77a9u, member));
-        int remaining = params.random_warmup;
-        while (remaining > 0 && !stopped) {
-            const int count = std::min(remaining, kQueryBlockWidth);
-            std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-            for (std::uint64_t& w : words) w = wrng.next_u64();
-            try {
-                const std::vector<std::uint64_t> po_words =
-                    shared->cache->query_block(words, count);
-                for (int k = 0; k < count; ++k) {
-                    shared->log.append(unpack_lane(words, k),
-                                       unpack_lane(po_words, k));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                try {
-                    // Blocks are all-or-nothing: drain the remaining budget
-                    // with scalar queries over the same patterns.
-                    for (int k = 0; k < count; ++k) {
-                        const std::vector<bool> in = unpack_lane(words, k);
-                        shared->log.append(in, shared->cache->query(in));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    stopped = true;
-                }
-            }
-            remaining -= count;
-        }
-        while (!stopped && result.warmup_queries < params.random_warmup &&
-               stamped < shared->log.size()) {
-            if (!incorporate_one()) stopped = true;
-        }
-    }
-
-    // CEGAR race: sliced solves (bounded cancellation latency; learned
-    // clauses persist across kUnknown returns, so slicing only costs the
-    // cancel checks), one stamped pair per solve.
-    std::vector<bool> pattern(static_cast<std::size_t>(m));
-    std::vector<sat::Lit> assumptions;
-    constexpr std::uint64_t kSliceConflicts = 2000;
-    while (!stopped) {
-        if (shared->cancel.load(std::memory_order_relaxed)) break;
-        sat::Solver::Result sr;
-        for (;;) {
-            solver.set_conflict_budget(kSliceConflicts);
-            sr = solver.solve();
-            if (sr != sat::Solver::Result::kUnknown) break;
-            if (shared->cancel.load(std::memory_order_relaxed)) break;
-        }
-        solver.set_conflict_budget(0);
-        if (sr == sat::Solver::Result::kUnknown) break;  // cancelled mid-solve
-        if (sr == sat::Solver::Result::kUnsat) {
-            out->converged = true;
-            break;
-        }
-        if (params.max_iterations > 0 &&
-            result.queries >= params.max_iterations) {
-            result.status = OracleAttackResult::Status::kIterationLimit;
-            break;
-        }
-        if (stamped >= shared->log.size()) {
-            // Nothing pending to incorporate: contribute our own
-            // distinguishing input.  (A stamped pair excludes its pattern
-            // from the miter's models, so this is always genuinely new.)
-            for (int i = 0; i < m; ++i) {
-                pattern[static_cast<std::size_t>(i)] = solver.model_value(
-                    sat::lit_var(shared_x[static_cast<std::size_t>(i)]));
-            }
-            if (params.canonical_inputs) {
-                assumptions.clear();
-                canonicalize_pattern(&solver, shared_x, &assumptions, &pattern);
-            }
-            try {
-                shared->log.append(pattern, shared->cache->query(pattern));
-            } catch (const OracleBudgetExceeded&) {
-                result.status = OracleAttackResult::Status::kQueryBudget;
-                break;
-            }
-        }
-        if (!incorporate_one()) break;
-        if (params.solver.preprocess && params.solver.inprocess_growth > 1.0 &&
-            static_cast<double>(solver.num_clauses()) >
-                params.solver.inprocess_growth *
-                    static_cast<double>(preprocessed_size)) {
-            make_preprocessor().run_light();
-            preprocessed_size = solver.num_clauses();
-        }
-    }
-    result.sat_stats = solver.stats();
-    out->transcript = recorder.transcript();
-}
-
-OracleAttackResult portfolio_attack(const CamoNetlist& netlist, Oracle& oracle,
-                                    const OracleAttackParams& params,
-                                    int members) {
-    util::Stopwatch sw;
-    report::Json span_args;
-    if (obs::tracing()) {
-        span_args = report::Json::object();
-        span_args.set("members", members);
-        span_args.set("pis", netlist.num_pis());
-        span_args.set("pos", netlist.num_pos());
-    }
-    obs::Span span("portfolio-attack", "attack", std::move(span_args));
-    if (obs::metrics_enabled()) {
-        obs::MetricsRegistry::global().counter("attack.runs").add();
-    }
-
-    CachingOracle cache(oracle);
-    PortfolioShared shared(members);
-    shared.netlist = &netlist;
-    shared.params = &params;
-    shared.cache = &cache;
-
-    std::vector<MemberOutcome> outs(static_cast<std::size_t>(members));
-    std::atomic<int> winner{-1};
-    const auto race = [&](int mi) {
-        run_portfolio_member(mi, &shared, &outs[static_cast<std::size_t>(mi)]);
-        if (outs[static_cast<std::size_t>(mi)].converged) {
-            int expected = -1;
-            if (winner.compare_exchange_strong(expected, mi)) {
-                // First UNSAT wins; everyone else parks at their next
-                // cancel check.
-                shared.cancel.store(true, std::memory_order_relaxed);
-            }
-        }
-    };
-
-    util::ThreadPool local_pool(params.pool ? 1 : members - 1);
-    util::ThreadPool* pool = params.pool ? params.pool : &local_pool;
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(members - 1));
-    for (int mi = 1; mi < members; ++mi) {
-        futures.push_back(pool->submit([&race, mi] { race(mi); }));
-    }
-    race(0);  // the caller is always member 0
-    for (std::future<void>& f : futures) {
-        // Helping-wait: when the pool is saturated (batch jobs occupying
-        // every worker) the pending members run on this thread instead of
-        // deadlocking.
-        using namespace std::chrono_literals;
-        while (f.wait_for(0s) != std::future_status::ready) {
-            if (!pool->run_one()) f.wait_for(1ms);
-        }
-        f.get();
-    }
-
-    const int win = winner.load();
-    const std::size_t chosen = static_cast<std::size_t>(win >= 0 ? win : 0);
-    OracleAttackResult result = std::move(outs[chosen].result);
-    result.winner = win;
-    if (win >= 0) {
-        result.winner_transcript = std::move(outs[chosen].transcript);
-        if (params.enumerate_survivors) {
-            count_consistent_configs(netlist, outs[chosen].constraint_inputs,
-                                     outs[chosen].answers, params, &result);
-        }
-    }
-    // win < 0: nobody converged (budget/iteration caps); member 0's parked
-    // status stands and, as in the serial attack, no counting runs.
-    result.seconds = sw.elapsed_seconds();
-    if (span) {
-        report::Json ea = report::Json::object();
-        ea.set("winner", result.winner);
-        ea.set("status", std::string(attack_status_name(result.status)));
-        ea.set("queries", result.queries);
-        if (result.counted) ea.set("survivors", result.survivors.to_string());
-        span.set_end_args(std::move(ea));
-    }
-    return result;
-}
-
-}  // namespace
-
 OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
                                  const OracleAttackParams& params) {
-    // Portfolio dispatch: one knob (attack_threads) unless portfolio pins
-    // the member count explicitly.  A replaying transcript always takes
-    // the serial path below -- a transcript is one member's view.
-    const int members = params.portfolio > 0 ? params.portfolio
-                                             : std::max(1, params.attack_threads);
-    if (members > 1 && oracle.scripted_pattern() == nullptr) {
-        return portfolio_attack(netlist, oracle, params, members);
-    }
     const int m = netlist.num_pis();
     const int r = netlist.num_pos();
     util::Stopwatch sw;
@@ -782,11 +415,10 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             answers.push_back(std::move(out));
             ++result.warmup_queries;
         };
-        // Replay: the transcript prescribes the warm-up patterns.  (A
-        // portfolio winner's warm-up region interleaves patterns it
-        // incorporated from other members, which no local RNG regenerates;
-        // for a serial recording the scripted patterns ARE the wrng
-        // sequence, so this path is equivalent to regenerating them.)
+        // Replay: the transcript prescribes the warm-up patterns.  For a
+        // live recording the scripted patterns ARE the wrng sequence, so
+        // this path is equivalent to regenerating them; a proof replay
+        // scripts its whole transcript as warm-up.
         while (remaining > 0 && !budget_tripped &&
                oracle.scripted_pattern() != nullptr) {
             std::vector<bool> in = *oracle.scripted_pattern();
@@ -880,7 +512,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             result.status = OracleAttackResult::Status::kIterationLimit;
             break;
         }
-        bool from_script = false;
         if (const std::vector<bool>* scripted = oracle.scripted_pattern()) {
             // A replaying TranscriptOracle prescribes the query sequence
             // through the public API; the per-iteration solve above still
@@ -889,7 +520,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             // itself a valid distinguishing sequence).
             pattern = *scripted;
             assert(static_cast<int>(pattern.size()) == m);
-            from_script = true;
         } else {
             for (int i = 0; i < m; ++i) {
                 pattern[static_cast<std::size_t>(i)] = solver.model_value(
@@ -924,64 +554,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             ea.set("propagations", delta.propagations);
             ea.set("max_decision_level", delta.max_decision_level);
             iter_span.set_end_args(std::move(ea));
-        }
-        // Neighborhood warm-up: the distinguishing input just found sits on
-        // a decision boundary of the configuration space, so its
-        // single-bit-flip neighbors are disproportionately likely to
-        // separate further configurations.  Query up to
-        // neighborhood_queries of them as one word-parallel block and
-        // constrain the answers (counted as warm-up queries -- they are
-        // solver-free pruning, not CEGAR iterations).  Skipped under
-        // replay: the scripted sequence already embeds whatever
-        // neighborhood queries the recorded run made as ordinary patterns.
-        if (params.neighborhood_queries > 0 && !from_script && m > 0) {
-            const int nq = std::min(
-                std::min(params.neighborhood_queries, m), kQueryBlockWidth);
-            std::vector<std::vector<bool>> neighbors;
-            neighbors.reserve(static_cast<std::size_t>(nq));
-            for (int b = 0; b < nq; ++b) {
-                std::vector<bool> nb = pattern;
-                nb[static_cast<std::size_t>(b)] =
-                    !nb[static_cast<std::size_t>(b)];
-                neighbors.push_back(std::move(nb));
-            }
-            const std::vector<std::uint64_t> words = pack_block(neighbors);
-            const auto take_neighbor = [&](int lane, std::vector<bool> out) {
-                assert(static_cast<int>(out.size()) == r);
-                constrain_both(neighbors[static_cast<std::size_t>(lane)], out);
-                constraint_inputs.push_back(
-                    neighbors[static_cast<std::size_t>(lane)]);
-                answers.push_back(std::move(out));
-                ++result.warmup_queries;
-            };
-            try {
-                const auto q0 = collect ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point();
-                const std::vector<std::uint64_t> po_words =
-                    oracle.query_block(words, nq);
-                if (collect) observe_query(us_since(q0));
-                for (int lane = 0; lane < nq; ++lane) {
-                    take_neighbor(lane, unpack_lane(po_words, lane));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                // Blocks are all-or-nothing; drain the remaining allowance
-                // with scalar queries over the SAME patterns before
-                // terminating honestly (mirrors the random warm-up path).
-                try {
-                    for (int lane = 0; lane < nq; ++lane) {
-                        const auto q0 =
-                            collect ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point();
-                        std::vector<bool> out = oracle.query(
-                            neighbors[static_cast<std::size_t>(lane)]);
-                        if (collect) observe_query(us_since(q0));
-                        take_neighbor(lane, std::move(out));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    budget_tripped = true;
-                }
-            }
         }
         if (params.solver.preprocess && params.solver.inprocess_growth > 1.0 &&
             static_cast<double>(solver.num_clauses()) >

@@ -117,54 +117,31 @@ struct OracleAttackParams {
     /// answers as constraints.  Each answered pattern prunes every
     /// configuration disagreeing with the chip on it, so the miter starts
     /// the distinguishing-input loop on a much smaller viable set -- a
-    /// cheap query-selection baseline that measurably cuts the
-    /// distinguishing-input count (see bench_oracle_attack).
+    /// query-selection baseline that cuts the distinguishing-input count
+    /// but usually costs more chip queries in total (see
+    /// bench_oracle_attack).
     int random_warmup = 0;
     std::uint64_t warmup_seed = 1;
-    /// Neighborhood warm-up: after each distinguishing input found by the
-    /// live CEGAR loop, also query up to this many single-bit-flip
-    /// neighbors of it (as one word-parallel block) and constrain their
-    /// answers.  Distinguishing inputs sit on decision boundaries of the
-    /// configuration space, so their neighborhoods are disproportionately
-    /// likely to separate further configurations -- the CEGAR analogue of
-    /// the random_warmup baseline, seeded by the inputs the solver already
-    /// proved informative.  Survivor-preserving: extra I/O constraints
-    /// only remove configurations the chip disagrees with (asserted in
-    /// bench_oracle_attack).  Ignored under transcript replay, where the
-    /// scripted patterns already embed whatever neighborhood queries the
-    /// recorded run made.  0 = off.
-    int neighborhood_queries = 0;
     /// Collect per-attack latency metrics (oracle-query and SAT-solve
     /// histograms) into OracleAttackResult::metrics.  Also on whenever the
     /// process-global switch (obs::set_metrics_enabled, the CLI's
     /// --metrics) is; off by default because the per-query timing calls,
     /// while cheap, are measurable on microsecond-scale oracles.
     bool collect_metrics = false;
-    /// The one parallelism knob: worker threads for the attack.  Feeds
-    /// both engines -- cube-and-conquer workers for the exact survivor
-    /// count (count::CounterConfig::threads) and, unless `portfolio`
-    /// overrides it, the portfolio CEGAR member count.  1 = fully serial
-    /// (the default; bit-identical to every earlier release).
+    /// The one parallelism knob: cube-and-conquer workers for the exact
+    /// survivor count (count::CounterConfig::threads).  The CEGAR loop is
+    /// serial whatever the value, so the query sequence and every count
+    /// match the attack_threads = 1 run (the default).
     int attack_threads = 1;
-    /// Portfolio CEGAR members racing on the netlist (0 = follow
-    /// attack_threads, 1 = force the single serial CEGAR loop, N > 1 = N
-    /// members).  Members share oracle answers through one caching layer
-    /// and short learned clauses through sat::ClauseExchange; the first
-    /// member to prove UNSAT cancels the rest and its transcript replays
-    /// bit-identically through TranscriptOracle.  Survivor counts are
-    /// invariant across member schedules (any convergent constraint set
-    /// pins the same function).  Ignored when the oracle is a replaying
-    /// transcript: replay always takes the serial path.
-    int portfolio = 0;
     /// Selector-cube width for the parallel exact counter
     /// (count::CounterConfig::cube_vars); 0 = auto from attack_threads.
     int cube_vars = 0;
-    /// Worker pool for portfolio members and cube workers.  nullptr (the
-    /// default) spins up private pools; the batch runner passes its own
-    /// pool so `mvf batch --jobs N` with attack_threads > 1 cannot
-    /// oversubscribe or deadlock (workers submitting subtasks to the same
-    /// pool helping-wait via ThreadPool::run_one).  Runtime plumbing only:
-    /// excluded from spec hashing.
+    /// Worker pool for the cube workers.  nullptr (the default) spins up a
+    /// private pool; the batch runner passes its own pool so `mvf batch
+    /// --jobs N` with attack_threads > 1 cannot oversubscribe or deadlock
+    /// (workers submitting subtasks to the same pool helping-wait via
+    /// ThreadPool::run_one).  Runtime plumbing only: excluded from spec
+    /// hashing.
     util::ThreadPool* pool = nullptr;
 };
 
@@ -220,13 +197,6 @@ struct OracleAttackResult {
     /// Cells encoded once instead of per-family across all shared stamps
     /// (0 when shared_miter is off or nothing was shareable).
     std::uint64_t shared_cells = 0;
-    /// Portfolio: index of the member whose UNSAT proof won the race, or
-    /// -1 (serial attack, or no member converged).  When >= 0,
-    /// winner_transcript holds that member's complete query transcript --
-    /// recorded unconditionally, because the oracle stack's own recorder
-    /// sees the members' queries interleaved and is NOT replayable.
-    int winner = -1;
-    OracleTranscript winner_transcript;
     double seconds = 0.0;
 
     bool solved() const {

@@ -10,9 +10,8 @@
 // opened (leaf + salt + sibling path) without revealing the rest.
 //
 // Like TranscriptOracle's recorder this is deliberately NOT thread-safe:
-// a commitment chain is one ordered sequence.  Harnesses reject
-// emit_proof together with portfolio attacks for the same reason they
-// reject replaying a portfolio's interleaved transcript.
+// a commitment chain is one ordered sequence, which the serial CEGAR loop
+// produces whatever its attack_threads.
 
 #ifndef MVF_AUDIT_COMMITTING_ORACLE_HPP
 #define MVF_AUDIT_COMMITTING_ORACLE_HPP

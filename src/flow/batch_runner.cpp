@@ -244,11 +244,10 @@ std::vector<ScenarioRecord> BatchRunner::run(
                 // Parallel attacks inside a parallel batch share THIS pool
                 // instead of spawning their own: the scenario worker
                 // helping-waits (ThreadPool::run_one) on its subtasks, so
-                // portfolio members and cube workers cannot deadlock or
-                // oversubscribe even with every worker busy.
+                // cube workers cannot deadlock or oversubscribe even with
+                // every worker busy.
                 Scenario scenario = scenarios[static_cast<std::size_t>(i)];
-                if (scenario.params.oracle.attack_threads > 1 ||
-                    scenario.params.oracle.portfolio > 1) {
+                if (scenario.params.oracle.attack_threads > 1) {
                     scenario.params.oracle.pool = &pool;
                 }
                 records[static_cast<std::size_t>(i)] =

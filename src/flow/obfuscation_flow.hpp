@@ -73,16 +73,8 @@ struct FlowParams {
     /// Verify each viable function by replaying configurations (ModelSim
     /// substitute).  Cheap; leave on.
     bool verify = true;
-    /// Red-team the camouflaged result with the oracle-guided CEGAR attack
-    /// (hidden configuration = select code 0): reports how many oracle
-    /// queries de-camouflaging takes and how many configurations survive.
-    /// Off by default; it models a STRONGER adversary (working chip in
-    /// hand) than the paper's viable-set attacker.
-    ///
-    /// Requires run_camo_mapping: configuring the attack with camouflage
-    /// mapping disabled throws std::invalid_argument from the attack stage
-    /// (it used to be silently skipped).
-    bool run_oracle_attack = false;
+    /// Knobs of the oracle-guided CEGAR attack ("cegar" in `adversaries`;
+    /// hidden configuration = select code 0).
     attack::OracleAttackParams oracle;
     /// Oracle threat-model decorators for the attack stage: query budget,
     /// measurement noise, pattern cache, transcript recording (see
@@ -103,16 +95,18 @@ struct FlowParams {
     /// Emit a verifiable audit::AttackProof artifact for the CEGAR
     /// adversary's run to this JSON file (empty = off).  Implies
     /// transcript recording and per-query commitments.  Contradicts
-    /// replay_transcript (a replay proves nothing new) and portfolio
-    /// attacks (members' queries interleave into a non-replayable
-    /// sequence); harnesses reject those combinations at parse time and
-    /// the attack stage guards them again at run time.
+    /// replay_transcript (a replay proves nothing new) and needs "cegar" in
+    /// the panel; harnesses reject both at parse time and the attack stage
+    /// guards them again at run time.
     std::string emit_proof;
     /// Patterns the random-sampling baseline adversary draws.
     int random_queries = 128;
     /// Registered adversaries the attack stage should run (see
-    /// attack::AdversaryRegistry).  When non-empty this supersedes
-    /// run_oracle_attack's implicit {"cegar"} panel.
+    /// attack::AdversaryRegistry); empty = no attack stage.  Attacks need
+    /// run_camo_mapping: the attack stage throws std::invalid_argument
+    /// without a camouflaged netlist.  The oracle-granted ones (cegar,
+    /// random-sampling) model a STRONGER adversary (working chip in hand)
+    /// than the paper's viable-set attacker.
     std::vector<std::string> adversaries;
     std::uint64_t seed = 1;
 };
@@ -143,9 +137,6 @@ struct FlowResult {
     std::vector<bool> fixed_nominal;
 
     bool verified = false;  ///< every viable function replayed correctly
-
-    /// Oracle-attack report (when FlowParams::run_oracle_attack).
-    std::optional<attack::OracleAttackResult> oracle_attack;
 
     /// Uniform per-adversary reports from the attack stage, in run order
     /// (one per requested adversary; includes the CEGAR attacker's).

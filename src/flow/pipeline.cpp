@@ -288,25 +288,12 @@ void AttackStage::run(FlowContext& ctx) {
         }
         ctx.result.attack_reports.push_back(std::move(report));
 
-        // Portfolio runs record the WINNING member's transcript inside the
-        // attack result; the stack-level recorder saw every member's
-        // queries interleaved, which is not a replayable sequence.
-        const attack::CegarAdversary* cegar =
-            dynamic_cast<const attack::CegarAdversary*>(adversary.get());
-        const attack::OracleTranscript* transcript =
-            (cegar && cegar->last_result() && cegar->last_result()->winner >= 0)
-                ? &cegar->last_result()->winner_transcript
-                : stack.recorded();
-        if (!ctx.params.save_transcript.empty() && transcript) {
+        if (!ctx.params.save_transcript.empty() && stack.recorded()) {
             const report::JsonWriter writer(ctx.params.save_transcript);
-            if (!writer.write(transcript->to_json())) {
+            if (!writer.write(stack.recorded()->to_json())) {
                 throw std::runtime_error("cannot write oracle transcript: " +
                                          ctx.params.save_transcript);
             }
-        }
-        // Keep the typed CEGAR result flowing into the legacy field.
-        if (cegar) {
-            ctx.result.oracle_attack = cegar->last_result();
         }
     }
 }
@@ -409,16 +396,10 @@ Pipeline Pipeline::standard(const FlowParams& params) {
             if (params.verify) p.add_stage<ValidateStage>();
         }
     }
-    if (std::vector<std::string> panel = attack_panel(params); !panel.empty()) {
-        p.add_stage<AttackStage>(std::move(panel));
+    if (!params.adversaries.empty()) {
+        p.add_stage<AttackStage>(params.adversaries);
     }
     return p;
-}
-
-std::vector<std::string> attack_panel(const FlowParams& params) {
-    if (!params.adversaries.empty()) return params.adversaries;
-    if (params.run_oracle_attack) return {"cegar"};
-    return {};
 }
 
 }  // namespace mvf::flow

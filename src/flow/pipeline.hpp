@@ -185,11 +185,6 @@ private:
     std::vector<std::string> adversaries_;
 };
 
-/// The adversaries Pipeline::standard gives the attack stage: the explicit
-/// list, else {"cegar"} when params.run_oracle_attack, else none (no
-/// attack stage).
-std::vector<std::string> attack_panel(const FlowParams& params);
-
 /// Outcome of Pipeline::run.
 struct PipelineStatus {
     bool completed = true;  ///< false when cancellation/deadline stopped it
@@ -224,8 +219,7 @@ public:
     /// The staged equivalent of ObfuscationFlow::run for `params`:
     /// pin-search + synthesize always; camo-cover when run_camo_mapping;
     /// validate when additionally params.verify; attack when
-    /// params.run_oracle_attack or params.adversaries is non-empty (the
-    /// explicit list wins, default {"cegar"}).
+    /// params.adversaries is non-empty.
     ///
     /// When params.circuit.path is set the subject comes from a file
     /// instead: import + (camo-inject when run_camo_mapping) + attack.

@@ -182,10 +182,7 @@ Value attack_value() {
     return {false,
             [](Scenario& s, std::string_view v) {
                 s.params.adversaries.clear();
-                if (v == "none") {
-                    s.params.run_oracle_attack = false;
-                    return;
-                }
+                if (v == "none") return;
                 std::istringstream in{std::string(v)};
                 for (std::string item; std::getline(in, item, ',');) {
                     if (!item.empty()) s.params.adversaries.push_back(item);
@@ -334,10 +331,7 @@ std::vector<ScenarioKey> build_table() {
         "lex-min distinguishing inputs (slow at 16+ PIs)");
     row("attack_threads", attack("attack.oracle.attack_threads"), "N",
         field(FIELD(oracle.attack_threads), at_least(1)),
-        "attack worker threads (default 1 = serial)");
-    row("portfolio", attack("attack.oracle.portfolio"), "N",
-        field(FIELD(oracle.portfolio), at_least(0)),
-        "CEGAR members (0 = attack_threads, 1 = serial)");
+        "exact-count cube workers (default 1 = serial)");
     row("cube_vars", attack("attack.oracle.cube_vars"), "K",
         field(FIELD(oracle.cube_vars),
               {[](const int& k) { return k >= 0 && k <= 16; }, "in 0..16"}),
@@ -372,9 +366,6 @@ std::vector<ScenarioKey> build_table() {
     row("random_warmup", attack("attack.oracle.random_warmup"), "N",
         field(FIELD(oracle.random_warmup), at_least(0)),
         "CEGAR warm-up: N random patterns before the loop");
-    row("neighborhood_queries", attack("attack.oracle.neighborhood_queries"),
-        "N", field(FIELD(oracle.neighborhood_queries), at_least(0)),
-        "query N bit-flip neighbours per distinguishing input");
     row("random_queries", attack("attack.random_queries"), "N",
         field(FIELD(random_queries), at_least(1)),
         "random-sampling adversary's budget (default 128)");
@@ -410,7 +401,6 @@ std::vector<ScenarioKey> build_table() {
         FIELD(camo.subtree.max_signal_leaves));
     api(sbox(kCamoCover, "camo.subtree_max_candidates"),
         FIELD(camo.subtree.max_candidates));
-    api(attack("attack.run_oracle_attack"), FIELD(run_oracle_attack));
     api(attack("attack.oracle.count_seed"), FIELD(oracle.count_seed));
     api(attack("attack.oracle.max_iterations"), FIELD(oracle.max_iterations));
     api(attack("attack.oracle.warmup_seed"), FIELD(oracle.warmup_seed));
@@ -562,20 +552,11 @@ std::string emit_proof_conflict(
     const FlowParams& params, const std::vector<std::string>& panel,
     const std::function<std::string(std::string_view)>& spell) {
     if (params.emit_proof.empty()) return "";
-    // A proof certifies a fresh serial CEGAR run: a replay has no chip to
-    // commit for, and portfolio members interleave their queries into a
-    // sequence no transcript can replay.
+    // A proof certifies a fresh CEGAR run: a replay has no chip to commit
+    // for.
     const std::string emit = spell("emit_proof");
     if (!params.replay_transcript.empty()) {
         return emit + " contradicts " + spell("replay_transcript");
-    }
-    const int members = params.oracle.portfolio > 0
-                            ? params.oracle.portfolio
-                            : std::max(1, params.oracle.attack_threads);
-    if (members > 1) {
-        return emit + " requires a serial CEGAR attack (set " +
-               spell("portfolio") + " or " + spell("attack_threads") +
-               " to 1)";
     }
     if (std::find(panel.begin(), panel.end(), "cegar") == panel.end()) {
         return emit + " requires the cegar adversary in the " +
@@ -651,17 +632,15 @@ Scenario ScenarioDraft::finish() && {
     }
 
     // Replay serves recorded answers: fresh noise would corrupt a
-    // transcript that already embeds its own, a cache desynchronizes the
-    // replay cursor on duplicate patterns, and a transcript is one
-    // member's ordered view, which a portfolio cannot race over.
+    // transcript that already embeds its own, and a cache desynchronizes
+    // the replay cursor on duplicate patterns.
     if (!p.replay_transcript.empty()) {
         const std::string replay = spell("replay_transcript") + " contradicts ";
         if (given("oracle_noise")) fail(replay + spell("oracle_noise"));
         if (p.oracle_model.cache) fail(replay + spell("oracle_cache"));
-        if (p.oracle.portfolio > 1) fail(replay + spell("portfolio"));
     }
     const std::string proof = emit_proof_conflict(
-        p, attack_panel(p), [this](std::string_view k) { return spell(k); });
+        p, p.adversaries, [this](std::string_view k) { return spell(k); });
     if (!proof.empty()) fail(proof);
 
     if (is_circuit) {

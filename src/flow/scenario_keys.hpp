@@ -129,7 +129,7 @@ private:
 bool is_scenario_flag(std::string_view arg);
 
 /// Why emit_proof cannot certify this attack ("" when it can): a replayed
-/// transcript, a portfolio, or a panel without cegar.  `spell` names a key
+/// transcript or a panel without cegar.  `spell` names a key
 /// the way the caller's user spells it.  Shared by validation and
 /// AttackStage, which guards API callers.
 std::string emit_proof_conflict(

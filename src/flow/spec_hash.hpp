@@ -45,9 +45,12 @@
 
 namespace mvf::flow {
 
-/// Bump when the canonical form or the stage-snapshot serialization
-/// changes shape: it is folded into every hash, so stale spill-directory
-/// entries from older builds miss instead of deserializing garbage.
+/// Folded into every hash, so stale spill-directory entries from older
+/// builds miss instead of deserializing garbage.  Bump it for a shape
+/// change that leaves the hash inputs unchanged, such as the stage-snapshot
+/// serialization.  Adding or removing a canonical leaf needs no bump:
+/// every hash whose subset held that leaf changes anyway, and the others
+/// keep serving valid entries.
 inline constexpr int kSpecSchemaVersion = 1;
 
 /// SHA-256 (hex) of the bytes of the circuit file a circuit scenario

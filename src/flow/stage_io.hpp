@@ -13,9 +13,8 @@
 // value-identical to the one snapshotted -- cached and fresh runs produce
 // byte-identical reports.
 //
-// Not captured: FlowResult::oracle_attack (the typed legacy CEGAR result;
-// its uniform counterpart in attack_reports IS captured) and the latency
-// histograms' raw buckets beyond what AdversaryReport serializes.
+// Not captured: the latency histograms' raw buckets beyond what
+// AdversaryReport serializes.
 // ctx.best_spec is not serialized either -- SynthesizeStage constructs it
 // deterministically from (functions, ga.best), and restore does the same.
 

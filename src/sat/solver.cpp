@@ -6,20 +6,8 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "sat/clause_exchange.hpp"
-
 namespace mvf::sat {
 namespace {
-
-/// splitmix64 finalizer: one well-mixed bit per (seed, var) for the
-/// diversified initial phases.
-bool phase_bit(std::uint64_t seed, Var v) {
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull *
-                                 (static_cast<std::uint64_t>(v) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return ((z ^ (z >> 31)) & 1) != 0;
-}
 
 // Luby restart sequence (1,1,2,1,1,2,4,...).
 std::uint64_t luby(std::uint64_t i) {
@@ -39,7 +27,7 @@ Var Solver::new_var() {
     const Var v = num_vars();
     values_.push_back(Value::kUnknown);
     values_.push_back(Value::kUnknown);
-    polarity_.push_back(phase_seed_ != 0 && phase_bit(phase_seed_, v));
+    polarity_.push_back(false);
     vardata_.push_back({kNoReason, 0});
     activity_.push_back(0.0);
     seen_.push_back(0);
@@ -111,59 +99,6 @@ Var Solver::heap_pop() {
     return top;
 }
 
-void Solver::set_phase_seed(std::uint64_t seed) {
-    phase_seed_ = seed;
-    for (Var v = 0; v < num_vars(); ++v) {
-        polarity_[static_cast<std::size_t>(v)] =
-            seed != 0 && phase_bit(seed, v);
-    }
-}
-
-void Solver::set_clause_exchange(ClauseExchange* exchange, int member) {
-    exchange_ = exchange;
-    exchange_member_ = member;
-}
-
-bool Solver::import_exchange_clauses() {
-    assert(decision_level() == 0);
-    import_lits_.clear();
-    import_sizes_.clear();
-    if (exchange_->fetch(exchange_member_, exchange_epoch_, &import_lits_,
-                         &import_sizes_) == 0) {
-        return true;
-    }
-    std::size_t begin = 0;
-    for (const std::uint32_t size : import_sizes_) {
-        const std::span<const Lit> lits(import_lits_.data() + begin, size);
-        begin += size;
-        // Clauses touching a locally-eliminated variable are skipped:
-        // preprocessing diverges across members, and re-introducing an
-        // eliminated variable would bypass the constraints removed with
-        // it.  (Variables always exist -- the epoch filter guarantees the
-        // clause only mentions a formula prefix this solver has stamped.)
-        bool usable = true;
-        for (const Lit l : lits) {
-            assert(lit_var(l) < num_vars());
-            if (eliminated_[static_cast<std::size_t>(lit_var(l))]) {
-                usable = false;
-                break;
-            }
-        }
-        if (!usable) continue;
-        // Same level-0 simplification as add_clause, but the survivors are
-        // marked learned so reduce_db can drop them again.  An import is
-        // entailed by a prefix of this member's own formula, so an empty
-        // clause is a sound UNSAT verdict.
-        add_scratch_.assign(lits.begin(), lits.end());
-        const int n = simplify_at_level0(&add_scratch_);
-        if (n < 0) continue;
-        if (!add_simplified(add_scratch_.data(), n, /*learned=*/true)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 double Solver::activity(CRef cr) const {
     double a;
     std::memcpy(&a, &arena_[cr + 1 + clause_size(cr)], sizeof a);
@@ -194,40 +129,6 @@ Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, bool learned,
     return cr;
 }
 
-int Solver::simplify_at_level0(std::vector<Lit>* lits) const {
-    std::vector<Lit>& c = *lits;
-    std::sort(c.begin(), c.end());
-    int n = 0;
-    for (const Lit l : c) {
-        if (n > 0 && c[static_cast<std::size_t>(n - 1)] == l) continue;
-        if (n > 0 && c[static_cast<std::size_t>(n - 1)] == lit_not(l)) {
-            return -1;  // tautology
-        }
-        const Value v = value(l);
-        if (v == Value::kTrue) return -1;  // already satisfied
-        if (v == Value::kFalse) continue;  // dead literal
-        c[static_cast<std::size_t>(n++)] = l;
-    }
-    return n;
-}
-
-bool Solver::add_simplified(const Lit* lits, int n, bool learned) {
-    if (n == 0) {
-        ok_ = false;
-        return false;
-    }
-    if (n == 1) {
-        enqueue(lits[0], kNoReason);
-        if (propagate() != kNoReason) {
-            ok_ = false;
-            return false;
-        }
-        return true;
-    }
-    attach(alloc_clause({lits, static_cast<std::size_t>(n)}, learned));
-    return true;
-}
-
 bool Solver::add_clause(std::span<const Lit> lits) {
     if (!ok_) return false;
     assert(decision_level() == 0);
@@ -236,10 +137,33 @@ bool Solver::add_clause(std::span<const Lit> lits) {
     // constraints removed with it; callers must freeze such variables.
     for (const Lit l : lits) assert(!eliminated_[static_cast<std::size_t>(lit_var(l))]);
 #endif
-    add_scratch_.assign(lits.begin(), lits.end());
-    const int n = simplify_at_level0(&add_scratch_);
-    if (n < 0) return true;
-    return add_simplified(add_scratch_.data(), n, /*learned=*/false);
+    // Simplify: drop duplicate/false literals, detect tautologies/sat.
+    std::vector<Lit>& c = add_scratch_;
+    c.assign(lits.begin(), lits.end());
+    std::sort(c.begin(), c.end());
+    std::size_t n = 0;
+    for (const Lit l : c) {
+        if (n > 0 && c[n - 1] == l) continue;
+        if (n > 0 && c[n - 1] == lit_not(l)) return true;  // tautology
+        const Value v = value(l);
+        if (v == Value::kTrue) return true;   // already satisfied
+        if (v == Value::kFalse) continue;     // dead literal
+        c[n++] = l;
+    }
+    if (n == 0) {
+        ok_ = false;
+        return false;
+    }
+    if (n == 1) {
+        enqueue(c[0], kNoReason);
+        if (propagate() != kNoReason) {
+            ok_ = false;
+            return false;
+        }
+        return true;
+    }
+    attach(alloc_clause({c.data(), n}, /*learned=*/false));
+    return true;
 }
 
 std::vector<std::vector<Lit>> Solver::snapshot_clauses() const {
@@ -660,11 +584,6 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
                 return finish(Result::kUnsat);
             }
             backtrack(analyze(conflict));
-            if (exchange_ &&
-                static_cast<int>(learned_.size()) <= exchange_->max_lits()) {
-                exchange_->publish(exchange_member_, learned_,
-                                   exchange_epoch_);
-            }
             if (learned_.size() == 1) {
                 enqueue(learned_[0], kNoReason);
             } else {
@@ -696,11 +615,6 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
             if (db_full) {
                 reduce_db();
                 learned_budget_ *= 1.1;
-            }
-            // Restart boundary: the trail is at level 0, so foreign
-            // portfolio clauses can be spliced in like any level-0 add.
-            if (exchange_ && !import_exchange_clauses()) {
-                return finish(Result::kUnsat);
             }
             continue;
         }

@@ -45,8 +45,7 @@
 
 namespace mvf::sat {
 
-class Preprocessor;     // sat/simplify.hpp
-class ClauseExchange;   // sat/clause_exchange.hpp
+class Preprocessor;  // sat/simplify.hpp
 
 using Var = int;
 /// Literal encoding: 2*var for the positive literal, 2*var+1 for negated.
@@ -170,31 +169,11 @@ public:
     /// Per-solve() conflict budget; a call that exceeds it returns
     /// Result::kUnknown instead of running unboundedly (the approximate
     /// counter leans on this -- CDCL on dense XOR constraints can wedge a
-    /// single call).  0 (the default) means unlimited.  The portfolio also
-    /// uses it to slice long solves so cancellation latency stays bounded:
-    /// learned clauses persist across kUnknown returns, so re-solving
-    /// resumes rather than restarts.
+    /// single call).  Learned clauses persist across kUnknown returns.
+    /// 0 (the default) means unlimited.
     void set_conflict_budget(std::uint64_t conflicts) {
         conflict_budget_ = conflicts;
     }
-
-    /// Diversification: seeds the initial branching polarities (phase
-    /// saving overwrites them as search progresses).  0 restores the
-    /// all-false default.  Applies to existing AND future variables, so
-    /// portfolio members explore different regions of one search space.
-    void set_phase_seed(std::uint64_t seed);
-
-    /// Attaches this solver to a portfolio clause pool as `member`.
-    /// Learned clauses of <= ClauseExchange::max_lits() literals are
-    /// published with the current exchange epoch; foreign clauses with
-    /// epoch <= the current epoch are imported at restart boundaries as
-    /// learned clauses (reduce_db may drop them again).  Pass nullptr to
-    /// detach.  See clause_exchange.hpp for the prefix-soundness contract
-    /// the caller must uphold via set_exchange_epoch.
-    void set_clause_exchange(ClauseExchange* exchange, int member);
-
-    /// The caller's stamped-constraint count: export tags, import filter.
-    void set_exchange_epoch(std::uint64_t epoch) { exchange_epoch_ = epoch; }
 
 private:
     friend class Preprocessor;  // rewrites the arena and watches_ wholesale
@@ -249,17 +228,6 @@ private:
     /// num_learned_ when learned); does not attach it.
     CRef alloc_clause(std::span<const Lit> lits, bool learned,
                       double activity = 0.0);
-    /// Level-0 simplification shared by add_clause and the exchange
-    /// import: sorts `lits` in place, drops duplicate and false literals
-    /// and returns the kept prefix's length, or -1 when the clause is a
-    /// tautology or already satisfied.
-    int simplify_at_level0(std::vector<Lit>* lits) const;
-    /// Adds a simplified clause of `n` literals from `lits`: an empty one
-    /// makes the database UNSAT, a unit is enqueued and propagated, a
-    /// longer one allocated and attached.  Returns false when the database
-    /// became UNSAT.
-    bool add_simplified(const Lit* lits, int n, bool learned);
-
     void enqueue(Lit l, CRef reason) {
         assert(value(l) == Value::kUnknown);
         const Var v = lit_var(l);
@@ -291,9 +259,6 @@ private:
     bool clause_locked(CRef cr) const;
     void reduce_db();  // requires decision level 0
     void extend_model() const;  // reconstruct eliminated vars (lazy, after kSat)
-    /// Pulls eligible foreign clauses from the exchange (decision level 0
-    /// only); returns false when an import made the database UNSAT.
-    bool import_exchange_clauses();
 
     int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
@@ -323,10 +288,6 @@ private:
     std::vector<int> heap_pos_;
 
     std::uint64_t conflict_budget_ = 0;  // per-call; 0 = unlimited
-    std::uint64_t phase_seed_ = 0;       // 0 = all-false initial phases
-    ClauseExchange* exchange_ = nullptr;
-    int exchange_member_ = 0;
-    std::uint64_t exchange_epoch_ = 0;
     double cla_inc_ = 1.0;
     std::uint64_t num_learned_ = 0;  // learned clauses currently in the DB
     double learned_budget_ = 0.0;    // adaptive limit; grows after each reduce
@@ -346,10 +307,8 @@ private:
     std::vector<Var> marked_;         // vars analyze() marked seen
     std::vector<Lit> analyze_stack_;  // lit_redundant() DFS
     std::vector<Var> redundant_marks_;  // vars lit_redundant() marked seen
-    std::vector<Lit> add_scratch_;    // add_clause()/import simplification
+    std::vector<Lit> add_scratch_;    // add_clause() simplification
     std::vector<CRef> reduce_candidates_;
-    std::vector<Lit> import_lits_;    // fetched exchange clauses, flat
-    std::vector<std::uint32_t> import_sizes_;
 };
 
 }  // namespace mvf::sat

@@ -22,9 +22,11 @@
 //   shutdown  -                                {"ok":true} then server exits
 //
 // Errors: {"ok":false,"error":"..."} -- unknown op, malformed JSON,
-// unknown job id, malformed scenario spec.  A request line longer than
-// kMaxRequestLine bytes gets one error line, and the server then drops the
-// connection (it stops reading mid-line, so the stream is out of step).
+// unknown or evicted job id (the scheduler keeps the most recent
+// JobScheduler::kMaxRetainedJobs finished jobs), malformed scenario spec.
+// A request line longer than kMaxRequestLine bytes gets one error line,
+// and the server then drops the connection (it stops reading mid-line,
+// so the stream is out of step).
 //
 // records_hash is the bit-identity fingerprint CI keys on: the batch
 // records as JSON with volatile members (wall-clock timings, latency

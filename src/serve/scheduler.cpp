@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "flow/spec_hash.hpp"
@@ -54,6 +55,7 @@ std::string JobScheduler::submit(std::vector<flow::Scenario> scenarios,
         if (total == 0) {
             job->state = JobState::kDone;
             job->records_hash = records_hash(job->records);
+            evict_locked();
         }
     }
     if (total == 0) {
@@ -135,6 +137,7 @@ void JobScheduler::finish_scenario(const std::shared_ptr<Job>& job,
                     .count();
             job->records_hash = records_hash(job->records);
             terminal = true;
+            evict_locked();
         }
         st = status_locked(*job);
     }
@@ -201,26 +204,44 @@ JobStatus JobScheduler::status_locked(const Job& job) const {
         if (r.status == "error") ++st.failures;
         st.cache_hits += r.cache_hits;
     }
-    st.seconds =
-        job.state == JobState::kDone || job.state == JobState::kCancelled
-            ? job.seconds
-            : std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            job.submitted)
-                  .count();
+    st.seconds = job.terminal()
+                     ? job.seconds
+                     : std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - job.submitted)
+                           .count();
     st.records_hash = job.records_hash;
     return st;
+}
+
+std::shared_ptr<JobScheduler::Job> JobScheduler::find_locked(
+    const std::string& id) const {
+    for (const auto& j : jobs_) {
+        if (j->id == id) return j;
+    }
+    return nullptr;
+}
+
+void JobScheduler::evict_locked() {
+    std::size_t terminal = 0;
+    for (const auto& j : jobs_) terminal += j->terminal() ? 1 : 0;
+    // jobs_ is in submission order, so the first evictable job is the
+    // oldest.
+    for (auto it = jobs_.begin();
+         terminal > kMaxRetainedJobs && it != jobs_.end();) {
+        if ((*it)->terminal() && (*it)->waiters == 0) {
+            it = jobs_.erase(it);
+            --terminal;
+        } else {
+            ++it;
+        }
+    }
 }
 
 bool JobScheduler::cancel(const std::string& id) {
     std::shared_ptr<Job> job;
     {
         std::lock_guard lock(mu_);
-        for (const auto& j : jobs_) {
-            if (j->id == id) {
-                job = j;
-                break;
-            }
-        }
+        job = find_locked(id);
     }
     if (!job) return false;
     job->cancel.cancel();
@@ -229,8 +250,8 @@ bool JobScheduler::cancel(const std::string& id) {
 
 std::optional<JobStatus> JobScheduler::status(const std::string& id) const {
     std::lock_guard lock(mu_);
-    for (const auto& j : jobs_) {
-        if (j->id == id) return status_locked(*j);
+    if (const std::shared_ptr<Job> job = find_locked(id)) {
+        return status_locked(*job);
     }
     return std::nullopt;
 }
@@ -246,41 +267,40 @@ std::vector<JobStatus> JobScheduler::jobs() const {
 bool JobScheduler::watch(const std::string& id,
                          std::shared_ptr<obs::TraceSink> sink) {
     std::lock_guard lock(mu_);
-    for (const auto& j : jobs_) {
-        if (j->id != id) continue;
-        if (j->state == JobState::kDone || j->state == JobState::kCancelled) {
-            return false;
-        }
-        j->sinks.push_back(std::move(sink));
-        return true;
-    }
-    return false;
-}
-
-bool JobScheduler::wait(const std::string& id) {
-    std::unique_lock lock(mu_);
-    std::shared_ptr<Job> job;
-    for (const auto& j : jobs_) {
-        if (j->id == id) {
-            job = j;
-            break;
-        }
-    }
-    if (!job) return false;
-    terminal_cv_.wait(lock, [&] {
-        return job->state == JobState::kDone ||
-               job->state == JobState::kCancelled;
-    });
+    const std::shared_ptr<Job> job = find_locked(id);
+    if (!job || job->terminal()) return false;
+    job->sinks.push_back(std::move(sink));
     return true;
 }
 
-std::optional<std::vector<flow::ScenarioRecord>> JobScheduler::records(
-    const std::string& id) const {
+std::optional<JobResults> JobScheduler::wait(const std::string& id) {
+    std::unique_lock lock(mu_);
+    const std::shared_ptr<Job> job = find_locked(id);
+    if (!job) return std::nullopt;
+    ++job->waiters;
+    terminal_cv_.wait(lock, [&] { return job->terminal(); });
+    --job->waiters;
+    JobResults out{status_locked(*job), job->records};
+    evict_locked();  // the pin may have held the job past the cap
+    return out;
+}
+
+std::optional<JobResults> JobScheduler::results(const std::string& id) const {
     std::lock_guard lock(mu_);
-    for (const auto& j : jobs_) {
-        if (j->id == id) return j->records;
+    if (const std::shared_ptr<Job> job = find_locked(id)) {
+        return JobResults{status_locked(*job), job->records};
     }
     return std::nullopt;
+}
+
+bool JobScheduler::evicted(const std::string& id) const {
+    if (id.size() < 2 || id[0] != 'j' || id[1] == '0') return false;
+    std::uint64_t n = 0;
+    const char* end = id.data() + id.size();
+    const auto [ptr, ec] = std::from_chars(id.data() + 1, end, n);
+    if (ec != std::errc() || ptr != end) return false;
+    std::lock_guard lock(mu_);
+    return n < next_id_ && !find_locked(id);
 }
 
 void JobScheduler::cancel_all() {

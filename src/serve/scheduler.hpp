@@ -15,6 +15,13 @@
 // job-progress counters (the serve sessions point these at client
 // sockets).  A sink detaching mid-run -- client disconnected -- is
 // harmless: emission just stops reaching it.
+//
+// Retention: the scheduler keeps at most kMaxRetainedJobs terminal jobs
+// and evicts the oldest one first, so a long-lived server's memory and
+// lookup cost stay bounded.  Queued and running jobs are never evicted,
+// nor is a job a wait() call is waiting on.  Between submit() and wait()
+// a finished job is evicted only once kMaxRetainedJobs newer jobs have
+// finished.
 
 #include <atomic>
 #include <condition_variable>
@@ -47,6 +54,13 @@ struct JobStatus {
     std::string records_hash;  ///< set once terminal
 };
 
+/// A job's status with its records, read under one lock.
+struct JobResults {
+    JobStatus status;
+    /// In input order; records of unfinished scenarios are placeholders.
+    std::vector<flow::ScenarioRecord> records;
+};
+
 struct SubmitOptions {
     /// Wall-clock budget for the whole job (0 = none).
     double timeout_s = 0.0;
@@ -56,6 +70,9 @@ struct SubmitOptions {
 
 class JobScheduler {
 public:
+    /// Terminal jobs kept for status and results queries.
+    static constexpr std::size_t kMaxRetainedJobs = 256;
+
     /// `workers` pool threads; `store` may be null (no stage caching).
     JobScheduler(int workers, flow::StageStore* store);
     /// Cancels everything still running and drains the pool.
@@ -65,7 +82,8 @@ public:
     std::string submit(std::vector<flow::Scenario> scenarios,
                        const SubmitOptions& options = {});
 
-    /// Flips the job's cancel token; false for unknown ids.  Idempotent.
+    /// Flips the job's cancel token; false for unknown and evicted ids.
+    /// Idempotent.
     bool cancel(const std::string& id);
 
     std::optional<JobStatus> status(const std::string& id) const;
@@ -75,13 +93,18 @@ public:
     /// (false).  Streams live until the job finishes.
     bool watch(const std::string& id, std::shared_ptr<obs::TraceSink> sink);
 
-    /// Blocks until the job is terminal; false for unknown ids.
-    bool wait(const std::string& id);
+    /// Blocks until the job is terminal and returns its results; empty
+    /// for unknown and evicted ids.  The job is not evicted while this
+    /// call waits, however many other jobs finish meanwhile.
+    std::optional<JobResults> wait(const std::string& id);
 
-    /// Records in input order; empty optional for unknown ids (records of
-    /// unfinished scenarios are placeholders -- call after wait()).
-    std::optional<std::vector<flow::ScenarioRecord>> records(
-        const std::string& id) const;
+    /// The job's results now, without waiting; empty for unknown and
+    /// evicted ids.
+    std::optional<JobResults> results(const std::string& id) const;
+
+    /// True for an id this scheduler issued ("jN", N below the next id)
+    /// whose job has since been evicted.
+    bool evicted(const std::string& id) const;
 
     /// Cancels every non-terminal job (shutdown path).
     void cancel_all();
@@ -101,6 +124,11 @@ private:
         double seconds = 0.0;
         std::string records_hash;
         std::vector<std::shared_ptr<obs::TraceSink>> sinks;
+        int waiters = 0;  ///< wait() calls in progress; pins the job
+
+        bool terminal() const {
+            return state == JobState::kDone || state == JobState::kCancelled;
+        }
     };
 
     void run_scenario_task(const std::shared_ptr<Job>& job, int index);
@@ -110,6 +138,9 @@ private:
     void emit_instant(const std::shared_ptr<Job>& job, const char* name,
                       report::Json args);
     JobStatus status_locked(const Job& job) const;
+    std::shared_ptr<Job> find_locked(const std::string& id) const;
+    /// Evicts the oldest unpinned terminal jobs beyond kMaxRetainedJobs.
+    void evict_locked();
 
     flow::StageStore* store_;
     mutable std::mutex mu_;

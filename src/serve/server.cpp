@@ -155,23 +155,30 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         *id = j->as_string();
         return true;
     };
-    const auto send_results = [&](const std::string& id) {
-        const std::optional<JobStatus> st = scheduler_->status(id);
-        const std::optional<std::vector<flow::ScenarioRecord>> records =
-            scheduler_->records(id);
-        if (!st || !records) {
-            socket.send_line(error_line("unknown job: " + id));
+    const auto no_job = [&](const std::string& id) {
+        socket.send_line(error_line(
+            scheduler_->evicted(id)
+                ? "job " + id + " was evicted: the server keeps the last " +
+                      std::to_string(JobScheduler::kMaxRetainedJobs) +
+                      " finished jobs"
+                : "unknown job: " + id));
+    };
+    const auto send_results = [&](const std::string& id,
+                                  const std::optional<JobResults>& res) {
+        if (!res) {
+            no_job(id);
             return;
         }
+        const JobStatus& st = res->status;
         report::Json j = report::Json::object();
         j.set("ok", true);
         j.set("op", "results");
         j.set("job", id);
-        j.set("state", std::string(job_state_name(st->state)));
-        j.set("records_hash", st->records_hash);
-        j.set("cache_hits", st->cache_hits);
-        j.set("seconds", st->seconds);
-        j.set("report", flow::batch_report(*records, st->seconds));
+        j.set("state", std::string(job_state_name(st.state)));
+        j.set("records_hash", st.records_hash);
+        j.set("cache_hits", st.cache_hits);
+        j.set("seconds", st.seconds);
+        j.set("report", flow::batch_report(res->records, st.seconds));
         socket.send_line(response_line(j));
     };
 
@@ -222,8 +229,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
                 scheduler_->watch(id, std::move(sink));
             }
         }
-        scheduler_->wait(id);
-        send_results(id);
+        send_results(id, scheduler_->wait(id));
         return true;
     }
     if (op == "status") {
@@ -234,7 +240,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         if (job_arg(&id)) {
             const std::optional<JobStatus> st = scheduler_->status(id);
             if (!st) {
-                socket.send_line(error_line("unknown job: " + id));
+                no_job(id);
                 return true;
             }
             report::Json arr = report::Json::array();
@@ -257,7 +263,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             socket.send_line(error_line("results needs a string \"job\""));
             return true;
         }
-        send_results(id);
+        send_results(id, scheduler_->results(id));
         return true;
     }
     if (op == "watch") {
@@ -267,7 +273,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             return true;
         }
         if (!scheduler_->status(id)) {
-            socket.send_line(error_line("unknown job: " + id));
+            no_job(id);
             return true;
         }
         report::Json ack = report::Json::object();
@@ -278,8 +284,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         if (std::shared_ptr<obs::TraceSink> sink = socket_sink(socket)) {
             scheduler_->watch(id, std::move(sink));  // no-op when terminal
         }
-        scheduler_->wait(id);
-        send_results(id);
+        send_results(id, scheduler_->wait(id));
         return true;
     }
     if (op == "cancel") {
@@ -289,7 +294,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             return true;
         }
         if (!scheduler_->cancel(id)) {
-            socket.send_line(error_line("unknown job: " + id));
+            no_job(id);
             return true;
         }
         const std::optional<JobStatus> st = scheduler_->status(id);

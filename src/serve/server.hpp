@@ -10,7 +10,8 @@
 // Failure containment, by construction:
 //   * a client disconnecting mid-stream only kills its FILE* writes (the
 //     socket is MSG_NOSIGNAL / SIGPIPE-ignored); the job keeps running and
-//     its results stay queryable from new connections;
+//     its results stay queryable from new connections until newer
+//     finished jobs evict it;
 //   * a cancelled job releases its pool slots at the next stage boundary;
 //   * a malformed request earns an error line, never a session exit.
 

@@ -263,17 +263,18 @@ TEST(AttackProof, ForgedClaimIsRejectedByTheReplayLayer) {
     EXPECT_FALSE(v.ok);
 }
 
-TEST(AttackProof, NeighborhoodQueriesStayVerifiable) {
-    // Neighborhood warm-up interleaves extra queries between the
-    // distinguishing inputs; the replay layer classifies ALL transcript
-    // entries as scripted warm-up, so the proof must still verify.
+TEST(AttackProof, RandomWarmupProofStaysVerifiable) {
+    // A warm-up block puts random patterns ahead of the distinguishing
+    // inputs; the replay layer classifies ALL transcript entries as
+    // scripted warm-up, so the proof of such a mixed transcript must still
+    // verify.
     flow::FlowParams p;
     p.ga.population = 8;
     p.ga.generations = 4;
     p.adversaries = {"cegar"};
     p.oracle.count_mode = attack::CountMode::kEnumerate;
     p.oracle.max_survivors = 256;
-    p.oracle.neighborhood_queries = 4;
+    p.oracle.random_warmup = 16;
     p.emit_proof = "unused.json";
     flow::ObfuscationFlow engine;
     const flow::FlowResult r =
@@ -281,6 +282,11 @@ TEST(AttackProof, NeighborhoodQueriesStayVerifiable) {
     ASSERT_TRUE(r.attack_proof.has_value());
     const AttackProof proof = AttackProof::from_json(
         report::Json::parse_strict(r.attack_proof->dump()));
+    // Both kinds of entry are in the transcript: 16 warm-up patterns,
+    // then at least one distinguishing input.
+    EXPECT_GT(proof.report.queries, 16);
+    EXPECT_EQ(proof.transcript.entries.size(),
+              static_cast<std::size_t>(proof.report.queries));
     const ProofVerification v = verify_proof(proof);
     EXPECT_TRUE(v.ok) << (v.failures.empty() ? "" : v.failures.front());
 }
@@ -291,14 +297,43 @@ TEST(AttackProof, EmitProofContradictionsAreRejectedAtTheAttackStage) {
     p.ga.generations = 4;
     p.adversaries = {"cegar"};
     p.emit_proof = "unused.json";
-    p.oracle.portfolio = 2;
+    p.replay_transcript = "unused-transcript.json";
     flow::ObfuscationFlow engine;
     const auto fns = flow::from_sboxes(sbox::present_viable_set(2));
     EXPECT_THROW(engine.run(fns, p), std::invalid_argument);
 
-    p.oracle.portfolio = 0;
+    p.replay_transcript.clear();
     p.adversaries = {"random-sampling"};
     EXPECT_THROW(engine.run(fns, p), std::invalid_argument);
+}
+
+TEST(AttackProof, ParallelCountingProofVerifiesWithSerialSurvivors) {
+    // attack_threads parallelizes only the survivor count, so a proof
+    // emitted with cube workers verifies chip-free (the verifier recounts
+    // serially) and claims the serial run's survivors.
+    flow::FlowParams p;
+    p.ga.population = 8;
+    p.ga.generations = 4;
+    p.adversaries = {"cegar"};
+    p.oracle.count_max_decisions = 2000;
+    p.oracle.max_survivors = 256;
+    p.oracle.attack_threads = 4;
+    p.emit_proof = "unused.json";
+    const auto fns = flow::from_sboxes(sbox::present_viable_set(2));
+    flow::ObfuscationFlow engine;
+    const flow::FlowResult r = engine.run(fns, p);
+    ASSERT_TRUE(r.attack_proof.has_value());
+    const AttackProof proof = AttackProof::from_json(
+        report::Json::parse_strict(r.attack_proof->dump()));
+    const ProofVerification v = verify_proof(proof);
+    EXPECT_TRUE(v.ok) << (v.failures.empty() ? "" : v.failures.front());
+
+    p.oracle.attack_threads = 1;
+    p.emit_proof.clear();
+    const flow::FlowResult serial = engine.run(fns, p);
+    ASSERT_EQ(serial.attack_reports.size(), 1u);
+    EXPECT_EQ(proof.report.survivors_str, serial.attack_reports[0].survivors_str);
+    EXPECT_EQ(proof.report.queries, serial.attack_reports[0].queries);
 }
 
 // --------------------------------------------------- check-report mirror --

@@ -820,9 +820,10 @@ TEST(ParallelCount, RandomCnfCubeSplitIsBitIdenticalToSerial) {
 
 TEST(ParallelCount, AttackCountsMatchSerialOnRandomNetlists) {
     // The attack-level differential the issue asks for: random camouflaged
-    // netlists, widths 2-6 x densities x threads {1, 2, 8}.  portfolio=1
-    // pins the serial CEGAR loop, so both runs count the identical
-    // constraint set and the survivor figures must match bit for bit.
+    // netlists, widths 2-6 x densities x threads {1, 2, 8}.  The CEGAR
+    // loop is serial at every thread count, so both runs count the
+    // identical constraint set and the survivor figures must match bit
+    // for bit.
     const CamoLibrary lib = standard_camo_library();
     int cases = 0;
     for (int pis = 2; pis <= 6; ++pis) {
@@ -855,7 +856,6 @@ TEST(ParallelCount, AttackCountsMatchSerialOnRandomNetlists) {
                 for (const int threads : {2, 8}) {
                     OracleAttackParams parallel = serial;
                     parallel.attack_threads = threads;
-                    parallel.portfolio = 1;  // serial CEGAR, cube counting
                     SimOracle oracle_p(nl, hidden);
                     const OracleAttackResult rp =
                         attack::oracle_attack(nl, oracle_p, parallel);

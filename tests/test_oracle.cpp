@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "attack/adversary.hpp"
@@ -694,7 +696,14 @@ TEST(FlowOracle, QueryBudgetSurfacesInAdversaryReport) {
 
 TEST(FlowOracle, TranscriptSaveThenReplayReproducesReport) {
     const std::string path = testing::TempDir() + "mvf_oracle_transcript.json";
+    const std::string again = testing::TempDir() + "mvf_oracle_replayed.json";
     const auto fns = flow::from_sboxes(sbox::present_viable_set(2));
+    const auto load = [](const std::string& file) {
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return OracleTranscript::from_json(report::Json::parse(text.str()));
+    };
 
     flow::FlowParams params = tiny_flow_params(5);
     params.adversaries = {"cegar"};
@@ -707,6 +716,7 @@ TEST(FlowOracle, TranscriptSaveThenReplayReproducesReport) {
     flow::FlowParams replay_params = tiny_flow_params(5);
     replay_params.adversaries = {"cegar"};
     replay_params.replay_transcript = path;
+    replay_params.save_transcript = again;
     flow::ObfuscationFlow engine2;
     const flow::FlowResult replayed = engine2.run(fns, replay_params);
     ASSERT_EQ(replayed.attack_reports.size(), 1u);
@@ -717,19 +727,23 @@ TEST(FlowOracle, TranscriptSaveThenReplayReproducesReport) {
     EXPECT_EQ(a.outcome, b.outcome);
     EXPECT_EQ(a.survivors, b.survivors);
     EXPECT_EQ(a.survivors_str, b.survivors_str);
-    ASSERT_TRUE(replayed.oracle_attack.has_value());
-    EXPECT_EQ(replayed.oracle_attack->distinguishing_inputs,
-              live.oracle_attack->distinguishing_inputs);
+    // The replay re-issued the live query sequence, pattern for pattern.
+    const OracleTranscript live_queries = load(path);
+    const OracleTranscript replayed_queries = load(again);
+    ASSERT_EQ(live_queries.entries.size(),
+              static_cast<std::size_t>(a.queries));
+    EXPECT_TRUE(replayed_queries.entries == live_queries.entries);
     std::remove(path.c_str());
+    std::remove(again.c_str());
 }
 
 // -------------------------------------------- concurrent decorator stacks
 
 TEST(OracleDecorators, SharedStackAnswersCorrectlyUnderConcurrentQueries) {
-    // The thread-safety regression (exercised under TSan in CI): a
-    // portfolio shares ONE counting/caching stack over one chip, so
-    // concurrent scalar and block queries must neither race nor corrupt
-    // answers or accounting.
+    // The thread-safety regression (exercised under TSan in CI): threads
+    // sharing ONE counting/caching stack over one chip must neither race
+    // nor corrupt answers or accounting with concurrent scalar and block
+    // queries.
     const CamoLibrary lib = standard_camo_library();
     util::Rng rng(211);
     const CamoNetlist nl = attack::random_camo_netlist(lib, 6, 2, 10, rng);

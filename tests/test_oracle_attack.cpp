@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/adversary.hpp"
 #include "attack/oracle_attack.hpp"
 #include "attack/plausibility.hpp"
 #include "attack/random_camo.hpp"
@@ -188,133 +189,74 @@ TEST(OracleAttack, FlowIntegrationReportsAttack) {
     params.ga.population = 6;
     params.ga.generations = 2;
     params.run_random_baseline = false;
-    params.run_oracle_attack = true;
+    params.adversaries = {"cegar"};
+    // Capped enumeration: this flow netlist is dense, so the exact counter
+    // would spend its whole decision budget before falling back to it.
+    params.oracle.count_mode = CountMode::kEnumerate;
     params.oracle.max_survivors = 1u << 10;
     params.seed = 9;
     const auto fns = flow::from_sboxes(sbox::present_viable_set(2));
     const flow::FlowResult r = obfuscator.run(fns, params);
-    ASSERT_TRUE(r.oracle_attack.has_value());
+    ASSERT_EQ(r.attack_reports.size(), 1u);
     ASSERT_TRUE(r.camouflaged.has_value());
-    ASSERT_NE(r.oracle_attack->status,
-              OracleAttackResult::Status::kNoSurvivor);
-    ASSERT_FALSE(r.oracle_attack->witness_config.empty());
+    const AdversaryReport& report = r.attack_reports[0];
+    EXPECT_EQ(report.adversary, "cegar");
+
+    // The same attack run directly on the camouflaged netlist reproduces
+    // the flow's report and yields a witness configuration.
+    CegarAdversary cegar(params.oracle);
+    SimOracle oracle(*r.camouflaged, r.camouflaged->configuration_for_code(0));
+    const AdversaryReport direct = cegar.attack(*r.camouflaged, &oracle);
+    EXPECT_EQ(direct.outcome, report.outcome);
+    EXPECT_EQ(direct.queries, report.queries);
+    EXPECT_EQ(direct.survivors_str, report.survivors_str);
+    ASSERT_TRUE(cegar.last_result().has_value());
+    const OracleAttackResult& res = *cegar.last_result();
+    ASSERT_NE(res.status, OracleAttackResult::Status::kNoSurvivor);
+    ASSERT_FALSE(res.witness_config.empty());
     // The recovered function is viable function 0 (select code 0).
     const flow::MergedSpec spec(fns, r.ga.best);
     const auto expected = spec.expected_outputs_for_code(0);
-    const auto got =
-        sim::simulate_camo_full(*r.camouflaged, r.oracle_attack->witness_config);
+    const auto got = sim::simulate_camo_full(*r.camouflaged, res.witness_config);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t q = 0; q < got.size(); ++q) EXPECT_EQ(got[q], expected[q]);
 }
 
-// ----------------------------------------------------- portfolio CEGAR --
-
-TEST(OracleAttack, PortfolioMatchesSerialSurvivors) {
-    // N diversified members racing on one netlist: whichever member's
-    // UNSAT proof wins, the convergent constraint set pins the same
-    // function, so the survivor figures must equal the serial attack's.
+TEST(OracleAttack, AttackThreadsKeepTheSerialCegarTrajectory) {
+    // attack_threads only parallelizes the survivor count: the CEGAR loop
+    // stays serial, so the whole trajectory -- not just the count -- must
+    // match the attack_threads = 1 run.
     const CamoLibrary lib = standard_camo_library();
-    for (const std::uint64_t seed : {3u, 19u}) {
-        util::Rng rng(seed);
-        const CamoNetlist nl = attack::random_camo_netlist(lib, 6, 2, 10, rng);
+    struct Case {
+        std::uint64_t seed;
+        int pis, cells, warmup;
+    };
+    for (const Case c :
+         {Case{59, 5, 9, 0}, Case{3, 6, 10, 6}, Case{19, 6, 10, 6}}) {
+        util::Rng rng(c.seed);
+        const CamoNetlist nl =
+            attack::random_camo_netlist(lib, c.pis, 2, c.cells, rng);
         const std::vector<int> hidden = nl.configuration_for_code(0);
 
         OracleAttackParams serial;
-        serial.random_warmup = 6;
-        SimOracle oracle_s(nl, hidden);
-        const OracleAttackResult rs = oracle_attack(nl, oracle_s, serial);
-        ASSERT_TRUE(rs.solved()) << "seed " << seed;
-        EXPECT_EQ(rs.winner, -1) << "seed " << seed;  // serial: no race ran
+        serial.random_warmup = c.warmup;
+        SimOracle oracle_a(nl, hidden);
+        const OracleAttackResult a = oracle_attack(nl, oracle_a, serial);
+        ASSERT_TRUE(a.solved()) << "seed " << c.seed;
 
-        OracleAttackParams portfolio = serial;
-        portfolio.attack_threads = 4;  // the one knob: 4 members
-        SimOracle oracle_p(nl, hidden);
-        const OracleAttackResult rp = oracle_attack(nl, oracle_p, portfolio);
-        ASSERT_TRUE(rp.solved()) << "seed " << seed;
-        EXPECT_GE(rp.winner, 0) << "seed " << seed;
-        EXPECT_LT(rp.winner, 4) << "seed " << seed;
-        EXPECT_EQ(rp.surviving_configs, rs.surviving_configs)
-            << "seed " << seed;
-        EXPECT_EQ(rp.survivors.to_string(), rs.survivors.to_string())
-            << "seed " << seed;
-        ASSERT_FALSE(rp.witness_config.empty()) << "seed " << seed;
-        EXPECT_EQ(sim::simulate_camo_full(nl, rp.witness_config),
-                  sim::simulate_camo_full(nl, hidden))
-            << "seed " << seed;
-        // The winner's transcript covers everything the result accounts.
-        EXPECT_EQ(static_cast<int>(rp.winner_transcript.entries.size()),
-                  rp.queries + rp.warmup_queries)
-            << "seed " << seed;
+        OracleAttackParams threaded = serial;
+        threaded.attack_threads = 4;
+        SimOracle oracle_b(nl, hidden);
+        const OracleAttackResult b = oracle_attack(nl, oracle_b, threaded);
+
+        const std::string tag = "seed " + std::to_string(c.seed);
+        EXPECT_EQ(b.status, a.status) << tag;
+        EXPECT_EQ(b.queries, a.queries) << tag;
+        EXPECT_EQ(b.warmup_queries, a.warmup_queries) << tag;
+        EXPECT_EQ(b.distinguishing_inputs, a.distinguishing_inputs) << tag;
+        EXPECT_EQ(b.surviving_configs, a.surviving_configs) << tag;
+        EXPECT_EQ(b.survivors.to_string(), a.survivors.to_string()) << tag;
     }
-}
-
-TEST(OracleAttack, PortfolioWinnerTranscriptReplaysBitIdentically) {
-    // The replay acceptance gate: feed the winner's transcript back
-    // through a chip-free TranscriptOracle with the SAME params (replay
-    // always takes the serial path) and demand a bit-identical result --
-    // same query counts, same distinguishing sequence, same survivors.
-    const CamoLibrary lib = standard_camo_library();
-    for (const std::uint64_t seed : {7u, 23u}) {
-        util::Rng rng(seed * 131 + 5);
-        const CamoNetlist nl = attack::random_camo_netlist(lib, 6, 2, 11, rng);
-        const std::vector<int> hidden = nl.configuration_for_code(0);
-
-        OracleAttackParams params;
-        params.random_warmup = 8;
-        params.attack_threads = 4;
-        // The subject is the transcript, not the counting backend: pin the
-        // cheap capped enumeration so a large selector space cannot turn
-        // this into a counting benchmark.
-        params.count_mode = CountMode::kEnumerate;
-        params.max_survivors = 1u << 12;
-        SimOracle chip(nl, hidden);
-        const OracleAttackResult live = oracle_attack(nl, chip, params);
-        ASSERT_TRUE(live.solved() ||
-                    live.status == OracleAttackResult::Status::kSurvivorLimit)
-            << "seed " << seed;
-        ASSERT_GE(live.winner, 0) << "seed " << seed;
-        ASSERT_FALSE(live.winner_transcript.entries.empty()) << "seed " << seed;
-
-        TranscriptOracle replayer(live.winner_transcript);
-        const OracleAttackResult replayed =
-            oracle_attack(nl, replayer, params);
-        const std::string tag = "seed " + std::to_string(seed);
-        EXPECT_EQ(replayed.winner, -1) << tag;  // replay is serial
-        EXPECT_EQ(replayed.status, live.status) << tag;
-        EXPECT_EQ(replayed.queries, live.queries) << tag;
-        EXPECT_EQ(replayed.warmup_queries, live.warmup_queries) << tag;
-        EXPECT_EQ(replayed.distinguishing_inputs, live.distinguishing_inputs)
-            << tag;
-        EXPECT_EQ(replayed.surviving_configs, live.surviving_configs) << tag;
-        EXPECT_EQ(replayed.survivors.to_string(), live.survivors.to_string())
-            << tag;
-    }
-}
-
-TEST(OracleAttack, PortfolioForcedSerialStaysBitIdenticalToDefault) {
-    // portfolio=1 pins the serial CEGAR loop regardless of attack_threads
-    // (which then only parallelizes the survivor count), so the whole
-    // trajectory -- not just the count -- must match the default serially.
-    const CamoLibrary lib = standard_camo_library();
-    util::Rng rng(59);
-    const CamoNetlist nl = attack::random_camo_netlist(lib, 5, 2, 9, rng);
-    const std::vector<int> hidden = nl.configuration_for_code(0);
-
-    SimOracle oracle_a(nl, hidden);
-    const OracleAttackResult a = oracle_attack(nl, oracle_a, {});
-
-    OracleAttackParams forced;
-    forced.attack_threads = 4;
-    forced.portfolio = 1;
-    SimOracle oracle_b(nl, hidden);
-    const OracleAttackResult b = oracle_attack(nl, oracle_b, forced);
-
-    EXPECT_EQ(b.status, a.status);
-    EXPECT_EQ(b.winner, -1);
-    EXPECT_EQ(b.queries, a.queries);
-    EXPECT_EQ(b.distinguishing_inputs, a.distinguishing_inputs);
-    EXPECT_EQ(b.surviving_configs, a.surviving_configs);
-    EXPECT_EQ(b.survivors.to_string(), a.survivors.to_string());
 }
 
 TEST(OracleAttack, AgreesWithIsPlausibleOnRecoveredFunction) {

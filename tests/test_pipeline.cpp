@@ -52,14 +52,16 @@ void expect_identical_results(const FlowResult& a, const FlowResult& b) {
         EXPECT_EQ(a.camouflaged->num_cells(), b.camouflaged->num_cells());
         EXPECT_EQ(a.camouflaged->num_pis(), b.camouflaged->num_pis());
     }
-    ASSERT_EQ(a.oracle_attack.has_value(), b.oracle_attack.has_value());
-    if (a.oracle_attack) {
-        EXPECT_EQ(a.oracle_attack->status, b.oracle_attack->status);
-        EXPECT_EQ(a.oracle_attack->queries, b.oracle_attack->queries);
-        EXPECT_EQ(a.oracle_attack->surviving_configs,
-                  b.oracle_attack->surviving_configs);
-        EXPECT_EQ(a.oracle_attack->distinguishing_inputs,
-                  b.oracle_attack->distinguishing_inputs);
+    ASSERT_EQ(a.attack_reports.size(), b.attack_reports.size());
+    for (std::size_t i = 0; i < a.attack_reports.size(); ++i) {
+        const attack::AdversaryReport& x = a.attack_reports[i];
+        const attack::AdversaryReport& y = b.attack_reports[i];
+        EXPECT_EQ(x.adversary, y.adversary);
+        EXPECT_EQ(x.outcome, y.outcome);
+        EXPECT_EQ(x.queries, y.queries);
+        EXPECT_EQ(x.survivors_str, y.survivors_str);
+        EXPECT_EQ(x.sat.conflicts, y.sat.conflicts);
+        EXPECT_EQ(x.oracle, y.oracle);
     }
 }
 
@@ -69,7 +71,7 @@ TEST(Pipeline, StagedRunMatchesObfuscationFlowRun) {
     // sides so the comparison is cache-state independent).
     const auto fns = from_sboxes(sbox::present_viable_set(2));
     FlowParams params = tiny_params(21);
-    params.run_oracle_attack = true;
+    params.adversaries = {"cegar"};
     // Capped legacy counting: these flow netlists are dense, so the
     // default exact counter would just burn its budget and fall back.
     params.oracle.count_mode = attack::CountMode::kEnumerate;
@@ -95,7 +97,7 @@ TEST(Pipeline, StagedRunMatchesObfuscationFlowRun) {
 
 TEST(Pipeline, StandardPipelineStagesFollowParams) {
     FlowParams all = tiny_params();
-    all.run_oracle_attack = true;
+    all.adversaries = {"cegar"};
     const Pipeline p1 = Pipeline::standard(all);
     ASSERT_EQ(p1.num_stages(), 5);
     EXPECT_EQ(p1.stage(0).name(), "pin-search");
@@ -198,14 +200,14 @@ TEST(Pipeline, SynthesizeStageStandaloneUsesIdentityAssignment) {
               ga::PinAssignment::identity(2, 4, 4));
 }
 
-// Regression for the old silent path: run_oracle_attack=true with
-// run_camo_mapping=false used to return a FlowResult whose oracle_attack
-// was quietly absent; the attack stage now fails fast with a diagnostic.
+// Regression for the old silent path: an attack with
+// run_camo_mapping=false used to return a FlowResult without the attack's
+// result; the attack stage now fails fast with a diagnostic.
 TEST(Pipeline, AttackWithoutCamoMappingFailsFast) {
     const auto fns = from_sboxes(sbox::present_viable_set(2));
     FlowParams params = tiny_params(9);
     params.run_camo_mapping = false;
-    params.run_oracle_attack = true;
+    params.adversaries = {"cegar"};
     ObfuscationFlow engine;
     EXPECT_THROW(engine.run(fns, params), std::invalid_argument);
 }
@@ -221,23 +223,6 @@ TEST(Pipeline, AttackStageRunsRequestedAdversarySubset) {
     // The paper's defense: no viable function can be ruled out.
     EXPECT_FALSE(r.attack_reports[0].success);
     EXPECT_EQ(r.attack_reports[0].survivors, 2u);
-    // No CEGAR adversary ran, so the legacy field stays empty.
-    EXPECT_FALSE(r.oracle_attack.has_value());
-}
-
-TEST(Pipeline, LegacyOracleAttackFlagStillPopulatesTypedResult) {
-    const auto fns = from_sboxes(sbox::present_viable_set(2));
-    FlowParams params = tiny_params(13);
-    params.run_oracle_attack = true;
-    params.oracle.count_mode = attack::CountMode::kEnumerate;
-    params.oracle.max_survivors = 32;
-    ObfuscationFlow engine;
-    const FlowResult r = engine.run(fns, params);
-    ASSERT_EQ(r.attack_reports.size(), 1u);
-    EXPECT_EQ(r.attack_reports[0].adversary, "cegar");
-    ASSERT_TRUE(r.oracle_attack.has_value());
-    EXPECT_EQ(r.attack_reports[0].queries, r.oracle_attack->queries);
-    EXPECT_EQ(r.attack_reports[0].survivors, r.oracle_attack->surviving_configs);
 }
 
 TEST(Pipeline, UnknownAdversaryNameIsDiagnosed) {
@@ -484,36 +469,25 @@ TEST(BatchRunner, SpecOracleModelKeysParseAndContradict) {
 TEST(BatchRunner, SpecParallelKeysParseAndContradict) {
     const std::vector<Scenario> ok = parse_scenario_spec(
         "funcs=present:2 attack_threads=4 cube_vars=3\n"
-        "funcs=present:2 portfolio=2\n"
-        "funcs=present:2 attack_threads=8 portfolio=1\n");
-    ASSERT_EQ(ok.size(), 3u);
+        "funcs=present:2 attack_threads=8\n");
+    ASSERT_EQ(ok.size(), 2u);
     EXPECT_EQ(ok[0].params.oracle.attack_threads, 4);
     EXPECT_EQ(ok[0].params.oracle.cube_vars, 3);
-    EXPECT_EQ(ok[0].params.oracle.portfolio, 0);  // default: follow threads
-    EXPECT_EQ(ok[1].params.oracle.portfolio, 2);
-    EXPECT_EQ(ok[1].params.oracle.attack_threads, 1);
-    EXPECT_EQ(ok[2].params.oracle.attack_threads, 8);
-    EXPECT_EQ(ok[2].params.oracle.portfolio, 1);  // forced-serial CEGAR
+    EXPECT_EQ(ok[1].params.oracle.attack_threads, 8);
+    EXPECT_EQ(ok[1].params.oracle.cube_vars, 0);  // default: auto
     // The runtime pool pointer is plumbing, never spec state.
     EXPECT_EQ(ok[0].params.oracle.pool, nullptr);
 
     EXPECT_THROW(parse_scenario_spec("funcs=present:2 attack_threads=0\n"),
                  std::invalid_argument);
-    EXPECT_THROW(parse_scenario_spec("funcs=present:2 portfolio=-1\n"),
-                 std::invalid_argument);
     EXPECT_THROW(parse_scenario_spec("funcs=present:2 cube_vars=17\n"),
                  std::invalid_argument);
-    // Racing members over one recorded transcript is contradictory.
-    EXPECT_THROW(
-        parse_scenario_spec(
-            "funcs=present:2 replay_transcript=t.json portfolio=2\n"),
-        std::invalid_argument);
 }
 
 TEST(BatchRunner, ParallelJobsWithParallelAttacksComplete) {
     // The nested-submission deadlock regression at the flow level:
     // `--jobs 2` scenario workers whose attacks themselves fan out onto
-    // the SAME pool (portfolio members + cube workers).  Before the
+    // the SAME pool (cube workers of the exact count).  Before the
     // helping-wait fix this deadlocked once every pool worker blocked on
     // subtask futures.  Completion plus serial-equal attack results is the
     // whole assertion.
@@ -525,12 +499,12 @@ TEST(BatchRunner, ParallelJobsWithParallelAttacksComplete) {
         s.params.ga.population = 6;
         s.params.ga.generations = 2;
         s.params.adversaries = {"cegar"};
-        // Capped legacy counting: these flow netlists are dense, so the
-        // default exact counter would just burn its budget and fall back.
-        s.params.oracle.count_mode = attack::CountMode::kEnumerate;
+        // These flow netlists are dense: the exact counter spends its
+        // decision budget on cube workers and falls back to the capped
+        // enumeration, so every scenario ends at the cap.
+        s.params.oracle.count_max_decisions = 2000;
         s.params.oracle.max_survivors = 64;
         s.params.oracle.attack_threads = 2;
-        if (i % 2 == 1) s.params.oracle.portfolio = 2;
         scenarios.push_back(std::move(s));
     }
 
@@ -553,10 +527,7 @@ TEST(BatchRunner, ParallelJobsWithParallelAttacksComplete) {
     // Survivor figures are schedule-invariant: a serial rerun of the same
     // scenarios (attack parallelism off) reports the same counts.
     std::vector<Scenario> serial_scenarios = scenarios;
-    for (Scenario& s : serial_scenarios) {
-        s.params.oracle.attack_threads = 1;
-        s.params.oracle.portfolio = 0;
-    }
+    for (Scenario& s : serial_scenarios) s.params.oracle.attack_threads = 1;
     const std::vector<ScenarioRecord> serial_records =
         BatchRunner().run(serial_scenarios);
     ASSERT_EQ(serial_records.size(), records.size());

@@ -75,266 +75,257 @@ struct Golden {
 // Recorded by running this corpus against the library before the table
 // replaced the hand-written parsers and subsets: the example specs, the
 // serve-resubmit lines, and one scenario per row with a non-default value
-// on each chain the row applies to.
+// on each chain the row applies to.  The spec_hash and attack-stage
+// columns were re-recorded when the portfolio, neighborhood_queries and
+// run_oracle_attack leaves left the canonical form; no pre-attack column
+// changed.
 const Golden kGolden[] = {
-    {"name=audit-present2 funcs=present:2 seed=3 population=8 generations=3 attack=cegar max_survivors=64 neighborhood_queries=4 emit_proof=audit-proof.json", "",
-     "db613b5bd1309870 - - - - -"},
+    {"name=audit-present2 funcs=present:2 seed=3 population=8 generations=3 attack=cegar max_survivors=64 random_warmup=8 emit_proof=audit-proof.json", "",
+     "bfbba61cbd031bb1 - - - - -"},
     {"name=c17-bench circuit=@ seed=1 camo_density=0.4 attack=cegar,random-sampling", "",
-     "8b5b54715a390c32 beaef8af1a320615 da71bc9be3542304 deb4a423b444d01a"},
+     "e630e8affdd26441 beaef8af1a320615 da71bc9be3542304 90e96c07c755911f"},
     {"name=c17-blif circuit=@ seed=1 camo_density=0.4 attack=cegar", "",
-     "1f53f326510be083 beaef8af1a320615 da71bc9be3542304 c73be280d69c13fd"},
+     "72314f9cbe8262ee beaef8af1a320615 da71bc9be3542304 6fe6f7f61f8189ee"},
     {"name=rca4 circuit=@ seed=2 camo_cells=3 camo_policy=fanout attack=cegar max_survivors=256", "",
-     "98d9951460227a7a beaef8af1a320615 810981beddf307c1 9d71e99f94bbca2f"},
+     "522741a87021e251 beaef8af1a320615 810981beddf307c1 a4cc5a10b94614f2"},
     {"name=maj3 circuit=@ seed=3 camo_density=1.0 camo_seed=7 camo_policy=depth attack=cegar count_mode=exact", "",
-     "081efa52c1b4b09d beaef8af1a320615 23cf1f67af4e344c ff99024b2bbf269d"},
+     "401d0ef18a3b6dd2 beaef8af1a320615 23cf1f67af4e344c a6f7f6e9e3ebf2c0"},
     {"name=smoke-present2 funcs=present:2 seed=1 population=8 generations=3 attack=cegar,plausibility max_survivors=64 oracle_cache=1 random_warmup=8", "",
-     "ae70ed2d3fb0e5ca deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 bbd09e0c5098fad0"},
+     "2f3b4ce22a578747 deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 e8ca4ffbdcaa5f4f"},
     {"name=smoke-des2 funcs=des:2 seed=2 population=6 generations=2 attack=plausibility", "",
-     "53756e819a687118 b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 337e84261e4a5d9b"},
+     "dc12ff6cd311789b b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 72c69de80511dd12"},
     {"funcs=present:2 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "16d89a4f27b7d62b 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 8571cf636476f76b"},
+     "c6bf9816f856823c 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
     {"funcs=present:2 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "24d8811c4bef5468 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 8571cf636476f76b"},
+     "49892c03421497ef 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
     {"funcs=present:2 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "83e8106e76b0d1f1 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 8571cf636476f76b"},
+     "624ea27e4ea0c746 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
     {"funcs=present:4 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "75c4870ee0b8df05 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 937db6d701944aa9"},
+     "32563262e3dc1b76 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
     {"funcs=present:4 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "86c7d664347d1cc6 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 937db6d701944aa9"},
+     "5c8e807fdb9211b5 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
     {"funcs=present:4 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "6e025fe927f0ed6f 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 937db6d701944aa9"},
+     "0225d5b530f105ac 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
     {"funcs=present:8 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "7b8bcf1e634e8531 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 77e20438b5ff64ad"},
+     "181e3fd0cac89042 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 03361593ce345a18"},
     {"funcs=present:8 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "6c6bfb1f1bad3022 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 77e20438b5ff64ad"},
+     "6a24af62238b89d1 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 03361593ce345a18"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility", "",
-     "941a7c5883dd6736 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 30027fbf8f511850"},
+     "50207f5cf1fc1b59 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 6393b939c695e7d9"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility query_budget=1000", "",
-     "84ff5d45acae0ead c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 295deb69395f8d8d"},
+     "46d5a92e679fb8c4 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 71f0dba61fee2322"},
     {"funcs=present:2", "",
-     "dcf19aaed313299f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 34abb5b82f5771f7"},
+     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
     {"funcs=present:2 funcs=des:3", "",
-     "af0578bc57d0e4e1 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 05ba6a785bb1b91d"},
+     "bb5083eb5896ced4 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df f8b9c7fd327e6606"},
     {"funcs=present:2 population=9", "",
-     "d755f01da638dae4 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 0aa86b7df30a14d6"},
+     "06d2cec5db8ab1a3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c f36f85922e661a13"},
     {"funcs=present:2 pop=9", "",
-     "d755f01da638dae4 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 0aa86b7df30a14d6"},
+     "06d2cec5db8ab1a3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c f36f85922e661a13"},
     {"funcs=present:2 generations=5", "",
-     "7a81b458ac9700b2 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba d6e4d68712b97b08"},
+     "3aac8c48d5dd345d 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 6142f46ea4aee191"},
     {"funcs=present:2 gens=5", "",
-     "7a81b458ac9700b2 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba d6e4d68712b97b08"},
+     "3aac8c48d5dd345d 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 6142f46ea4aee191"},
     {"funcs=present:2 baseline=0", "",
-     "91f3b5f7aa8e2490 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 06e1b3b1f4e7ae3a"},
+     "e69f8ca377b39483 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 243d328e456e6b73"},
     {"funcs=present:2 final_best=0", "",
-     "14770e9f39434020 c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 f49ca64b0d3d06ca"},
+     "85bd1b6475ccff27 c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 16a2d932a3621faf"},
     {"funcs=present:2 verify=0", "",
-     "6ebf5007d8e9b10a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 683f596f8d0409c2"},
+     "622d411ca450f809 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e98a0b8bd9c70b57"},
     {"funcs=present:2 name=golden", "",
-     "dcf19aaed313299f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 34abb5b82f5771f7"},
+     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
     {"funcs=present:2 seed=42", "",
-     "9406b6c74c502938 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 34abb5b82f5771f7"},
+     "608059bdc85214cf c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
     {"funcs=present:2 camo=0", "",
-     "f85877f511e12f48 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c6ff9a8100f72842"},
+     "40f6855a19bff81f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3a31d994fceb3977"},
     {"funcs=present:2 attack=cegar", "",
-     "e1a4dbbf73f6a23f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12363fd945d0f617"},
+     "a8c898aebef1a35a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f36539fb28f556e0"},
     {"funcs=present:2 attack=none", "",
-     "dcf19aaed313299f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 34abb5b82f5771f7"},
+     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
     {"funcs=present:2 count_mode=approx", "",
-     "46382dbf0bcf53f4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7cf7ec9a36143d26"},
+     "8ae60c2d3441cad3 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e7c2fea9687b6203"},
     {"funcs=present:2 count_mode=enumerate", "",
-     "66bde28524b26caa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0795ecc8ac069db0"},
+     "a27563e25e49c3e9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9e28d2a91cf2b555"},
     {"funcs=present:2 count_cache_mb=16", "",
-     "1c148ede7a776790 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4b57f1f4d34dbf3a"},
+     "e8a609d781fa85f7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 df5229713b8961ff"},
     {"funcs=present:2 count_max_decisions=5000", "",
-     "3d69775779b4cc13 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6c687c3c4ec0b5c3"},
+     "69dc9e7cf102afe6 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 2f6986e6e79580d4"},
     {"funcs=present:2 count_mode=approx epsilon=0.5", "",
-     "81396c103ad1b909 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 456a875344d7e5f5"},
+     "11504889f136d1ec c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4b53fdd4f8a286ce"},
     {"funcs=present:2 count_mode=approx delta=0.1", "",
-     "96afaad602c46a45 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 96062d60de258f69"},
+     "392f7cc407ef9400 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b715b5428e7a89aa"},
     {"funcs=present:2 max_survivors=99", "",
-     "1a79ad4029338fd9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7d0aa90876a61d05"},
+     "f8a8a9139fe8a9dc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6af4690b91d7477e"},
     {"funcs=present:2 enum_survivors=0", "",
-     "ed654441a817cc9a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 ff5fddb4dd397ea0"},
+     "a70448e9a4e10c79 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 dcfb659fb1331525"},
     {"funcs=present:2 preprocess=0", "",
-     "a9fd650b8747bbbc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 40e6ffb7be01a9de"},
+     "6cf03698f6b2b6cb c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24a01ba6c6bf268b"},
     {"funcs=present:2 shared_miter=0", "",
-     "de4f1324912cd51e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 aae6fdc917679b5c"},
+     "7d45c991cbf3c14d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 379706d187ed4281"},
     {"funcs=present:2 canonical_inputs=1", "",
-     "8c14170b20d78a92 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 84fd91f6738c8ae8"},
+     "6c252c04cac6e151 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c18f97a5a8b71e4d"},
     {"funcs=present:2 attack_threads=4", "",
-     "2770dc7f0ba83a94 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4d65337d8b312346"},
-    {"funcs=present:2 portfolio=2", "",
-     "36da1259ca249639 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c596f5ba848e3c65"},
+     "97991d43e9340a33 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b13488752700d363"},
     {"funcs=present:2 cube_vars=3", "",
-     "517040c0541ccb5a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 22c8f5e4c3228ee0"},
+     "f4831b351e5f4639 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d2a59d562d7ecc65"},
     {"funcs=present:2 query_budget=64", "",
-     "2c22974a03d50a1f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 8fa2a70fa7ec1f77"},
+     "c9096541e41988d4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 aa0ce9a1ecb00406"},
     {"funcs=present:2 oracle_noise=0.05", "",
-     "5b2be1e714894c8b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 20314c5312288fcb"},
+     "f825bfe6351a2dcc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6bd4204a9ff0e72e"},
     {"funcs=present:2 oracle_cache=1", "",
-     "76ad4f9df14f80b8 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b642cb448935e432"},
+     "38b9845edac51eb7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3b8b5b080621db3f"},
     {"funcs=present:2 save_transcript=t.json", "",
-     "dcf19aaed313299f - - - - -"},
+     "32bba357d34e37fa - - - - -"},
     {"funcs=present:2 replay_transcript=t.json", "",
-     "ef19940616bf679f - - - - -"},
+     "4e75d564b65df73a - - - - -"},
     {"funcs=present:2 attack=cegar emit_proof=p.json", "",
-     "e1a4dbbf73f6a23f - - - - -"},
+     "a8c898aebef1a35a - - - - -"},
     {"funcs=present:2 random_warmup=32", "",
-     "07efa97cbd145272 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 fbc27f0108438548"},
-    {"funcs=present:2 neighborhood_queries=4", "",
-     "03e4953637ed9e9b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 bf08f3cfd52bf99b"},
+     "1e3efdbcb0a50f89 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 536974700f9c0575"},
     {"funcs=present:2 random_queries=64", "",
-     "947eb55106d5976a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 25c6e065424171f0"},
+     "45f52f9da1ce3e85 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12ddc15277b35d29"},
     {"funcs=present:2 metrics=1", "",
-     "73e4ab32aa4481f4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 786516f7eaa81726"},
+     "9fe33597f9bae4d3 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1b36557311292003"},
     {"funcs=present:2", "elim_occ=16",
-     "57a6c30f4619098d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0f1efa2a1760b941"},
+     "4cb6b71cd8626cd0 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4193f7aae5b3c2fa"},
     {"funcs=present:2", "elim_growth=4",
-     "98eb8cfe4df3295b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 a3898e9aa81cd1db"},
+     "8de1fbb5a643973e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 469e4372a25576fc"},
     {"funcs=present:2", "map.cut_max_leaves=3",
-     "897c0d2d3af7b11c 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c e26a8c7d253f6c3e"},
+     "0f8ed26fadaf4051 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c bb01ffaec775234d"},
     {"funcs=present:2", "map.cut_max_cuts_per_node=6",
-     "f669df85d3ddf085 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 de4f84d6eca32329"},
+     "948f816607eaa84c 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 1147166f3af7d2ae"},
     {"funcs=present:2", "map.cut_include_trivial=0",
-     "8e320f734fecbcfc ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c a288b90f773c189e"},
+     "08f7d6721eb4bf57 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 0fe44e3cf722f8df"},
     {"funcs=present:2", "map.recovery_iterations=2",
-     "2b101f387a1228c4 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 9b8d20fa639c47b6"},
-    {"funcs=present:2", "attack.run_oracle_attack=1",
-     "540618960828e9a8 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 35ca1509632a1da2"},
+     "91cf60c43fc24b09 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 290273e692ff4bf5"},
     {"funcs=present:2", "attack.oracle.count_seed=5",
-     "ca096970a41b7b0b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d4a76922dd6d774b"},
+     "6272e520b24619be c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 53cfc628d7c33a7c"},
     {"funcs=present:2", "attack.oracle.max_iterations=7",
-     "d95b35041aefec12 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0f93b3498b84d368"},
+     "aea248be8004b9d1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 03e9bd32c03ef3cd"},
     {"funcs=present:2", "attack.oracle.warmup_seed=9",
-     "f3f53923b96c8a27 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d22ad335a921c8af"},
+     "0634c5754b4f5512 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 ffe960b28e78e668"},
     {"funcs=present:2", "attack.oracle.solver.elim_resolvent_limit=12",
-     "4aba891757518648 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 48da54c659ec5542"},
+     "16df5790a28201f5 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f0316df0ec6a5e99"},
     {"funcs=present:2", "attack.oracle.solver.max_rounds=2",
-     "df2e86713b24d985 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 2a4d37ecb801b629"},
+     "d56eebe538de73d4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 ed8b6ca50ee0cd06"},
     {"funcs=present:2", "attack.oracle.solver.inprocess_growth=1.5",
-     "a7f6458936841b29 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c54c62de0eae3c15"},
+     "4b11ee4875964bb4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d7509e7877868766"},
     {"funcs=present:2", "attack.oracle_model.noise_seed=3",
-     "07802f946ee65ec9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1b75a87619063535"},
+     "f255778be4b62a5c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 bd96bc3bde25d4fe"},
     {"funcs=present:2", "ga.crossover_prob=0.5",
-     "351e124f241760e5 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 4c0e1c44ab005289"},
+     "a1fd7ef8b36bdf28 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 ffa36a662df00222"},
     {"funcs=present:2", "ga.mutation_prob=0.5",
-     "c4aa802b7ea8031f db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 83d538d547506277"},
+     "87a3ed6e7e352658 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 40ecb96f0a8328d2"},
     {"funcs=present:2", "ga.tournament_size=4",
-     "1b6687e40ab40034 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 4055386ade1a90e6"},
+     "466aa3d2e5507a19 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 4fe7ed830f8d89c5"},
     {"funcs=present:2", "ga.elite=3",
-     "d23a3d5ae642c71e 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 aae867c92700215c"},
+     "67fcf3c90a27dc5b 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 cc7cc4c46c37b2db"},
     {"funcs=present:2", "fitness_effort=high",
-     "96db669063643c59 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f e37b2d1d081a4e85"},
+     "0c75de193d52efc0 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f c65f3c683fc452ea"},
     {"funcs=present:2", "fitness_build=shared-extract",
-     "4593945dfa5a0b82 a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba 2eb1063e22e284d8"},
+     "df57cccfe9dd1fef a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba 9b1be7141fca6147"},
     {"funcs=present:2", "random_count=10",
-     "55c262525abe0798 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 c2eb479281012292"},
+     "273cf4c43037c059 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 63e7ec82f5793a85"},
     {"funcs=present:2", "final_effort=high",
-     "300e8fdd1dd12b9c c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 395fa826d53957be"},
+     "aef0cfb09299543f c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 df1293f0ba41bc17"},
     {"funcs=present:2", "camo.subtree_max_depth=2",
-     "6a7784e6c91d0568 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 3f53872b60fd29e2"},
+     "c1b8e87989e9a3a9 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 9d3abdff8f25a195"},
     {"funcs=present:2", "camo.subtree_max_signal_leaves=3",
-     "e7ba649257ce264e c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 6326e8fdfc0c594c"},
+     "198fa84c685a4503 c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 1e415b63126508f3"},
     {"funcs=present:2", "camo.subtree_max_candidates=64",
-     "77fe2715ebb5f3da c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 0b56d56ecb8bd460"},
+     "febd1b189f46fb91 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 a24fccf0aba66d0d"},
     {"circuit=@", "",
-     "d296de8b8f93c1b9 beaef8af1a320615 30097c906b6f0f6e 94df2c4af3529be7"},
+     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
     {"circuit=@ camo_density=0.25", "",
-     "d7e00dc737e656dc beaef8af1a320615 2ff71a24ec85c991 3e061cc05fada078"},
+     "6b83218cfaa3c6e3 beaef8af1a320615 2ff71a24ec85c991 4da28143abd477dd"},
     {"circuit=@ camo_cells=3", "",
-     "da2dfe8222da9068 beaef8af1a320615 14941faf811f574d 7a4dea041760fe7c"},
+     "8b581041cf9076a5 beaef8af1a320615 14941faf811f574d b11236a7e509682b"},
     {"circuit=@ camo_seed=11", "",
-     "00e3f3f0d9b9d069 beaef8af1a320615 35422219e63965a6 1876af3c539a3197"},
+     "34ab56dba506410a beaef8af1a320615 35422219e63965a6 3fe4f2c40e949782"},
     {"circuit=@ camo_policy=fanout", "",
-     "9c6cf7aef51780a1 beaef8af1a320615 a082e2a17c07761e 5727ccc9cb6da07f"},
+     "2c0b6f0341d65da8 beaef8af1a320615 a082e2a17c07761e f7e54185c8caea3c"},
     {"circuit=/nonexistent/mvf-golden/d.blif", "",
-     "433fa45d72bf69e1 5a6cc440f7775383 c5ad362cb6348476 bcd26b7671fef43f"},
+     "15dc1559df4d1e0e 5a6cc440f7775383 c5ad362cb6348476 6f187a386f53a68e"},
     {"circuit=@ name=golden", "",
-     "d296de8b8f93c1b9 beaef8af1a320615 30097c906b6f0f6e 94df2c4af3529be7"},
+     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
     {"circuit=@ seed=42", "",
-     "94bfb82510067de0 beaef8af1a320615 30097c906b6f0f6e 94df2c4af3529be7"},
+     "4a0bfd47f3174f0f beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
     {"circuit=@ camo=0", "",
-     "1d3a45409e81490c beaef8af1a320615 30097c906b6f0f6e 3e0b44940fc97468"},
+     "5a16676266cebb97 beaef8af1a320615 30097c906b6f0f6e 7417dcc43e097989"},
     {"circuit=@ attack=cegar", "",
-     "7dd0b4d092af6059 beaef8af1a320615 30097c906b6f0f6e e9780aa5eaf33b07"},
+     "bf814a5144629364 beaef8af1a320615 30097c906b6f0f6e b8e23cfa51b2c130"},
     {"circuit=@ attack=none", "",
-     "d296de8b8f93c1b9 beaef8af1a320615 30097c906b6f0f6e 94df2c4af3529be7"},
+     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
     {"circuit=@ count_mode=approx", "",
-     "9e9bd254f5adf4b2 beaef8af1a320615 30097c906b6f0f6e fff73f7043db559a"},
+     "78d6a477c92c52f5 beaef8af1a320615 30097c906b6f0f6e a6fc0c2ac61ce9fb"},
     {"circuit=@ count_mode=enumerate", "",
-     "794acb9763895fb4 beaef8af1a320615 30097c906b6f0f6e 1226901e4e67f0c0"},
+     "b5316fded1475b17 beaef8af1a320615 30097c906b6f0f6e 7cc8ace42ea04c09"},
     {"circuit=@ count_cache_mb=16", "",
-     "3efd73bbea5ba276 beaef8af1a320615 30097c906b6f0f6e a6255f84fc3f6d86"},
+     "c961f3cf3b62e461 beaef8af1a320615 30097c906b6f0f6e 4a6f4f770646dfbf"},
     {"circuit=@ count_max_decisions=5000", "",
-     "ff839d29d5798035 beaef8af1a320615 30097c906b6f0f6e 1aff280dd25730bb"},
+     "a8d1c97520616818 beaef8af1a320615 30097c906b6f0f6e 42f4aa308b8041ec"},
     {"circuit=@ count_mode=approx epsilon=0.5", "",
-     "62250ccd78d3e5b7 beaef8af1a320615 30097c906b6f0f6e 5968977629cebda9"},
+     "bca3368fee486a1a beaef8af1a320615 30097c906b6f0f6e 797fcdb76d01fb12"},
     {"circuit=@ count_mode=approx delta=0.1", "",
-     "ce3079c59663170b beaef8af1a320615 30097c906b6f0f6e 7a6f2b0ae86135f5"},
+     "91056dfa83966f66 beaef8af1a320615 30097c906b6f0f6e a8901e6906c74ff6"},
     {"circuit=@ max_survivors=99", "",
-     "06960849745c4707 beaef8af1a320615 30097c906b6f0f6e a05799a68d98e0f9"},
+     "3a01164df2f5ffca beaef8af1a320615 30097c906b6f0f6e 1f75e0ab35ec50c2"},
     {"circuit=@ enum_survivors=0", "",
-     "50d287249bc8e3a4 beaef8af1a320615 30097c906b6f0f6e 1a195a03d9908bf0"},
+     "149ffec9a80fa627 beaef8af1a320615 30097c906b6f0f6e d5bc2e964859c819"},
     {"circuit=@ preprocess=0", "",
-     "69cb89a32fb8c0aa beaef8af1a320615 30097c906b6f0f6e 5f9feb97d4d243a2"},
+     "75364e2363a3013d beaef8af1a320615 30097c906b6f0f6e a9bff820366d0e13"},
     {"circuit=@ shared_miter=0", "",
-     "927433089f331d80 beaef8af1a320615 30097c906b6f0f6e 9f782c9b141c0584"},
+     "ca0dc89a990956a3 beaef8af1a320615 30097c906b6f0f6e 1a731451b7e09d1d"},
     {"circuit=@ canonical_inputs=1", "",
-     "aabd21b19aac76ac beaef8af1a320615 30097c906b6f0f6e d001d46bd785b708"},
+     "c43922007bd3f26f beaef8af1a320615 30097c906b6f0f6e 7fbdcc7217618cf1"},
     {"circuit=@ attack_threads=4", "",
-     "7bd355e341a18752 beaef8af1a320615 30097c906b6f0f6e 73ef3cfa016c263a"},
-    {"circuit=@ portfolio=2", "",
-     "8ae6eaf685f12ee7 beaef8af1a320615 30097c906b6f0f6e 25adca4e4b159e59"},
+     "664d499badc98755 beaef8af1a320615 30097c906b6f0f6e 615d9f9862068c5b"},
     {"circuit=@ cube_vars=3", "",
-     "e5542904eac33b64 beaef8af1a320615 30097c906b6f0f6e de3337bf72847930"},
+     "8b0b50c917b0dee7 beaef8af1a320615 30097c906b6f0f6e a66e4f61c50d2e59"},
     {"circuit=@ query_budget=64", "",
-     "77bd6cfed1b41a39 beaef8af1a320615 30097c906b6f0f6e 8344267c90bdf167"},
+     "c1542ca55547e592 beaef8af1a320615 30097c906b6f0f6e b2a838d5d061acfa"},
     {"circuit=@ oracle_noise=0.05", "",
-     "0f4dfda05623b0fd beaef8af1a320615 30097c906b6f0f6e 6b8e69c58a07e253"},
+     "60628ce2de2ad17a beaef8af1a320615 30097c906b6f0f6e 1bb39dfe5600dcf2"},
     {"circuit=@ oracle_cache=1", "",
-     "0a3bb61e2701a94e beaef8af1a320615 30097c906b6f0f6e 4f232e2dba60d44e"},
+     "9ad04582b53bfb21 beaef8af1a320615 30097c906b6f0f6e 5edeb046be508bff"},
     {"circuit=@ save_transcript=t.json", "",
-     "d296de8b8f93c1b9 - - -"},
+     "6adee2989698c704 - - -"},
     {"circuit=@ replay_transcript=t.json", "",
-     "78bf107ae84a1fb9 - - -"},
+     "e196b7af8008ef44 - - -"},
     {"circuit=@ attack=cegar emit_proof=p.json", "",
-     "7dd0b4d092af6059 - - -"},
+     "bf814a5144629364 - - -"},
     {"circuit=@ random_warmup=32", "",
-     "786e2d526eac608c beaef8af1a320615 30097c906b6f0f6e a62b2f605a12eee8"},
-    {"circuit=@ neighborhood_queries=4", "",
-     "dd7a7cfa0f91060d beaef8af1a320615 30097c906b6f0f6e 449fed9bf8344563"},
+     "d3e794d2a0345437 beaef8af1a320615 30097c906b6f0f6e 0971a69a00d46529"},
     {"circuit=@ random_queries=64", "",
-     "59a848f15807a474 beaef8af1a320615 30097c906b6f0f6e b87203d92445e000"},
+     "230c202635e9bb4b beaef8af1a320615 30097c906b6f0f6e 5937c2137e1c42b5"},
     {"circuit=@ metrics=1", "",
-     "c781698c6a0e42b2 beaef8af1a320615 30097c906b6f0f6e 419e50681cbb8f9a"},
+     "d9698bd0efddccf5 beaef8af1a320615 30097c906b6f0f6e 9b18b59b093cc7fb"},
     {"circuit=@", "elim_occ=16",
-     "bc09af0f98bbf7e3 beaef8af1a320615 30097c906b6f0f6e e96d799e5e65a2dd"},
+     "669a7253c4a4ebb6 beaef8af1a320615 30097c906b6f0f6e 99d912c924086d46"},
     {"circuit=@", "elim_growth=4",
-     "03f99d2c8d725ccd beaef8af1a320615 30097c906b6f0f6e f8f0e2dbe1b54ba3"},
+     "915ac7d719458920 beaef8af1a320615 30097c906b6f0f6e 63d96ca9013b7aa4"},
     {"circuit=@", "map.cut_max_leaves=3",
-     "3f244875903454ac 633760290bbeb0c2 cd11d05741689bb9 cc541615e1d22108"},
+     "51b8e626e7d22391 633760290bbeb0c2 cd11d05741689bb9 ffc7374ae34aedef"},
     {"circuit=@", "map.cut_max_cuts_per_node=6",
-     "641bc760767aaa8b b0e9a304a12e9e63 2943805bebda153c f54be0bf8d8bc475"},
+     "c22ecf13850dad6e b0e9a304a12e9e63 2943805bebda153c c5401dbb5e7c656e"},
     {"circuit=@", "map.cut_include_trivial=0",
-     "51aacfea0e3fa99a fa11074bd6db8442 c8ee6d619178e33b ecbcd44ec473ad92"},
+     "cf0667987edf9c11 fa11074bd6db8442 c8ee6d619178e33b 8302e5d09238a36f"},
     {"circuit=@", "map.recovery_iterations=2",
-     "295cd7118b5cfde4 f9e61e06996d771a 12e0c407eb437f69 d33aafe1c0e5fcb0"},
-    {"circuit=@", "attack.run_oracle_attack=1",
-     "d64bccfb573ea6be beaef8af1a320615 30097c906b6f0f6e 3de751a8286f7dfe"},
+     "cc72a9f9b0004a59 f9e61e06996d771a 12e0c407eb437f69 7d5f17147aa3e907"},
     {"circuit=@", "attack.oracle.count_seed=5",
-     "f90304b9b16d777d beaef8af1a320615 30097c906b6f0f6e 90aa2f8dee09d1d3"},
+     "9ff2348f50ae63a0 beaef8af1a320615 30097c906b6f0f6e a1c7d78811d48624"},
     {"circuit=@", "attack.oracle.max_iterations=7",
-     "1a39e40ff874402c beaef8af1a320615 30097c906b6f0f6e 86bd63f8b29df788"},
+     "1a9f476c6ce8c2ef beaef8af1a320615 30097c906b6f0f6e 9db3475050758a71"},
     {"circuit=@", "attack.oracle.warmup_seed=9",
-     "d9cf0b32627a7511 beaef8af1a320615 30097c906b6f0f6e da5ddea93631866f"},
+     "5f1e1b1a8e3e192c beaef8af1a320615 30097c906b6f0f6e 4115d4cf9d8bda88"},
     {"circuit=@", "attack.oracle.solver.elim_resolvent_limit=12",
-     "4d998d3dbfe74b5e beaef8af1a320615 30097c906b6f0f6e 76dabeb00404271e"},
+     "697ac02236a8e5fb beaef8af1a320615 30097c906b6f0f6e 14b61e4a2617bd25"},
     {"circuit=@", "attack.oracle.solver.max_rounds=2",
-     "98ee149fe959a64b beaef8af1a320615 30097c906b6f0f6e ea66c07b08560bb5"},
+     "80fc20302d112092 beaef8af1a320615 30097c906b6f0f6e 639f084db946e5fa"},
     {"circuit=@", "attack.oracle.solver.inprocess_growth=1.5",
-     "68108fbad4335257 beaef8af1a320615 30097c906b6f0f6e 58d33b5887608cc9"},
+     "aff0740d76039372 beaef8af1a320615 30097c906b6f0f6e 48ef0de1a9b939da"},
     {"circuit=@", "attack.oracle_model.noise_seed=3",
-     "dbc92790f47c6977 beaef8af1a320615 30097c906b6f0f6e da2915721b0b66e9"},
+     "4f5fbc11bf07f84a beaef8af1a320615 30097c906b6f0f6e 2e98af8a2e538642"},
 };
 
 TEST(ScenarioKeys, HashesMatchTheGoldenLiterals) {
@@ -397,7 +388,6 @@ const std::map<std::string, Sample> kSamples = {
     {"shared_miter", {"0", ""}},
     {"canonical_inputs", {"1", ""}},
     {"attack_threads", {"4", ""}},
-    {"portfolio", {"2", ""}},
     {"cube_vars", {"3", ""}},
     {"elim_occ", {"16", ""}},
     {"elim_growth", {"4", ""}},
@@ -408,7 +398,6 @@ const std::map<std::string, Sample> kSamples = {
     {"replay_transcript", {"t.json", ""}},
     {"emit_proof", {"p.json", "attack=cegar"}},
     {"random_warmup", {"32", ""}},
-    {"neighborhood_queries", {"4", ""}},
     {"random_queries", {"64", ""}},
     {"metrics", {"1", ""}},
     {"ga.crossover_prob", {"0.5", ""}},
@@ -426,7 +415,6 @@ const std::map<std::string, Sample> kSamples = {
     {"camo.subtree_max_depth", {"2", ""}},
     {"camo.subtree_max_signal_leaves", {"3", ""}},
     {"camo.subtree_max_candidates", {"64", ""}},
-    {"attack.run_oracle_attack", {"1", ""}},
     {"attack.oracle.count_seed", {"5", ""}},
     {"attack.oracle.max_iterations", {"7", ""}},
     {"attack.oracle.warmup_seed", {"9", ""}},
@@ -618,20 +606,15 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 count_mode=exact count_cache_mb=0",
         "funcs=present:2 replay_transcript=t.json oracle_noise=0.1",
         "funcs=present:2 replay_transcript=t.json oracle_cache=1",
-        "funcs=present:2 replay_transcript=t.json portfolio=2",
         "funcs=present:2 query_budget=0",
         "funcs=present:2 oracle_noise=1.0",
         "funcs=present:2 oracle_noise=-0.5",
         "funcs=present:2 random_warmup=-1",
         "funcs=present:2 random_queries=0",
-        "funcs=present:2 neighborhood_queries=-1",
         "funcs=present:2 attack_threads=0",
-        "funcs=present:2 portfolio=-1",
         "funcs=present:2 cube_vars=17",
         "funcs=present:2 attack=cegar emit_proof=p.json "
         "replay_transcript=t.json",
-        "funcs=present:2 attack=cegar emit_proof=p.json portfolio=2",
-        "funcs=present:2 attack=cegar emit_proof=p.json attack_threads=2",
         // CircuitSpec.ContradictionsAreRejected.
         "circuit=a.blif funcs=present:2",
         "funcs=present:2 camo_density=0.5",
@@ -660,6 +643,10 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 emit_proof=p.json",
         "funcs=present:2 attack=plausibility emit_proof=p.json",
         "funcs=present:2 attack=none emit_proof=p.json",
+        // Removed keys: the portfolio CEGAR and the neighbourhood queries.
+        "funcs=present:2 portfolio=2",
+        "funcs=present:2 neighborhood_queries=4",
+        "circuit=a.blif portfolio=2",
     };
     for (const char* text : bad) {
         EXPECT_THROW(parse_scenario_spec(text), std::invalid_argument) << text;
@@ -669,6 +656,10 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
     EXPECT_THROW(parse_argv({"--seed"}), std::invalid_argument);
     // Bool flags take no value; the negated form exists only for bools.
     EXPECT_THROW(parse_argv({"--no-population", "8"}), std::invalid_argument);
+    // The CEGAR loop is serial at any attack_threads, so a proof may use
+    // cube workers for its count.
+    EXPECT_NO_THROW(parse_scenario_spec(
+        "funcs=present:2 attack=cegar emit_proof=p.json attack_threads=2"));
     // metrics is a spec key only: the process flag --metrics covers it.
     EXPECT_FALSE(is_scenario_flag("--metrics"));
     EXPECT_TRUE(is_scenario_flag("--no-enumerate"));

@@ -145,10 +145,11 @@ TEST(JobScheduler, RunsABatchToDone) {
     EXPECT_EQ(st->completed, 2);
     EXPECT_EQ(st->failures, 0);
     EXPECT_FALSE(st->records_hash.empty());
-    const auto records = scheduler.records(id);
-    ASSERT_TRUE(records.has_value());
-    ASSERT_EQ(records->size(), 2u);
-    for (const flow::ScenarioRecord& r : *records) {
+    const std::optional<JobResults> res = scheduler.results(id);
+    ASSERT_TRUE(res.has_value());
+    EXPECT_EQ(res->status.records_hash, st->records_hash);
+    ASSERT_EQ(res->records.size(), 2u);
+    for (const flow::ScenarioRecord& r : res->records) {
         EXPECT_TRUE(r.ok);
         EXPECT_EQ(r.status, "ok");
         EXPECT_FALSE(r.spec_hash.empty());
@@ -185,10 +186,10 @@ TEST(JobScheduler, CancelledJobTerminatesAndSchedulerStaysUsable) {
     ASSERT_TRUE(st.has_value());
     EXPECT_EQ(st->state, JobState::kCancelled);
     EXPECT_EQ(st->completed, 4);
-    const auto records = scheduler.records(id);
-    ASSERT_TRUE(records.has_value());
+    const std::optional<JobResults> res = scheduler.results(id);
+    ASSERT_TRUE(res.has_value());
     int cancelled = 0;
-    for (const flow::ScenarioRecord& r : *records) {
+    for (const flow::ScenarioRecord& r : res->records) {
         if (r.status == "cancelled") ++cancelled;
     }
     EXPECT_GT(cancelled, 0);
@@ -303,6 +304,47 @@ TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {
     const ClientResult fresh =
         client.submit(kTinySpec, /*wait=*/true, /*stream=*/false);
     ASSERT_TRUE(fresh.ok) << fresh.error;
+}
+
+TEST(Server, FinishedJobsBeyondTheCapAreEvictedOldestFirst) {
+    ServerParams params;
+    params.listen = temp_unix_addr("mvf_serve_evict.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+    const Client client(running.server.bound_addr());
+
+    // A spec without scenarios makes a job that finishes at submit, so
+    // cap + 5 submits leave five more finished jobs than the cap.
+    constexpr std::size_t kCap = JobScheduler::kMaxRetainedJobs;
+    std::string newest;
+    for (std::size_t i = 0; i < kCap + 5; ++i) {
+        const ClientResult r =
+            client.submit("# no scenarios\n", /*wait=*/true, /*stream=*/false);
+        ASSERT_TRUE(r.ok) << r.error;
+        // A waiting submit gets its own job's results.
+        EXPECT_EQ(r.results.at("job").as_string(), r.job);
+        newest = r.job;
+    }
+    EXPECT_EQ(newest, "j" + std::to_string(kCap + 5));
+    EXPECT_EQ(running.server.scheduler().jobs().size(), kCap);
+
+    // The oldest job is gone, and the error says why.
+    const report::Json evicted = client.results("j1");
+    EXPECT_FALSE(evicted.at("ok").as_bool());
+    const std::string why = evicted.at("error").as_string();
+    EXPECT_NE(why.find("evicted"), std::string::npos) << why;
+    EXPECT_NE(why.find(std::to_string(kCap)), std::string::npos) << why;
+    EXPECT_NE(client.status("j5").at("error").as_string().find("evicted"),
+              std::string::npos);
+    // An id never issued is unknown, not evicted.
+    const std::string unknown = client.results("j999").at("error").as_string();
+    EXPECT_NE(unknown.find("unknown job"), std::string::npos) << unknown;
+
+    // The newest jobs still answer.
+    const report::Json kept = client.results(newest);
+    ASSERT_TRUE(kept.at("ok").as_bool());
+    EXPECT_EQ(kept.at("state").as_string(), "done");
+    EXPECT_TRUE(client.results("j6").at("ok").as_bool());
 }
 
 TEST(Server, OverlongRequestLineIsRefusedAndTheServerStaysUp) {
