@@ -1,7 +1,6 @@
 // Survivor-counting backends head to head: exact projected model counting
-// vs. the legacy capped enumeration (and, on mid-size spaces, the
-// ApproxMC-style estimator), over selector spaces that grow far past the
-// old 2^20 enumeration cap.
+// vs. the legacy capped enumeration, over selector spaces that grow far
+// past the old 2^20 enumeration cap.
 //
 // Families:
 //   deadD  -- 2 PIs, one live camouflaged NAND2 driving the PO, D dead
@@ -27,7 +26,6 @@
 #include "attack/random_camo.hpp"
 #include "bench_common.hpp"
 #include "camo/camo_cell.hpp"
-#include "count/approx_counter.hpp"
 #include "map/gate_library.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -93,7 +91,6 @@ const char* status_name(OracleAttackResult::Status s) {
         case OracleAttackResult::Status::kNoSurvivor: return "no-survivor";
         case OracleAttackResult::Status::kIterationLimit: return "iter-limit";
         case OracleAttackResult::Status::kSurvivorLimit: return "capped";
-        case OracleAttackResult::Status::kApproxSolved: return "approx";
         case OracleAttackResult::Status::kQueryBudget: return "query-budget";
     }
     return "?";

@@ -70,8 +70,6 @@ report::Json AdversaryReport::to_json() const {
         c.set("cache_entries", static_cast<std::uint64_t>(count.cache_entries));
         c.set("cache_peak_bytes",
               static_cast<std::uint64_t>(count.cache_peak_bytes));
-        c.set("approx_xor_levels", approx_xor_levels);
-        c.set("approx_rounds", approx_rounds);
         j.set("count", std::move(c));
     }
     if (!(oracle == OracleStats{})) {
@@ -203,9 +201,6 @@ AdversaryReport AdversaryReport::from_json(const report::Json& j) {
             static_cast<std::size_t>(c->at("cache_entries").as_uint());
         r.count.cache_peak_bytes =
             static_cast<std::size_t>(c->at("cache_peak_bytes").as_uint());
-        r.approx_xor_levels =
-            static_cast<int>(c->at("approx_xor_levels").as_int());
-        r.approx_rounds = static_cast<int>(c->at("approx_rounds").as_int());
     }
     return r;
 }
@@ -238,8 +233,7 @@ bool AdversaryReport::operator==(const AdversaryReport& o) const {
            outcome == o.outcome && queries == o.queries &&
            survivors == o.survivors && survivors_str == o.survivors_str &&
            count_mode == o.count_mode && count == o.count &&
-           approx_xor_levels == o.approx_xor_levels &&
-           approx_rounds == o.approx_rounds && oracle == o.oracle &&
+           oracle == o.oracle &&
            metrics == o.metrics && seconds == o.seconds &&
            spec_hash == o.spec_hash &&
            audit_merkle_root == o.audit_merkle_root &&
@@ -303,8 +297,6 @@ AdversaryReport CegarAdversary::attack(const camo::CamoNetlist& netlist,
         report.survivors_str = res.survivors.to_string();
         report.count_mode = std::string(count_mode_name(res.count_mode));
         report.count = res.count_stats;
-        report.approx_xor_levels = res.approx_xor_levels;
-        report.approx_rounds = res.approx_rounds;
     }
     report.metrics = res.metrics;
     report.seconds = res.seconds;
@@ -398,8 +390,6 @@ AdversaryReport RandomSamplingAdversary::attack(
         report.survivors_str = result.survivors.to_string();
         report.count_mode = std::string(count_mode_name(result.count_mode));
         report.count = result.count_stats;
-        report.approx_xor_levels = result.approx_xor_levels;
-        report.approx_rounds = result.approx_rounds;
     }
     report.seconds = result.seconds;
     last_result_ = std::move(result);

@@ -56,15 +56,12 @@ struct AdversaryReport {
     /// adversaries only; empty otherwise).  Authoritative when present --
     /// JSON numbers are doubles and lose precision beyond 2^53.
     std::string survivors_str;
-    /// CountMode that produced the survivor figure ("exact", "approx",
+    /// CountMode that produced the survivor figure ("exact" or
     /// "enumerate"; empty for adversaries that do not count).
     std::string count_mode;
     /// Exact projected-counter statistics (zeroed unless count_mode is
     /// "exact").
     count::CounterStats count;
-    /// Approximate-counter round summary (zeroed unless "approx").
-    int approx_xor_levels = 0;
-    int approx_rounds = 0;
     /// Uniform oracle accounting from the harness's OracleStack
     /// (CountingOracle and friends): queries/blocks/patterns answered,
     /// cache hits, noisy bits, budget state.  All-zero for oracle-less

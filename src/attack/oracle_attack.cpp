@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "count/approx_counter.hpp"
 #include "count/cnf.hpp"
 #include "obs/trace.hpp"
 #include "sat/cnf_builder.hpp"
@@ -20,7 +19,6 @@ using camo::CamoNetlist;
 std::string_view count_mode_name(CountMode m) {
     switch (m) {
         case CountMode::kExact: return "exact";
-        case CountMode::kApprox: return "approx";
         case CountMode::kEnumerate: return "enumerate";
     }
     return "unknown";
@@ -28,7 +26,6 @@ std::string_view count_mode_name(CountMode m) {
 
 bool count_mode_from_name(std::string_view name, CountMode* out) {
     if (name == "exact") *out = CountMode::kExact;
-    else if (name == "approx") *out = CountMode::kApprox;
     else if (name == "enumerate") *out = CountMode::kEnumerate;
     else return false;
     return true;
@@ -40,7 +37,6 @@ std::string_view attack_status_name(OracleAttackResult::Status s) {
         case OracleAttackResult::Status::kNoSurvivor: return "no survivor";
         case OracleAttackResult::Status::kIterationLimit: return "iteration limit";
         case OracleAttackResult::Status::kSurvivorLimit: return "survivor limit";
-        case OracleAttackResult::Status::kApproxSolved: return "approx solved";
         case OracleAttackResult::Status::kQueryBudget: return "query budget";
     }
     return "unknown";
@@ -215,59 +211,38 @@ void count_consistent_configs(const CamoNetlist& netlist,
         projection.insert(projection.end(), sel.begin(), sel.end());
     }
     const count::Cnf cnf = count::cnf_from_solver(counter, projection);
-    // One model for the witness and the emptiness check (the counters
-    // report numbers, not assignments).
+    // One model for the witness and the emptiness check (the counter
+    // reports a number, not an assignment).
     if (counter.solve() != sat::Solver::Result::kSat) {
         res.status = OracleAttackResult::Status::kNoSurvivor;
         finish_span();
         return;
     }
     res.witness_config = family.config_from_model();
-    if (params.count_mode == CountMode::kExact) {
-        count::CounterConfig cc;
-        cc.cache_bytes =
-            params.count_cache_mb > 0
-                ? static_cast<std::size_t>(params.count_cache_mb) << 20
-                : 1u << 20;
-        cc.max_decisions = params.count_max_decisions;
-        // Cube-and-conquer: attack_threads > 1 splits the projection into
-        // selector cubes counted in parallel (bit-identical to serial).
-        cc.threads = params.attack_threads;
-        cc.cube_vars = params.cube_vars;
-        cc.pool = params.pool;
-        count::ProjectedCounter pc(cnf, cc);
-        const count::ProjectedCounter::Result pcr = pc.count();
-        res.count_stats = pcr.stats;
-        res.survivors = pcr.count;
-        if (!pcr.exact && pcr.count.saturated()) {
-            // Saturated beyond 2^128 - 1: still a hard bound.
-            res.status = OracleAttackResult::Status::kSurvivorLimit;
-        } else if (!pcr.exact) {
-            // Decision budget exhausted (dense, decomposition-resistant
-            // instance): fall back to the capped enumeration so the
-            // attack still terminates with a sound figure.  count_mode
-            // records the switch.
-            res.count_mode = CountMode::kEnumerate;
-            enumerate_survivor_count(netlist, &counter, &family, params, &res);
-        }
-    } else {
-        count::ApproxConfig ac;
-        ac.epsilon = params.epsilon;
-        ac.delta = params.delta;
-        ac.seed = params.count_seed;
-        count::ApproxCounter apc(cnf, ac);
-        const count::ApproxResult acr = apc.count();
-        res.survivors = acr.estimate;
-        res.approx_xor_levels = acr.xor_levels;
-        res.approx_rounds = acr.rounds;
-        if (!acr.ok) {
-            // Every hash round failed; the witness still proves at least
-            // one survivor.
-            res.status = OracleAttackResult::Status::kSurvivorLimit;
-            res.survivors = count::Count128(1);
-        } else if (!acr.exact) {
-            res.status = OracleAttackResult::Status::kApproxSolved;
-        }
+    count::CounterConfig cc;
+    cc.cache_bytes = params.count_cache_mb > 0
+                         ? static_cast<std::size_t>(params.count_cache_mb) << 20
+                         : 1u << 20;
+    cc.max_decisions = params.count_max_decisions;
+    // Cube-and-conquer: attack_threads > 1 splits the projection into
+    // selector cubes counted in parallel (bit-identical to serial).
+    cc.threads = params.attack_threads;
+    cc.cube_vars = params.cube_vars;
+    cc.pool = params.pool;
+    count::ProjectedCounter pc(cnf, cc);
+    const count::ProjectedCounter::Result pcr = pc.count();
+    res.count_stats = pcr.stats;
+    res.survivors = pcr.count;
+    if (!pcr.exact && pcr.count.saturated()) {
+        // Saturated beyond 2^128 - 1: still a hard bound.
+        res.status = OracleAttackResult::Status::kSurvivorLimit;
+    } else if (!pcr.exact) {
+        // Decision budget exhausted (dense, decomposition-resistant
+        // instance): fall back to the capped enumeration so the attack
+        // still terminates with a sound figure.  count_mode records the
+        // switch.
+        res.count_mode = CountMode::kEnumerate;
+        enumerate_survivor_count(netlist, &counter, &family, params, &res);
     }
     res.surviving_configs = res.survivors.to_u64_saturating();
     finish_span();

@@ -16,8 +16,8 @@
 // consistent with the collected I/O pairs implements the oracle's function,
 // at which point the surviving configurations are counted over the selector
 // variables -- by exact projected model counting (count::ProjectedCounter,
-// the default: uncapped, 128-bit), by an ApproxMC-style (eps, delta)
-// estimate, or by the legacy capped model enumeration (see CountMode).
+// the default: uncapped, 128-bit) or by the legacy capped model
+// enumeration (see CountMode).
 
 #include <cstdint>
 #include <string_view>
@@ -44,11 +44,9 @@ enum class CountMode {
     /// freedom falls out of component decomposition instead of a separate
     /// multiplication.  The default.
     kExact,
-    /// ApproxMC-style (epsilon, delta) estimate (count::ApproxCounter);
-    /// spaces under the pivot still come back exact.
-    kApprox,
     /// Legacy SAT model enumeration projected onto the PO cone, capped at
-    /// max_survivors.  Kept for differential testing against the counters.
+    /// max_survivors.  Kept for differential testing against the exact
+    /// counter and as its fallback (see count_max_decisions).
     kEnumerate,
 };
 
@@ -61,9 +59,8 @@ struct OracleAttackParams {
     CountMode count_mode = CountMode::kExact;
     /// kEnumerate only: stop the surviving-configuration count once it
     /// reaches this bound (surviving_configs is then clamped to it and
-    /// status is kSurvivorLimit: "at least this many survive").  The
-    /// counting modes ignore it -- their counts are exact/estimated
-    /// without a cap.
+    /// status is kSurvivorLimit: "at least this many survive").  kExact
+    /// ignores it -- its count is exact without a cap.
     std::uint64_t max_survivors = 1u << 20;
     /// kExact only: component-cache memory budget for the projected
     /// counter, in MiB.
@@ -78,12 +75,6 @@ struct OracleAttackParams {
     /// (a few seconds of burned budget) instead of hanging.  The fallback
     /// is visible in the result: count_mode reads kEnumerate.
     std::uint64_t count_max_decisions = 100'000;
-    /// kApprox only: tolerance of the (epsilon, delta) guarantee.
-    double epsilon = 0.8;
-    double delta = 0.2;
-    /// kApprox only: XOR hash sampling seed (estimates are deterministic
-    /// per seed).
-    std::uint64_t count_seed = 1;
     /// Safety valve on CEGAR iterations; 0 = unlimited.
     int max_iterations = 0;
     /// Skip the final enumeration (surviving_configs stays 0; the attack
@@ -151,7 +142,6 @@ struct OracleAttackResult {
         kNoSurvivor,      ///< no configuration matches the oracle at all
         kIterationLimit,  ///< stopped by max_iterations
         kSurvivorLimit,   ///< count capped/saturated; a lower bound
-        kApproxSolved,    ///< CEGAR converged; count is an (eps, delta) estimate
         kQueryBudget,     ///< the oracle's query budget cut the attack off
     };
     Status status = Status::kSolved;
@@ -162,8 +152,8 @@ struct OracleAttackResult {
     int warmup_queries = 0;
     /// Configurations consistent with the oracle on every input,
     /// saturated to uint64 (`survivors` below is full precision); exact
-    /// for kSolved, an estimate for kApproxSolved, a lower bound for
-    /// kSurvivorLimit.  All of them implement the oracle's function.
+    /// for kSolved, a lower bound for kSurvivorLimit.  All of them
+    /// implement the oracle's function.
     std::uint64_t surviving_configs = 0;
     /// Full-precision survivor count (the authoritative figure; the
     /// projected counter handles spaces far beyond uint64).
@@ -178,9 +168,6 @@ struct OracleAttackResult {
     CountMode count_mode = CountMode::kExact;
     /// Exact-counter statistics (kExact; zeroed otherwise).
     count::CounterStats count_stats;
-    /// Approximate-counter round summary (kApprox; zeroed otherwise).
-    int approx_xor_levels = 0;
-    int approx_rounds = 0;
     /// One surviving configuration, populated by the counting phase only:
     /// empty for kNoSurvivor, kIterationLimit and kQueryBudget, and
     /// whenever enumerate_survivors is off.  Per-node plausible indices as consumed
@@ -199,9 +186,7 @@ struct OracleAttackResult {
     std::uint64_t shared_cells = 0;
     double seconds = 0.0;
 
-    bool solved() const {
-        return status == Status::kSolved || status == Status::kApproxSolved;
-    }
+    bool solved() const { return status == Status::kSolved; }
 };
 
 /// Human-readable status ("solved", "iteration limit", ...), shared by the
@@ -222,8 +207,8 @@ OracleAttackResult oracle_attack(const camo::CamoNetlist& netlist,
 /// that gathers I/O constraints (inputs[i] answered by answers[i]): counts
 /// the configurations consistent with every pair under params.count_mode,
 /// filling result's counting fields, witness_config, and status
-/// (kNoSurvivor / kSurvivorLimit / kApproxSolved; an untouched status
-/// means the count is exact and at least one configuration survives).
+/// (kNoSurvivor / kSurvivorLimit; an untouched status means the count is
+/// exact and at least one configuration survives).
 void count_consistent_configs(const camo::CamoNetlist& netlist,
                               const std::vector<std::vector<bool>>& inputs,
                               const std::vector<std::vector<bool>>& answers,

@@ -46,9 +46,6 @@ ReplayParams ReplayParams::from_attack_params(
     r.max_survivors = p.max_survivors;
     r.count_cache_mb = p.count_cache_mb;
     r.count_max_decisions = p.count_max_decisions;
-    r.epsilon = p.epsilon;
-    r.delta = p.delta;
-    r.count_seed = p.count_seed;
     r.enumerate_survivors = p.enumerate_survivors;
     if (p.fixed_nominal) r.fixed_nominal = *p.fixed_nominal;
     return r;
@@ -61,9 +58,6 @@ attack::OracleAttackParams ReplayParams::to_attack_params(
     p.max_survivors = max_survivors;
     p.count_cache_mb = count_cache_mb;
     p.count_max_decisions = count_max_decisions;
-    p.epsilon = epsilon;
-    p.delta = delta;
-    p.count_seed = count_seed;
     p.enumerate_survivors = enumerate_survivors;
     // Every scripted entry is consumed as warm-up (see the ReplayParams doc
     // comment); no iteration cap, so the only terminations are convergence
@@ -83,9 +77,6 @@ report::Json ReplayParams::to_json() const {
     j.set("max_survivors", max_survivors);
     j.set("count_cache_mb", count_cache_mb);
     j.set("count_max_decisions", count_max_decisions);
-    j.set("epsilon", epsilon);
-    j.set("delta", delta);
-    j.set("count_seed", count_seed);
     j.set("enumerate_survivors", enumerate_survivors);
     if (!fixed_nominal.empty()) {
         std::string bits(fixed_nominal.size(), '0');
@@ -107,10 +98,10 @@ ReplayParams ReplayParams::from_json(const report::Json& j) {
     r.max_survivors = j.at("max_survivors").as_uint();
     r.count_cache_mb = static_cast<int>(j.at("count_cache_mb").as_int());
     r.count_max_decisions = j.at("count_max_decisions").as_uint();
-    r.epsilon = j.at("epsilon").as_number();
-    r.delta = j.at("delta").as_number();
-    r.count_seed = j.at("count_seed").as_uint();
     r.enumerate_survivors = j.at("enumerate_survivors").as_bool();
+    // Proofs from before approximate counting was removed also carry
+    // epsilon, delta and count_seed; no backend reads them, so they are
+    // skipped (an "approx" count_mode is refused above).
     // Absent in proofs from S-box scenarios and in pre-circuit artifacts;
     // both mean "no cell is known nominal".
     if (const report::Json* f = j.find("fixed_nominal")) {

@@ -47,7 +47,7 @@
 namespace mvf::audit {
 
 /// The semantic subset of OracleAttackParams a verifier needs to recompute
-/// the survivor count (counting backends are deterministic per seed, so
+/// the survivor count (both counting backends are deterministic, so
 /// carrying these pins the count exactly).  Performance-only knobs
 /// (solver config, shared_miter, threads) are deliberately absent, and so
 /// is the warm-up split: under replay ALL transcript entries are constrained
@@ -59,9 +59,6 @@ struct ReplayParams {
     std::uint64_t max_survivors = 1u << 20;
     int count_cache_mb = 64;
     std::uint64_t count_max_decisions = 100'000;
-    double epsilon = 0.8;
-    double delta = 0.2;
-    std::uint64_t count_seed = 1;
     bool enumerate_survivors = true;
     /// Cells the live attack knew were uncamouflaged (circuit scenarios,
     /// see camo::inject); indexed by netlist node id, empty for the S-box

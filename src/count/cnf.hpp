@@ -1,9 +1,9 @@
 #pragma once
 // Shared CNF carrier for the model-counting subsystem.
 //
-// Both counters (count::ProjectedCounter, count::ApproxCounter) consume the
-// same input: a clause set plus the *projection set* -- the variables whose
-// assignments are being counted (the attack layer's selector families).
+// The exact counter (count::ProjectedCounter) consumes a clause set plus
+// the *projection set* -- the variables whose assignments are being
+// counted (the attack layer's selector families).
 // Everything else is existential: a projected model is an assignment to the
 // projection variables that extends to a full satisfying assignment.
 
@@ -22,8 +22,8 @@ struct Cnf {
 };
 
 /// Throws std::invalid_argument unless num_vars >= 0 and every literal and
-/// projection variable lies in [0, num_vars).  Both counters call it before
-/// they index anything by variable or literal; cnf_from_solver output
+/// projection variable lies in [0, num_vars).  The counter calls it before
+/// it indexes anything by variable or literal; cnf_from_solver output
 /// always passes.
 void validate(const Cnf& cnf);
 

@@ -202,7 +202,7 @@ Value count_mode_value() {
             [](Scenario& s, std::string_view v) {
                 if (!attack::count_mode_from_name(
                         v, &s.params.oracle.count_mode)) {
-                    throw bad_choice(v, "exact, approx or enumerate");
+                    throw bad_choice(v, "exact or enumerate");
                 }
             },
             [](const Scenario& s) {
@@ -299,21 +299,13 @@ std::vector<ScenarioKey> build_table() {
         attack_value(), "adversaries to run (comma list) or none");
     row("count_mode", attack("attack.oracle.count_mode"), "M",
         count_mode_value(),
-        "survivor count: exact (default), approx, enumerate");
+        "survivor count: exact (default) or enumerate");
     row("count_cache_mb", attack("attack.oracle.count_cache_mb"), "N",
         field(FIELD(oracle.count_cache_mb), at_least(1)),
         "exact-counter component-cache budget (default 64)");
     row("count_max_decisions", attack("attack.oracle.count_max_decisions"), "N",
         field(FIELD(oracle.count_max_decisions)),
         "exact-counter branches (default 100000; 0 = off)");
-    row("epsilon", attack("attack.oracle.epsilon"), "E",
-        field(FIELD(oracle.epsilon),
-              {[](const double& x) { return x > 0; }, "> 0"}),
-        "approx tolerance (default 0.8)");
-    row("delta", attack("attack.oracle.delta"), "D",
-        field(FIELD(oracle.delta),
-              {[](const double& x) { return x > 0 && x < 1; }, "in (0, 1)"}),
-        "approx error probability (default 0.2)");
     row("max_survivors", attack("attack.oracle.max_survivors"), "N",
         field(FIELD(oracle.max_survivors)),
         "cap the count (implies count_mode enumerate)");
@@ -401,7 +393,6 @@ std::vector<ScenarioKey> build_table() {
         FIELD(camo.subtree.max_signal_leaves));
     api(sbox(kCamoCover, "camo.subtree_max_candidates"),
         FIELD(camo.subtree.max_candidates));
-    api(attack("attack.oracle.count_seed"), FIELD(oracle.count_seed));
     api(attack("attack.oracle.max_iterations"), FIELD(oracle.max_iterations));
     api(attack("attack.oracle.warmup_seed"), FIELD(oracle.warmup_seed));
     api(attack("attack.oracle.solver.elim_resolvent_limit"),
@@ -601,9 +592,8 @@ Scenario ScenarioDraft::finish() && {
     // off, and a survivor cap is a request for capped enumeration.
     using attack::CountMode;
     if (given("enum_survivors") && !p.oracle.enumerate_survivors) {
-        for (const char* key : {"count_mode", "epsilon", "delta",
-                                "count_cache_mb", "count_max_decisions",
-                                "max_survivors"}) {
+        for (const char* key : {"count_mode", "count_cache_mb",
+                                "count_max_decisions", "max_survivors"}) {
             if (given(key)) {
                 fail(spell("enum_survivors") + " (no counting) contradicts " +
                      spell(key));
@@ -617,12 +607,6 @@ Scenario ScenarioDraft::finish() && {
                  spell("count_mode") + " enumerate");
         }
         p.oracle.count_mode = CountMode::kEnumerate;
-    }
-    for (const char* key : {"epsilon", "delta"}) {
-        if (given(key) && (!given("count_mode") ||
-                           p.oracle.count_mode != CountMode::kApprox)) {
-            fail(spell(key) + " requires " + spell("count_mode") + " approx");
-        }
     }
     for (const char* key : {"count_cache_mb", "count_max_decisions"}) {
         if (given(key) && p.oracle.count_mode != CountMode::kExact) {

@@ -554,26 +554,12 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
     std::uint64_t restart_round = 0;
     std::uint64_t conflicts_until_restart = 64 * luby(restart_round);
     std::uint64_t conflicts_this_round = 0;
-    std::uint64_t conflicts_this_call = 0;
 
     while (true) {
         const CRef conflict = propagate();
         if (conflict != kNoReason) {
             ++stats_.conflicts;
             ++conflicts_this_round;
-            // NB the level-0 check below must come first: a level-0
-            // conflict is a definitive UNSAT verdict (and must set ok_ --
-            // returning kUnknown instead would leave the poisoned level-0
-            // trail the handler's comment warns about), so the budget
-            // never preempts it.
-            if (decision_level() != 0 && conflict_budget_ > 0 &&
-                ++conflicts_this_call > conflict_budget_) {
-                // Budget exhausted: give up on THIS call only.  The
-                // learned clauses stay (they are entailed), the trail
-                // unwinds to level 0, and the solver remains usable.
-                backtrack(0);
-                return finish(Result::kUnknown);
-            }
             if (decision_level() == 0) {
                 // A level-0 conflict is independent of any assumptions: the
                 // clause database itself is contradictory.  Without ok_ the

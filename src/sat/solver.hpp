@@ -60,9 +60,9 @@ enum class Value : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
 class Solver {
 public:
-    /// kUnknown is only possible when a per-call conflict budget is set
-    /// (set_conflict_budget): the call gave up, the solver stays usable.
-    enum class Result { kSat, kUnsat, kUnknown };
+    /// Every solve() call runs to a verdict.  The integer values are
+    /// stable (test_sat_golden folds them into its digests).
+    enum class Result { kSat = 0, kUnsat = 1 };
 
     struct Stats {
         std::uint64_t conflicts = 0;
@@ -88,7 +88,8 @@ public:
     /// the CEGAR span instrumentation reads this instead of diffing Stats
     /// snapshots by hand.
     struct SolveDelta {
-        Result result = Result::kUnknown;
+        /// Meaningless before the first solve() call.
+        Result result = Result::kSat;
         std::uint64_t conflicts = 0;
         std::uint64_t decisions = 0;
         std::uint64_t propagations = 0;
@@ -141,7 +142,7 @@ public:
     bool ok() const { return ok_; }
 
     /// Snapshot of the problem formula for external consumers (the
-    /// count::ProjectedCounter/ApproxCounter subsystem): every non-learned
+    /// count::ProjectedCounter subsystem): every non-learned
     /// clause plus every level-0 trail literal as a unit clause.  Level-0
     /// literals are implied by the formula, so including them preserves
     /// the model set while handing the consumer the solver's propagation
@@ -164,15 +165,6 @@ public:
     /// Testing/tuning hook.
     void set_learned_limit(std::uint64_t limit) {
         learned_budget_ = static_cast<double>(limit);
-    }
-
-    /// Per-solve() conflict budget; a call that exceeds it returns
-    /// Result::kUnknown instead of running unboundedly (the approximate
-    /// counter leans on this -- CDCL on dense XOR constraints can wedge a
-    /// single call).  Learned clauses persist across kUnknown returns.
-    /// 0 (the default) means unlimited.
-    void set_conflict_budget(std::uint64_t conflicts) {
-        conflict_budget_ = conflicts;
     }
 
 private:
@@ -287,7 +279,6 @@ private:
     std::vector<int> heap_;
     std::vector<int> heap_pos_;
 
-    std::uint64_t conflict_budget_ = 0;  // per-call; 0 = unlimited
     double cla_inc_ = 1.0;
     std::uint64_t num_learned_ = 0;  // learned clauses currently in the DB
     double learned_budget_ = 0.0;    // adaptive limit; grows after each reduce

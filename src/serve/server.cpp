@@ -54,21 +54,28 @@ Server::Server(ServerParams params)
 
 Server::~Server() {
     request_shutdown();
-    // Join OUTSIDE the lock: a still-running session thread may be inside
-    // request_shutdown() waiting for sessions_mu_ (the op=shutdown path),
-    // and joining it while holding the mutex deadlocks.  Loop in case the
-    // accept loop races one last emplace in before it notices stopping_.
-    for (;;) {
-        std::vector<std::thread> drained;
-        {
-            std::lock_guard lock(sessions_mu_);
-            if (sessions_.empty()) break;
-            drained.swap(sessions_);
-        }
-        for (std::thread& t : drained) {
-            if (t.joinable()) t.join();
-        }
+    // request_shutdown() poked every live session; wait for all of them to
+    // end.  The wait releases sessions_mu_, which a still-running session
+    // may need (the op=shutdown path calls request_shutdown(), and every
+    // session takes the lock to move itself to ended_).
+    {
+        std::unique_lock lock(sessions_mu_);
+        session_ended_.wait(lock, [this] { return sessions_.empty(); });
     }
+    reap_ended_sessions();
+}
+
+void Server::reap_ended_sessions() {
+    // Join OUTSIDE the lock: an ended session still takes sessions_mu_ on
+    // its way out, and joining it while holding the mutex deadlocks.  The
+    // threads here have moved themselves to ended_, so each join only waits
+    // for the thread function to return.
+    std::list<Session> ended;
+    {
+        std::lock_guard lock(sessions_mu_);
+        ended.swap(ended_);
+    }
+    for (Session& s : ended) s.thread.join();
 }
 
 void Server::bind() {
@@ -85,9 +92,28 @@ void Server::run() {
     while (!stopping_.load(std::memory_order_acquire)) {
         util::Socket client = listener_.accept();
         if (!client.valid()) break;  // listener closed (shutdown) or error
-        std::lock_guard lock(sessions_mu_);
-        sessions_.emplace_back(
-            [this, c = std::move(client)]() mutable { session(std::move(c)); });
+        auto socket = std::make_shared<util::Socket>(std::move(client));
+        // The node is built outside sessions_ so a thread that fails to
+        // start leaves nothing behind; splicing keeps `it` valid.
+        std::list<Session> node(1);
+        const auto it = node.begin();
+        it->socket = socket;
+        {
+            std::lock_guard lock(sessions_mu_);
+            // The thread needs sessions_mu_ to move its node to ended_, so
+            // it cannot do so before the node is in sessions_.
+            it->thread = std::thread(
+                [this, it, socket = std::move(socket)]() mutable {
+                    session(*socket);
+                    socket.reset();  // the fd closes before the node moves
+                    std::lock_guard done(sessions_mu_);
+                    ended_.splice(ended_.end(), sessions_, it);
+                    session_ended_.notify_all();
+                });
+            sessions_.splice(sessions_.end(), node);
+        }
+        // After the new session starts, so its client never waits on a join.
+        reap_ended_sessions();
     }
     // Drain: cancel whatever still runs so the scheduler's pool empties
     // promptly, then let its destructor join the workers.
@@ -99,8 +125,8 @@ void Server::request_shutdown() {
     listener_.close();  // unblocks accept()
     scheduler_->cancel_all();
     std::lock_guard lock(sessions_mu_);
-    for (const std::weak_ptr<util::Socket>& weak : session_sockets_) {
-        if (const std::shared_ptr<util::Socket> s = weak.lock()) {
+    for (const Session& session : sessions_) {
+        if (const std::shared_ptr<util::Socket> s = session.socket.lock()) {
             // Poke, do not close: the session owns the fd and may be
             // mid-recv; shutdown() unblocks it without racing fd reuse.
             ::shutdown(s->fd(), SHUT_RDWR);
@@ -108,24 +134,19 @@ void Server::request_shutdown() {
     }
 }
 
-void Server::session(util::Socket socket) {
-    const auto shared = std::make_shared<util::Socket>(std::move(socket));
-    {
-        std::lock_guard lock(sessions_mu_);
-        session_sockets_.push_back(shared);
-    }
+void Server::session(util::Socket& socket) {
     std::string line;
     while (!stopping_.load(std::memory_order_acquire)) {
-        const util::Socket::Recv got = shared->recv_line(&line, kMaxRequestLine);
+        const util::Socket::Recv got = socket.recv_line(&line, kMaxRequestLine);
         if (got == util::Socket::Recv::kTooLong) {
-            shared->send_line(error_line(
+            socket.send_line(error_line(
                 "request line exceeds " + std::to_string(kMaxRequestLine) +
                 " bytes; closing the connection"));
             break;
         }
         if (got != util::Socket::Recv::kLine) break;
         if (line.empty()) continue;
-        if (!handle(*shared, line)) break;
+        if (!handle(socket, line)) break;
     }
 }
 

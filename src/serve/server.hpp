@@ -1,8 +1,12 @@
 #pragma once
 // The persistent experiment server behind `mvf serve`.
 //
-// One accept loop, one detached session thread per client connection, one
-// shared JobScheduler + StageCache behind them all.  Sessions speak the
+// One accept loop, one session thread per client connection, one shared
+// JobScheduler + StageCache behind them all.  The accept loop joins the
+// sessions that have ended each time it starts a new one, so a long-lived
+// server holds threads only for its live connections (plus those that
+// ended since the last accept); the destructor waits for the rest.
+// Sessions speak the
 // line protocol of serve/protocol.hpp; a streaming submit or watch points
 // a per-job obs::TraceSink at the client socket (fdopen over a dup'ed fd),
 // so progress records ride the same connection as the responses.
@@ -16,11 +20,12 @@
 //   * a malformed request earns an error line, never a session exit.
 
 #include <atomic>
+#include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/scheduler.hpp"
 #include "serve/stage_cache.hpp"
@@ -59,7 +64,16 @@ public:
     StageCache& cache() { return *cache_; }
 
 private:
-    void session(util::Socket socket);
+    struct Session {
+        std::thread thread;
+        /// Poked (shutdown(2)) to unblock the session's reads at server
+        /// shutdown; weak so an ended session's fd is freed normally.
+        std::weak_ptr<util::Socket> socket;
+    };
+
+    void session(util::Socket& socket);
+    /// Joins the sessions that have ended (outside sessions_mu_).
+    void reap_ended_sessions();
     /// One request line -> zero or more stream lines + one response line.
     /// Returns false when the session should end (disconnect or shutdown).
     bool handle(util::Socket& socket, const std::string& line);
@@ -71,10 +85,13 @@ private:
     util::ListenSocket listener_;
     std::atomic<bool> stopping_{false};
     std::mutex sessions_mu_;
-    std::vector<std::thread> sessions_;
-    /// Live session sockets, poked (shutdown(2)) to unblock their reads at
-    /// server shutdown; weak so a finished session's fd is freed normally.
-    std::vector<std::weak_ptr<util::Socket>> session_sockets_;
+    /// Live sessions.  An ending session moves its own node to ended_
+    /// (std::list splice: the node, and the iterator its thread holds,
+    /// stay valid) and signals session_ended_.
+    std::list<Session> sessions_;
+    /// Ended sessions whose threads have not been joined yet.
+    std::list<Session> ended_;
+    std::condition_variable session_ended_;
 };
 
 }  // namespace mvf::serve

@@ -58,10 +58,10 @@ std::atomic<std::size_t> g_allocations{0};
 
 #ifndef MVF_ALLOC_SANITIZED
 // The array, nothrow and sized forms of the standard library forward to
-// these two.  The deletes stay out of line: inlined, GCC 12 pairs the
-// std::free with the new-expression's allocation and reports a mismatched
-// new/delete that is not there.
-void* operator new(std::size_t size) {
+// these two.  All of them stay out of line: inlined, GCC 12 pairs the
+// std::malloc or std::free with the other side's call and reports a
+// mismatched new/delete that is not there.
+[[gnu::noinline]] void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();

@@ -263,6 +263,42 @@ TEST(AttackProof, ForgedClaimIsRejectedByTheReplayLayer) {
     EXPECT_FALSE(v.ok);
 }
 
+TEST(AttackProof, ArchivedApproxFieldsStillVerifyAndApproxModeIsRefused) {
+    // Proofs written while approximate counting existed carry epsilon,
+    // delta and count_seed in their params, and approx_xor_levels and
+    // approx_rounds in the report's count block.  No backend reads them:
+    // such a proof parses and verifies.
+    const flow::FlowResult& r = proven_flow_result();
+    ASSERT_TRUE(r.attack_proof.has_value());
+    report::Json archived = report::Json::parse_strict(r.attack_proof->dump());
+    report::Json params = archived.at("params");
+    params.set("epsilon", 0.8);
+    params.set("delta", 0.2);
+    params.set("count_seed", std::uint64_t{1});
+    archived.set("params", params);
+    report::Json claim = archived.at("report");
+    report::Json count = claim.at("count");
+    count.set("approx_xor_levels", 0);
+    count.set("approx_rounds", 0);
+    claim.set("count", std::move(count));
+    archived.set("report", std::move(claim));
+    const ProofVerification v = verify_proof(AttackProof::from_json(
+        report::Json::parse_strict(archived.dump())));
+    EXPECT_TRUE(v.ok) << (v.failures.empty() ? "" : v.failures.front());
+
+    // An approx proof cannot be replayed: the mode is refused by name.
+    params.set("count_mode", "approx");
+    archived.set("params", std::move(params));
+    try {
+        AttackProof::from_json(archived);
+        ADD_FAILURE() << "an approx proof parsed";
+    } catch (const report::JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find("\"approx\""),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(AttackProof, RandomWarmupProofStaysVerifiable) {
     // A warm-up block puts random patterns ahead of the distinguishing
     // inputs; the replay layer classifies ALL transcript entries as
@@ -371,6 +407,28 @@ TEST(SurvivorsMismatch, CatchesAHandEditedNumericField) {
     count.set("survivors_str", "not-a-count");
     garbage.set("count", std::move(count));
     EXPECT_NE(attack::survivors_mismatch(garbage), "");
+}
+
+TEST(AdversaryReport, ArchivedApproxCountFieldsAreIgnored) {
+    // Reports written while approximate counting existed carry
+    // approx_xor_levels and approx_rounds in their count block; they parse
+    // to the same report and pass the check-report mirror.
+    attack::AdversaryReport r;
+    r.adversary = "cegar";
+    r.outcome = "solved";
+    r.survivors = 1536;
+    r.survivors_str = "1536";
+    r.count_mode = "exact";
+    r.count.decisions = 12;
+    report::Json j = r.to_json();
+    report::Json count = j.at("count");
+    EXPECT_EQ(count.find("approx_rounds"), nullptr);
+    count.set("approx_xor_levels", 0);
+    count.set("approx_rounds", 0);
+    j.set("count", std::move(count));
+    const report::Json archived = report::Json::parse_strict(j.dump());
+    EXPECT_EQ(attack::AdversaryReport::from_json(archived), r);
+    EXPECT_EQ(attack::survivors_mismatch(archived), "");
 }
 
 TEST(AdversaryReport, AuditBlockRoundTripsAndTolerantlyDefaults) {

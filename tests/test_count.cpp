@@ -25,7 +25,6 @@
 #include "attack/adversary.hpp"
 #include "attack/oracle_attack.hpp"
 #include "attack/random_camo.hpp"
-#include "count/approx_counter.hpp"
 #include "count/cnf.hpp"
 #include "count/count128.hpp"
 #include "count/projected_counter.hpp"
@@ -303,53 +302,6 @@ TEST(ProjectedCounter, RejectsProjectionOutsideTheVariableRange) {
                  std::invalid_argument);
     EXPECT_THROW(ProjectedCounter(make_cnf(2, {{pos(0)}}, {-1})),
                  std::invalid_argument);
-}
-
-// ------------------------------------------------------------ ApproxCounter
-
-TEST(ApproxCounter, RejectsNegativeVariableCount) {
-    EXPECT_THROW(ApproxCounter(make_cnf(-1, {}, {})), std::invalid_argument);
-}
-
-TEST(ApproxCounter, RejectsLiteralsOutsideTheVariableRange) {
-    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0), neg(2)}}, {0})),
-                 std::invalid_argument);
-    EXPECT_THROW(ApproxCounter(make_cnf(2, {{-2}}, {0})),
-                 std::invalid_argument);
-}
-
-TEST(ApproxCounter, RejectsProjectionOutsideTheVariableRange) {
-    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0)}}, {0, 2})),
-                 std::invalid_argument);
-    EXPECT_THROW(ApproxCounter(make_cnf(2, {{pos(0)}}, {-1})),
-                 std::invalid_argument);
-}
-
-TEST(ApproxCounter, RejectsInvalidConfig) {
-    ApproxConfig bad;
-    bad.epsilon = 0.0;
-    EXPECT_THROW(ApproxCounter(make_cnf(1, {}, {0}), bad),
-                 std::invalid_argument);
-    bad.epsilon = 0.8;
-    bad.delta = 1.0;
-    EXPECT_THROW(ApproxCounter(make_cnf(1, {}, {0}), bad),
-                 std::invalid_argument);
-}
-
-TEST(ApproxCounter, SmallSpacesAreCountedExactly) {
-    // 3 of 4 assignments: far below the pivot, so the bounded-enumeration
-    // path answers exactly.
-    ApproxCounter ac(make_cnf(2, {{pos(0), pos(1)}}, {0, 1}));
-    const ApproxResult r = ac.count();
-    EXPECT_TRUE(r.ok);
-    EXPECT_TRUE(r.exact);
-    EXPECT_EQ(r.estimate.to_u64_saturating(), 3u);
-
-    ApproxCounter none(make_cnf(1, {{pos(0)}, {neg(0)}}, {0}));
-    const ApproxResult rn = none.count();
-    EXPECT_TRUE(rn.ok);
-    EXPECT_TRUE(rn.exact);
-    EXPECT_TRUE(rn.estimate.is_zero());
 }
 
 // ------------------------------------------- differential on camo netlists
@@ -941,34 +893,6 @@ TEST(ParallelCount, AllCubesUnsatMergeToSerialZero) {
     EXPECT_TRUE(got.exact);
     EXPECT_TRUE(got.count.is_zero());
     EXPECT_EQ(got.count.to_string(), "0");
-}
-
-TEST(CountDifferential, ApproxModeAgreesOnSmallSpaces) {
-    // Small spaces take the approximate counter's exact bounded-
-    // enumeration path: same counts as the exact counter, kSolved status.
-    const CamoLibrary lib = standard_camo_library();
-    util::Rng rng(13);
-    const CamoNetlist nl = attack::random_camo_netlist(lib, 4, 2, 5, rng);
-    const std::vector<int> hidden = nl.configuration_for_code(0);
-
-    SimOracle oracle_a(nl, hidden);
-    OracleAttackParams approx;
-    approx.count_mode = CountMode::kApprox;
-    const OracleAttackResult ra = attack::oracle_attack(nl, oracle_a, approx);
-
-    SimOracle oracle_x(nl, hidden);
-    OracleAttackParams exact;
-    exact.count_mode = CountMode::kExact;
-    const OracleAttackResult rx = attack::oracle_attack(nl, oracle_x, exact);
-
-    ASSERT_EQ(rx.status, OracleAttackResult::Status::kSolved);
-    if (ra.status == OracleAttackResult::Status::kSolved) {
-        EXPECT_EQ(ra.surviving_configs, rx.surviving_configs);
-    } else {
-        ASSERT_EQ(ra.status, OracleAttackResult::Status::kApproxSolved);
-        EXPECT_TRUE(ApproxResult::within_envelope(ra.survivors, rx.survivors,
-                                                  approx.epsilon));
-    }
 }
 
 }  // namespace

@@ -365,38 +365,41 @@ TEST(BatchRunner, SpecParsingRoundTrip) {
 }
 
 TEST(BatchRunner, SpecCountingKeysParseAndContradict) {
-    // The three modes and their mode-specific knobs parse.
+    // The two modes and their mode-specific knobs parse.
     const std::vector<Scenario> ok = parse_scenario_spec(
         "funcs=present:2 count_mode=exact count_cache_mb=16 "
         "count_max_decisions=5000\n"
-        "funcs=present:2 count_mode=approx epsilon=0.5 delta=0.1\n"
         "funcs=present:2 count_mode=enumerate max_survivors=7\n");
-    ASSERT_EQ(ok.size(), 3u);
+    ASSERT_EQ(ok.size(), 2u);
     EXPECT_EQ(ok[0].params.oracle.count_mode, attack::CountMode::kExact);
     EXPECT_EQ(ok[0].params.oracle.count_cache_mb, 16);
     EXPECT_EQ(ok[0].params.oracle.count_max_decisions, 5000u);
-    EXPECT_EQ(ok[1].params.oracle.count_mode, attack::CountMode::kApprox);
-    EXPECT_DOUBLE_EQ(ok[1].params.oracle.epsilon, 0.5);
-    EXPECT_DOUBLE_EQ(ok[1].params.oracle.delta, 0.1);
-    EXPECT_EQ(ok[2].params.oracle.count_mode, attack::CountMode::kEnumerate);
-    EXPECT_EQ(ok[2].params.oracle.max_survivors, 7u);
+    EXPECT_EQ(ok[1].params.oracle.count_mode, attack::CountMode::kEnumerate);
+    EXPECT_EQ(ok[1].params.oracle.max_survivors, 7u);
+
+    // Approximate counting and its knobs are gone: specs that still name
+    // them are rejected, never silently counted another way.
+    EXPECT_THROW(parse_scenario_spec("funcs=present:2 count_mode=approx\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        parse_scenario_spec(
+            "funcs=present:2 count_mode=approx epsilon=0.5 delta=0.1\n"),
+        std::invalid_argument);
+    EXPECT_THROW(parse_scenario_spec("funcs=present:2 epsilon=0.5\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(parse_scenario_spec("funcs=present:2 delta=0.1\n"),
+                 std::invalid_argument);
 
     // Contradictory counting keys are rejected, never silently ignored.
     EXPECT_THROW(parse_scenario_spec("count_mode=banana\n"),
                  std::invalid_argument);
-    EXPECT_THROW(
-        parse_scenario_spec("funcs=present:2 count_mode=enumerate epsilon=0.5\n"),
-        std::invalid_argument);
-    EXPECT_THROW(
-        parse_scenario_spec("funcs=present:2 epsilon=0.5\n"),  // mode is exact
-        std::invalid_argument);
     EXPECT_THROW(
         parse_scenario_spec(
             "funcs=present:2 count_mode=exact max_survivors=5\n"),
         std::invalid_argument);
     EXPECT_THROW(
         parse_scenario_spec(
-            "funcs=present:2 count_mode=approx count_cache_mb=8\n"),
+            "funcs=present:2 count_mode=enumerate count_cache_mb=8\n"),
         std::invalid_argument);
     EXPECT_THROW(
         parse_scenario_spec(
@@ -405,17 +408,7 @@ TEST(BatchRunner, SpecCountingKeysParseAndContradict) {
     // Counting keys with counting switched off entirely.
     EXPECT_THROW(
         parse_scenario_spec(
-            "funcs=present:2 enum_survivors=0 count_mode=approx "
-            "epsilon=0.5 delta=0.1\n"),
-        std::invalid_argument);
-    // Out-of-range (epsilon, delta) fail at parse time, not attack time.
-    EXPECT_THROW(
-        parse_scenario_spec(
-            "funcs=present:2 count_mode=approx epsilon=-1\n"),
-        std::invalid_argument);
-    EXPECT_THROW(
-        parse_scenario_spec(
-            "funcs=present:2 count_mode=approx delta=1.5\n"),
+            "funcs=present:2 enum_survivors=0 count_mode=exact\n"),
         std::invalid_argument);
     EXPECT_THROW(
         parse_scenario_spec(

@@ -221,6 +221,9 @@ TEST(Sat, PerSolveDeltaIsolatesEachCall) {
     Solver t;
     add_pigeonhole(&t, 6, 5);
     ASSERT_EQ(t.solve(), Solver::Result::kUnsat);
+    // The search ended on a level-0 conflict, which marks the whole
+    // database contradictory.
+    EXPECT_FALSE(t.ok());
     const std::uint64_t after_first = t.stats().conflicts;
     // An UNSAT solver stays UNSAT: the second call short-circuits and the
     // delta must be all-zero, not a stale copy of the first call's work.
@@ -373,51 +376,6 @@ TEST(Sat, ReduceDbMatchesBruteForceOnRandomInstances) {
                   brute_force_sat(nv, clauses))
             << "trial " << trial;
     }
-}
-
-TEST(Sat, ConflictBudgetGivesUpAndStaysUsable) {
-    // Pigeonhole PHP(8, 7): UNSAT, and resolution needs exponentially many
-    // conflicts -- far more than a budget of 10.  The budgeted call must
-    // return kUnknown (not a wrong kSat/kUnsat), and lifting the budget on
-    // the SAME solver must still prove UNSAT.
-    const int pigeons = 8, holes = 7;
-    Solver s;
-    std::vector<std::vector<Var>> at(static_cast<std::size_t>(pigeons));
-    for (int p = 0; p < pigeons; ++p) {
-        for (int h = 0; h < holes; ++h) {
-            at[static_cast<std::size_t>(p)].push_back(s.new_var());
-        }
-    }
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> some_hole;
-        for (int h = 0; h < holes; ++h) {
-            some_hole.push_back(
-                mk_lit(at[static_cast<std::size_t>(p)][static_cast<std::size_t>(h)]));
-        }
-        s.add_clause(some_hole);
-    }
-    for (int h = 0; h < holes; ++h) {
-        for (int p1 = 0; p1 < pigeons; ++p1) {
-            for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-                s.add_binary(
-                    mk_lit(at[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)], true),
-                    mk_lit(at[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)], true));
-            }
-        }
-    }
-    // Sweep budgets across the whole conflict range so the give-up point
-    // lands on every kind of conflict (including level-0 ones, where the
-    // UNSAT verdict must preempt the budget -- returning kUnknown there
-    // would leave a poisoned level-0 trail and later bogus kSat answers).
-    for (std::uint64_t budget = 1; budget <= 121; budget += 10) {
-        s.set_conflict_budget(budget);
-        EXPECT_NE(s.solve(), Solver::Result::kSat) << "budget " << budget;
-        ASSERT_TRUE(s.ok() || s.solve() == Solver::Result::kUnsat)
-            << "budget " << budget;
-        if (!s.ok()) break;  // definitive UNSAT reached early
-    }
-    s.set_conflict_budget(0);
-    EXPECT_EQ(s.solve(), Solver::Result::kUnsat);
 }
 
 }  // namespace

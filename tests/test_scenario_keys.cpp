@@ -77,255 +77,239 @@ struct Golden {
 // serve-resubmit lines, and one scenario per row with a non-default value
 // on each chain the row applies to.  The spec_hash and attack-stage
 // columns were re-recorded when the portfolio, neighborhood_queries and
-// run_oracle_attack leaves left the canonical form; no pre-attack column
-// changed.
+// run_oracle_attack leaves left the canonical form, and again when the
+// epsilon, delta and count_seed leaves did; no pre-attack column changed.
 const Golden kGolden[] = {
     {"name=audit-present2 funcs=present:2 seed=3 population=8 generations=3 attack=cegar max_survivors=64 random_warmup=8 emit_proof=audit-proof.json", "",
-     "bfbba61cbd031bb1 - - - - -"},
+     "1f8f88787a0a1fae - - - - -"},
     {"name=c17-bench circuit=@ seed=1 camo_density=0.4 attack=cegar,random-sampling", "",
-     "e630e8affdd26441 beaef8af1a320615 da71bc9be3542304 90e96c07c755911f"},
+     "cf53202e9295d36c beaef8af1a320615 da71bc9be3542304 14ed567afe64a248"},
     {"name=c17-blif circuit=@ seed=1 camo_density=0.4 attack=cegar", "",
-     "72314f9cbe8262ee beaef8af1a320615 da71bc9be3542304 6fe6f7f61f8189ee"},
+     "e5c7bed68ced3505 beaef8af1a320615 da71bc9be3542304 821aea2dd7cf718b"},
     {"name=rca4 circuit=@ seed=2 camo_cells=3 camo_policy=fanout attack=cegar max_survivors=256", "",
-     "522741a87021e251 beaef8af1a320615 810981beddf307c1 a4cc5a10b94614f2"},
+     "b313e141b4a2280c beaef8af1a320615 810981beddf307c1 686a18a70de8b279"},
     {"name=maj3 circuit=@ seed=3 camo_density=1.0 camo_seed=7 camo_policy=depth attack=cegar count_mode=exact", "",
-     "401d0ef18a3b6dd2 beaef8af1a320615 23cf1f67af4e344c a6f7f6e9e3ebf2c0"},
+     "f2feee901f502bdf beaef8af1a320615 23cf1f67af4e344c 467f3f787192a607"},
     {"name=smoke-present2 funcs=present:2 seed=1 population=8 generations=3 attack=cegar,plausibility max_survivors=64 oracle_cache=1 random_warmup=8", "",
-     "2f3b4ce22a578747 deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 e8ca4ffbdcaa5f4f"},
+     "34d77516f519376c deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 efe85bc065f93b4e"},
     {"name=smoke-des2 funcs=des:2 seed=2 population=6 generations=2 attack=plausibility", "",
-     "dc12ff6cd311789b b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 72c69de80511dd12"},
+     "fb21d4b39f892c0a b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 9a8b91a799609f05"},
     {"funcs=present:2 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "c6bf9816f856823c 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
+     "0778ca6cfb31d24d 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
     {"funcs=present:2 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "49892c03421497ef 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
+     "a612629da39c03ce 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
     {"funcs=present:2 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "624ea27e4ea0c746 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 f90f2b1dc1ca995e"},
+     "dd6337dd9c57b0d7 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
     {"funcs=present:4 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "32563262e3dc1b76 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
+     "f432a2d5ff496293 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
     {"funcs=present:4 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "5c8e807fdb9211b5 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
+     "d28270d46a8f99d0 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
     {"funcs=present:4 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "0225d5b530f105ac 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 eae4a687758236a4"},
+     "9b5c63777123ce99 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
     {"funcs=present:8 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "181e3fd0cac89042 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 03361593ce345a18"},
+     "81326ef7643d1237 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 32edcd9281f689bf"},
     {"funcs=present:8 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "6a24af62238b89d1 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 03361593ce345a18"},
+     "857f524e0a118aa4 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 32edcd9281f689bf"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility", "",
-     "50207f5cf1fc1b59 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 6393b939c695e7d9"},
+     "4ce844fe85851e3c c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 3a21261caad92eca"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility query_budget=1000", "",
-     "46d5a92e679fb8c4 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 71f0dba61fee2322"},
+     "199c9a23fdf226c3 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 b45e1a5f143a4aa7"},
     {"funcs=present:2", "",
-     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
+     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
     {"funcs=present:2 funcs=des:3", "",
-     "bb5083eb5896ced4 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df f8b9c7fd327e6606"},
+     "4944ba55e25a641b 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 0e9e9fc0f49ace1b"},
     {"funcs=present:2 population=9", "",
-     "06d2cec5db8ab1a3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c f36f85922e661a13"},
+     "574693295720489a fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 9e61d457700e92a0"},
     {"funcs=present:2 pop=9", "",
-     "06d2cec5db8ab1a3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c f36f85922e661a13"},
+     "574693295720489a fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 9e61d457700e92a0"},
     {"funcs=present:2 generations=5", "",
-     "3aac8c48d5dd345d 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 6142f46ea4aee191"},
+     "b926ce00b9791fec 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba e92efc74b258c0ce"},
     {"funcs=present:2 gens=5", "",
-     "3aac8c48d5dd345d 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 6142f46ea4aee191"},
+     "b926ce00b9791fec 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba e92efc74b258c0ce"},
     {"funcs=present:2 baseline=0", "",
-     "e69f8ca377b39483 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 243d328e456e6b73"},
+     "536728ca5eb133ea 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 6b7f0835cc7cf370"},
     {"funcs=present:2 final_best=0", "",
-     "85bd1b6475ccff27 c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 16a2d932a3621faf"},
+     "cbcf1829b3d0d67a c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 68d2af56c0ac9a80"},
     {"funcs=present:2 verify=0", "",
-     "622d411ca450f809 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e98a0b8bd9c70b57"},
+     "42adc999cd99fb0c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a74f3134126e090"},
     {"funcs=present:2 name=golden", "",
-     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
+     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
     {"funcs=present:2 seed=42", "",
-     "608059bdc85214cf c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
+     "c094e963cb81c9fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
     {"funcs=present:2 camo=0", "",
-     "40f6855a19bff81f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3a31d994fceb3977"},
+     "d718d06b7fe2b13a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f4813c4f6b5893c0"},
     {"funcs=present:2 attack=cegar", "",
-     "a8c898aebef1a35a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f36539fb28f556e0"},
+     "b0220e4db12cbc59 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c8f76ab9fe3fce85"},
     {"funcs=present:2 attack=none", "",
-     "32bba357d34e37fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12aec1209e4be300"},
-    {"funcs=present:2 count_mode=approx", "",
-     "8ae60c2d3441cad3 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e7c2fea9687b6203"},
+     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
     {"funcs=present:2 count_mode=enumerate", "",
-     "a27563e25e49c3e9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9e28d2a91cf2b555"},
+     "ef66ee5fff404dcc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 8e272fa83276472e"},
     {"funcs=present:2 count_cache_mb=16", "",
-     "e8a609d781fa85f7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 df5229713b8961ff"},
+     "f4fb1991a1ef8186 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 75b08a616640d4f4"},
     {"funcs=present:2 count_max_decisions=5000", "",
-     "69dc9e7cf102afe6 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 2f6986e6e79580d4"},
-    {"funcs=present:2 count_mode=approx epsilon=0.5", "",
-     "11504889f136d1ec c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4b53fdd4f8a286ce"},
-    {"funcs=present:2 count_mode=approx delta=0.1", "",
-     "392f7cc407ef9400 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b715b5428e7a89aa"},
+     "b5417840bbedf12d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 38efcea7bcf5cd61"},
     {"funcs=present:2 max_survivors=99", "",
-     "f8a8a9139fe8a9dc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6af4690b91d7477e"},
+     "ba54c0b8b4f15943 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 178a562abd9fa6b3"},
     {"funcs=present:2 enum_survivors=0", "",
-     "a70448e9a4e10c79 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 dcfb659fb1331525"},
+     "f1235994dcfde8b8 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e2eefe0e603adc32"},
     {"funcs=present:2 preprocess=0", "",
-     "6cf03698f6b2b6cb c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24a01ba6c6bf268b"},
+     "1ea6b23c5e68c776 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 729762394c085aa4"},
     {"funcs=present:2 shared_miter=0", "",
-     "7d45c991cbf3c14d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 379706d187ed4281"},
+     "8fd74db90631fb88 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9e5626e0f22ca302"},
     {"funcs=present:2 canonical_inputs=1", "",
-     "6c252c04cac6e151 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c18f97a5a8b71e4d"},
+     "92688557e8b647f4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c150910eef3ff926"},
     {"funcs=present:2 attack_threads=4", "",
-     "97991d43e9340a33 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b13488752700d363"},
+     "13f63a4c644825ea c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 40b9787cbdb07970"},
     {"funcs=present:2 cube_vars=3", "",
-     "f4831b351e5f4639 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d2a59d562d7ecc65"},
+     "6cd3c661350d25a6 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 45dc37057abf3e14"},
     {"funcs=present:2 query_budget=64", "",
-     "c9096541e41988d4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 aa0ce9a1ecb00406"},
+     "ee4a41b897edbde9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6b1b558949a61355"},
     {"funcs=present:2 oracle_noise=0.05", "",
-     "f825bfe6351a2dcc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6bd4204a9ff0e72e"},
+     "fee73108a8a0c35d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 63532ad1f84af691"},
     {"funcs=present:2 oracle_cache=1", "",
-     "38b9845edac51eb7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3b8b5b080621db3f"},
+     "2d0801eb6ce7b89a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d021448da5d762a0"},
     {"funcs=present:2 save_transcript=t.json", "",
-     "32bba357d34e37fa - - - - -"},
+     "cb8c297307afb339 - - - - -"},
     {"funcs=present:2 replay_transcript=t.json", "",
-     "4e75d564b65df73a - - - - -"},
+     "642cfaaff52b0cd9 - - - - -"},
     {"funcs=present:2 attack=cegar emit_proof=p.json", "",
-     "a8c898aebef1a35a - - - - -"},
+     "b0220e4db12cbc59 - - - - -"},
     {"funcs=present:2 random_warmup=32", "",
-     "1e3efdbcb0a50f89 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 536974700f9c0575"},
+     "4f182533464b1e34 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4f9144829902bae6"},
     {"funcs=present:2 random_queries=64", "",
-     "45f52f9da1ce3e85 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 12ddc15277b35d29"},
+     "4d45943e6627860c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b50fc6fcbc118eee"},
     {"funcs=present:2 metrics=1", "",
-     "9fe33597f9bae4d3 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1b36557311292003"},
+     "e85f4f8774c8f3ca c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 899a9ddd0bda74d0"},
     {"funcs=present:2", "elim_occ=16",
-     "4cb6b71cd8626cd0 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4193f7aae5b3c2fa"},
+     "41dad70bcb9c8db7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 dd0d6d61ad56903f"},
     {"funcs=present:2", "elim_growth=4",
-     "8de1fbb5a643973e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 469e4372a25576fc"},
+     "3e9dd3148f9d9a1d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 5f6c15d2caecbed1"},
     {"funcs=present:2", "map.cut_max_leaves=3",
-     "0f8ed26fadaf4051 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c bb01ffaec775234d"},
+     "dc661490b2110b62 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c ca2a03e9adf0fdb8"},
     {"funcs=present:2", "map.cut_max_cuts_per_node=6",
-     "948f816607eaa84c 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 1147166f3af7d2ae"},
+     "3d30ca42aa2e5f4b 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 6fe24e1e6a0bec0b"},
     {"funcs=present:2", "map.cut_include_trivial=0",
-     "08f7d6721eb4bf57 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 0fe44e3cf722f8df"},
+     "65a227451f81d006 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 8649fb1274091c74"},
     {"funcs=present:2", "map.recovery_iterations=2",
-     "91cf60c43fc24b09 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 290273e692ff4bf5"},
-    {"funcs=present:2", "attack.oracle.count_seed=5",
-     "6272e520b24619be c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 53cfc628d7c33a7c"},
+     "47d985fb0d53336a 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 3df4807c4af0e5f0"},
     {"funcs=present:2", "attack.oracle.max_iterations=7",
-     "aea248be8004b9d1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 03e9bd32c03ef3cd"},
+     "d90c4a95285c0c22 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 77da6d2311b4aaf8"},
     {"funcs=present:2", "attack.oracle.warmup_seed=9",
-     "0634c5754b4f5512 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 ffe960b28e78e668"},
+     "3088c863cc1c6481 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 00ab394482858c3d"},
     {"funcs=present:2", "attack.oracle.solver.elim_resolvent_limit=12",
-     "16df5790a28201f5 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f0316df0ec6a5e99"},
+     "a1bfc97eb5c94f2a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 858200cbb41a8130"},
     {"funcs=present:2", "attack.oracle.solver.max_rounds=2",
-     "d56eebe538de73d4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 ed8b6ca50ee0cd06"},
+     "605798ed289812ff c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7f9ba8e4d4004157"},
     {"funcs=present:2", "attack.oracle.solver.inprocess_growth=1.5",
-     "4b11ee4875964bb4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d7509e7877868766"},
+     "f7432b3d73fac36b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 772de0db7a8d162b"},
     {"funcs=present:2", "attack.oracle_model.noise_seed=3",
-     "f255778be4b62a5c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 bd96bc3bde25d4fe"},
+     "2d45707df5a0ff4b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1990905d71a2cc0b"},
     {"funcs=present:2", "ga.crossover_prob=0.5",
-     "a1fd7ef8b36bdf28 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 ffa36a662df00222"},
+     "f1ac6ab05e8f920b f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 866675c24cc7e44b"},
     {"funcs=present:2", "ga.mutation_prob=0.5",
-     "87a3ed6e7e352658 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 40ecb96f0a8328d2"},
+     "0e832a56d90464a1 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd a019bc2a599d7e5d"},
     {"funcs=present:2", "ga.tournament_size=4",
-     "466aa3d2e5507a19 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 4fe7ed830f8d89c5"},
+     "5184b57a5ce52d9a 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 f72e9a64c5a6b9a0"},
     {"funcs=present:2", "ga.elite=3",
-     "67fcf3c90a27dc5b 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 cc7cc4c46c37b2db"},
+     "6ab62837b6186908 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 3a26fdadde102f82"},
     {"funcs=present:2", "fitness_effort=high",
-     "0c75de193d52efc0 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f c65f3c683fc452ea"},
+     "be5ef89ce7c295f7 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f f905e872abe311ff"},
     {"funcs=present:2", "fitness_build=shared-extract",
-     "df57cccfe9dd1fef a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba 9b1be7141fca6147"},
+     "772228e8c3ab006c a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba d3afa098d9bd6e4e"},
     {"funcs=present:2", "random_count=10",
-     "273cf4c43037c059 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 63e7ec82f5793a85"},
+     "a5cfdfe8dd552af2 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 e1044787351c5ac8"},
     {"funcs=present:2", "final_effort=high",
-     "aef0cfb09299543f c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 df1293f0ba41bc17"},
+     "602d115b2c6d1432 c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 9659c57aaafb8988"},
     {"funcs=present:2", "camo.subtree_max_depth=2",
-     "c1b8e87989e9a3a9 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 9d3abdff8f25a195"},
+     "4dea120102cd4d4a c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 e4c272c72395e550"},
     {"funcs=present:2", "camo.subtree_max_signal_leaves=3",
-     "198fa84c685a4503 c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 1e415b63126508f3"},
+     "b1b344b2bf2fd30c c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 6c3637a36965adee"},
     {"funcs=present:2", "camo.subtree_max_candidates=64",
-     "febd1b189f46fb91 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 a24fccf0aba66d0d"},
+     "3ad40a4b9ebc1cc8 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 13376acbaca434c2"},
     {"circuit=@", "",
-     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
+     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
     {"circuit=@ camo_density=0.25", "",
-     "6b83218cfaa3c6e3 beaef8af1a320615 2ff71a24ec85c991 4da28143abd477dd"},
+     "e3839ee8e49402da beaef8af1a320615 2ff71a24ec85c991 38aebcc0717e4952"},
     {"circuit=@ camo_cells=3", "",
-     "8b581041cf9076a5 beaef8af1a320615 14941faf811f574d b11236a7e509682b"},
+     "f1689fb0081ac702 beaef8af1a320615 14941faf811f574d 3c02e0d0223e61ea"},
     {"circuit=@ camo_seed=11", "",
-     "34ab56dba506410a beaef8af1a320615 35422219e63965a6 3fe4f2c40e949782"},
+     "195ec4316c62a96b beaef8af1a320615 35422219e63965a6 b623002826786355"},
     {"circuit=@ camo_policy=fanout", "",
-     "2c0b6f0341d65da8 beaef8af1a320615 a082e2a17c07761e f7e54185c8caea3c"},
+     "42ba6d10f0077f9f beaef8af1a320615 a082e2a17c07761e 5d8191658975aea1"},
     {"circuit=/nonexistent/mvf-golden/d.blif", "",
-     "15dc1559df4d1e0e 5a6cc440f7775383 c5ad362cb6348476 6f187a386f53a68e"},
+     "d8d00ae9e011d3a3 5a6cc440f7775383 c5ad362cb6348476 7e0ecea33bf9cc1d"},
     {"circuit=@ name=golden", "",
-     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
+     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
     {"circuit=@ seed=42", "",
-     "4a0bfd47f3174f0f beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
+     "22b7e1e8316ded5e beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
     {"circuit=@ camo=0", "",
-     "5a16676266cebb97 beaef8af1a320615 30097c906b6f0f6e 7417dcc43e097989"},
+     "c5520fa1856e6542 beaef8af1a320615 30097c906b6f0f6e 9468d91dc56732aa"},
     {"circuit=@ attack=cegar", "",
-     "bf814a5144629364 beaef8af1a320615 30097c906b6f0f6e b8e23cfa51b2c130"},
+     "221fe3aee62b2b87 beaef8af1a320615 30097c906b6f0f6e 2ef2d2f6fb9cfa79"},
     {"circuit=@ attack=none", "",
-     "6adee2989698c704 beaef8af1a320615 30097c906b6f0f6e bd272b398a4ea2d0"},
-    {"circuit=@ count_mode=approx", "",
-     "78d6a477c92c52f5 beaef8af1a320615 30097c906b6f0f6e a6fc0c2ac61ce9fb"},
+     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
     {"circuit=@ count_mode=enumerate", "",
-     "b5316fded1475b17 beaef8af1a320615 30097c906b6f0f6e 7cc8ace42ea04c09"},
+     "1b3ed9e5230ef17a beaef8af1a320615 30097c906b6f0f6e 7002db4952903cf2"},
     {"circuit=@ count_cache_mb=16", "",
-     "c961f3cf3b62e461 beaef8af1a320615 30097c906b6f0f6e 4a6f4f770646dfbf"},
+     "50b09de39af79bb8 beaef8af1a320615 30097c906b6f0f6e 7542dca7971f968c"},
     {"circuit=@ count_max_decisions=5000", "",
-     "a8d1c97520616818 beaef8af1a320615 30097c906b6f0f6e 42f4aa308b8041ec"},
-    {"circuit=@ count_mode=approx epsilon=0.5", "",
-     "bca3368fee486a1a beaef8af1a320615 30097c906b6f0f6e 797fcdb76d01fb12"},
-    {"circuit=@ count_mode=approx delta=0.1", "",
-     "91056dfa83966f66 beaef8af1a320615 30097c906b6f0f6e a8901e6906c74ff6"},
+     "b1cea5066c455b03 beaef8af1a320615 30097c906b6f0f6e 82967699f8b5ff7d"},
     {"circuit=@ max_survivors=99", "",
-     "3a01164df2f5ffca beaef8af1a320615 30097c906b6f0f6e 1f75e0ab35ec50c2"},
+     "c51a5180f50540a5 beaef8af1a320615 30097c906b6f0f6e 901ec419b802b62b"},
     {"circuit=@ enum_survivors=0", "",
-     "149ffec9a80fa627 beaef8af1a320615 30097c906b6f0f6e d5bc2e964859c819"},
+     "0ff3cddd34f1914e beaef8af1a320615 30097c906b6f0f6e 3f2a7d4a144e4c4e"},
     {"circuit=@ preprocess=0", "",
-     "75364e2363a3013d beaef8af1a320615 30097c906b6f0f6e a9bff820366d0e13"},
+     "1f26edade274d368 beaef8af1a320615 30097c906b6f0f6e a1d40a5041720f7c"},
     {"circuit=@ shared_miter=0", "",
-     "ca0dc89a990956a3 beaef8af1a320615 30097c906b6f0f6e 1a731451b7e09d1d"},
+     "d5ab1971f9491d9e beaef8af1a320615 30097c906b6f0f6e 2fe962ed2e580dde"},
     {"circuit=@ canonical_inputs=1", "",
-     "c43922007bd3f26f beaef8af1a320615 30097c906b6f0f6e 7fbdcc7217618cf1"},
+     "124422f4b479a8b2 beaef8af1a320615 30097c906b6f0f6e dbf081925327519a"},
     {"circuit=@ attack_threads=4", "",
-     "664d499badc98755 beaef8af1a320615 30097c906b6f0f6e 615d9f9862068c5b"},
+     "1f5ba684788bcaf4 beaef8af1a320615 30097c906b6f0f6e 03fd015e36efef80"},
     {"circuit=@ cube_vars=3", "",
-     "8b0b50c917b0dee7 beaef8af1a320615 30097c906b6f0f6e a66e4f61c50d2e59"},
+     "a83839d32c5e8dd8 beaef8af1a320615 30097c906b6f0f6e f1c4efd10ae5632c"},
     {"circuit=@ query_budget=64", "",
-     "c1542ca55547e592 beaef8af1a320615 30097c906b6f0f6e b2a838d5d061acfa"},
+     "1972f05c1555b517 beaef8af1a320615 30097c906b6f0f6e da839f58160bca09"},
     {"circuit=@ oracle_noise=0.05", "",
-     "60628ce2de2ad17a beaef8af1a320615 30097c906b6f0f6e 1bb39dfe5600dcf2"},
+     "6ab8952928ce4af3 beaef8af1a320615 30097c906b6f0f6e 2617c170c891882d"},
     {"circuit=@ oracle_cache=1", "",
-     "9ad04582b53bfb21 beaef8af1a320615 30097c906b6f0f6e 5edeb046be508bff"},
+     "c33a1d6d7b260fa4 beaef8af1a320615 30097c906b6f0f6e a0544c8134142ff0"},
     {"circuit=@ save_transcript=t.json", "",
-     "6adee2989698c704 - - -"},
+     "634c102c153f7be7 - - -"},
     {"circuit=@ replay_transcript=t.json", "",
-     "e196b7af8008ef44 - - -"},
+     "d5a96dacacb0f407 - - -"},
     {"circuit=@ attack=cegar emit_proof=p.json", "",
-     "bf814a5144629364 - - -"},
+     "221fe3aee62b2b87 - - -"},
     {"circuit=@ random_warmup=32", "",
-     "d3e794d2a0345437 beaef8af1a320615 30097c906b6f0f6e 0971a69a00d46529"},
+     "03c73f6a6ac9bdf2 beaef8af1a320615 30097c906b6f0f6e f4125bab4c69b55a"},
     {"circuit=@ random_queries=64", "",
-     "230c202635e9bb4b beaef8af1a320615 30097c906b6f0f6e 5937c2137e1c42b5"},
+     "d4ab550b4b71f1ba beaef8af1a320615 30097c906b6f0f6e a3265403e19a7fb2"},
     {"circuit=@ metrics=1", "",
-     "d9698bd0efddccf5 beaef8af1a320615 30097c906b6f0f6e 9b18b59b093cc7fb"},
+     "0f4953a9a990e0d4 beaef8af1a320615 30097c906b6f0f6e 40d82bdd4cd919e0"},
     {"circuit=@", "elim_occ=16",
-     "669a7253c4a4ebb6 beaef8af1a320615 30097c906b6f0f6e 99d912c924086d46"},
+     "69c50dbe9b537a21 beaef8af1a320615 30097c906b6f0f6e 5e264f37d786f0ff"},
     {"circuit=@", "elim_growth=4",
-     "915ac7d719458920 beaef8af1a320615 30097c906b6f0f6e 63d96ca9013b7aa4"},
+     "67db965ef988cdb3 beaef8af1a320615 30097c906b6f0f6e cc4f40d504c8256d"},
     {"circuit=@", "map.cut_max_leaves=3",
-     "51b8e626e7d22391 633760290bbeb0c2 cd11d05741689bb9 ffc7374ae34aedef"},
+     "1adba8885f0e77ee 633760290bbeb0c2 cd11d05741689bb9 3132f9e960dbc0ee"},
     {"circuit=@", "map.cut_max_cuts_per_node=6",
-     "c22ecf13850dad6e b0e9a304a12e9e63 2943805bebda153c c5401dbb5e7c656e"},
+     "eb05d39206d6930d b0e9a304a12e9e63 2943805bebda153c 3046550bdafe2463"},
     {"circuit=@", "map.cut_include_trivial=0",
-     "cf0667987edf9c11 fa11074bd6db8442 c8ee6d619178e33b 8302e5d09238a36f"},
+     "9d9a9356603c0ad8 fa11074bd6db8442 c8ee6d619178e33b f1832a621d75922c"},
     {"circuit=@", "map.recovery_iterations=2",
-     "cc72a9f9b0004a59 f9e61e06996d771a 12e0c407eb437f69 7d5f17147aa3e907"},
-    {"circuit=@", "attack.oracle.count_seed=5",
-     "9ff2348f50ae63a0 beaef8af1a320615 30097c906b6f0f6e a1c7d78811d48624"},
+     "f9f8b54b7f45bfee f9e61e06996d771a 12e0c407eb437f69 23aa03a4fdd058ee"},
     {"circuit=@", "attack.oracle.max_iterations=7",
-     "1a9f476c6ce8c2ef beaef8af1a320615 30097c906b6f0f6e 9db3475050758a71"},
+     "015fb94f8c6e19bc beaef8af1a320615 30097c906b6f0f6e 83d26571a6e2c958"},
     {"circuit=@", "attack.oracle.warmup_seed=9",
-     "5f1e1b1a8e3e192c beaef8af1a320615 30097c906b6f0f6e 4115d4cf9d8bda88"},
+     "0ac34f9c628cb95f beaef8af1a320615 30097c906b6f0f6e 549049decbae58e1"},
     {"circuit=@", "attack.oracle.solver.elim_resolvent_limit=12",
-     "697ac02236a8e5fb beaef8af1a320615 30097c906b6f0f6e 14b61e4a2617bd25"},
+     "bd25b06938209a34 beaef8af1a320615 30097c906b6f0f6e 1a483506a4651c40"},
     {"circuit=@", "attack.oracle.solver.max_rounds=2",
-     "80fc20302d112092 beaef8af1a320615 30097c906b6f0f6e 639f084db946e5fa"},
+     "4c1ac81b7dce8819 beaef8af1a320615 30097c906b6f0f6e 83153c65d8998c47"},
     {"circuit=@", "attack.oracle.solver.inprocess_growth=1.5",
-     "aff0740d76039372 beaef8af1a320615 30097c906b6f0f6e 48ef0de1a9b939da"},
+     "1c8f0e1dcab0595d beaef8af1a320615 30097c906b6f0f6e 5289c021e325ebb3"},
     {"circuit=@", "attack.oracle_model.noise_seed=3",
-     "4f5fbc11bf07f84a beaef8af1a320615 30097c906b6f0f6e 2e98af8a2e538642"},
+     "0673791e7c5141bd beaef8af1a320615 30097c906b6f0f6e cc960db34e6fdb93"},
 };
 
 TEST(ScenarioKeys, HashesMatchTheGoldenLiterals) {
@@ -377,11 +361,9 @@ const std::map<std::string, Sample> kSamples = {
     {"camo", {"0", ""}},
     {"verify", {"0", ""}},
     {"attack", {"cegar,random-sampling", ""}},
-    {"count_mode", {"approx", ""}},
+    {"count_mode", {"enumerate", ""}},
     {"count_cache_mb", {"16", ""}},
     {"count_max_decisions", {"5000", ""}},
-    {"epsilon", {"0.5", "count_mode=approx"}},
-    {"delta", {"0.1", "count_mode=approx"}},
     {"max_survivors", {"99", ""}},
     {"enum_survivors", {"0", ""}},
     {"preprocess", {"0", ""}},
@@ -415,7 +397,6 @@ const std::map<std::string, Sample> kSamples = {
     {"camo.subtree_max_depth", {"2", ""}},
     {"camo.subtree_max_signal_leaves", {"3", ""}},
     {"camo.subtree_max_candidates", {"64", ""}},
-    {"attack.oracle.count_seed", {"5", ""}},
     {"attack.oracle.max_iterations", {"7", ""}},
     {"attack.oracle.warmup_seed", {"9", ""}},
     {"attack.oracle.solver.elim_resolvent_limit", {"12", ""}},
@@ -592,17 +573,12 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "color=red",
         "camo=maybe",
         "count_mode=banana",
-        "funcs=present:2 count_mode=enumerate epsilon=0.5",
-        "funcs=present:2 epsilon=0.5",
         "funcs=present:2 count_mode=exact max_survivors=5",
-        "funcs=present:2 count_mode=approx count_cache_mb=8",
+        "funcs=present:2 count_mode=enumerate count_cache_mb=8",
         "funcs=present:2 max_survivors=5 count_cache_mb=8",
         "funcs=present:2 max_survivors=5 count_max_decisions=8",
-        "funcs=present:2 enum_survivors=0 count_mode=approx epsilon=0.5 "
-        "delta=0.1",
+        "funcs=present:2 enum_survivors=0 count_mode=exact",
         "funcs=present:2 enum_survivors=0 max_survivors=5",
-        "funcs=present:2 count_mode=approx epsilon=-1",
-        "funcs=present:2 count_mode=approx delta=1.5",
         "funcs=present:2 count_mode=exact count_cache_mb=0",
         "funcs=present:2 replay_transcript=t.json oracle_noise=0.1",
         "funcs=present:2 replay_transcript=t.json oracle_cache=1",
@@ -647,6 +623,12 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 portfolio=2",
         "funcs=present:2 neighborhood_queries=4",
         "circuit=a.blif portfolio=2",
+        // Removed approximate counting: its mode and its two knobs.
+        "funcs=present:2 count_mode=approx",
+        "funcs=present:2 epsilon=0.5",
+        "funcs=present:2 delta=0.1",
+        "funcs=present:2 count_mode=approx epsilon=0.5 delta=0.1",
+        "circuit=a.blif count_mode=approx",
     };
     for (const char* text : bad) {
         EXPECT_THROW(parse_scenario_spec(text), std::invalid_argument) << text;

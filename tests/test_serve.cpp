@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -375,6 +376,34 @@ TEST(Server, OverlongRequestLineIsRefusedAndTheServerStaysUp) {
     const Client client(running.server.bound_addr());
     std::string error;
     EXPECT_TRUE(client.ping(&error)) << error;
+}
+
+/// One line per memory mapping of this process.  A session thread that
+/// ended but was never joined keeps two: its stack and its guard page.
+std::size_t mapping_count() {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);) ++lines;
+    return lines;
+}
+
+TEST(Server, EndedSessionsAreJoinedWhileTheServerRuns) {
+    ServerParams params;
+    params.listen = temp_unix_addr("mvf_serve_reap.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+    const Client client(running.server.bound_addr());
+    std::string error;
+    ASSERT_TRUE(client.ping(&error)) << error;  // first-use setup
+    const std::size_t before = mapping_count();
+    ASSERT_GT(before, 0u) << "/proc/self/maps is unreadable";
+    // One connection, and so one session thread, per ping: unjoined, the
+    // ended sessions would add at least 2 * kConnections mappings.
+    constexpr std::size_t kConnections = 256;
+    for (std::size_t i = 0; i < kConnections; ++i) {
+        ASSERT_TRUE(client.ping(&error)) << error;
+    }
+    EXPECT_LT(mapping_count(), before + kConnections / 4);
 }
 
 TEST(Server, ShutdownOpStopsTheAcceptLoop) {
