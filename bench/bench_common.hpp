@@ -8,8 +8,8 @@
 //   --quick   minimal budgets (CI smoke run)
 //   --paper   paper-scale GA budget (~9726 individuals per circuit; slow)
 //   --seed N  RNG seed (default 1)
-//   --jobs N  worker threads for harnesses that batch independent
-//             scenarios through flow::BatchRunner (default 1)
+//   --jobs N  worker threads for harnesses that run independent
+//             scenarios as one flow::JobScheduler job (default 1)
 //   --csv F   also write results to CSV file F
 //   --json F  also write results as a machine-readable JSON document
 //             (the BENCH_<name>.json artifacts CI uploads per run)

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "flow/batch_runner.hpp"
+#include "flow/scheduler.hpp"
 #include "sbox/sbox_data.hpp"
 #include "util/csv.hpp"
 #include "util/stopwatch.hpp"
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
     std::printf("--------------------------------------------------------------"
                 "---------------------------------------------\n");
 
-    // One scenario per table row, executed through the batch runner (rows
-    // are independent, so --jobs N parallelizes the table).
+    // One scenario per table row, run as one job (rows are independent, so
+    // --jobs N parallelizes the table).
     std::vector<flow::Scenario> scenarios;
     for (const Row& row : kPaperRows) {
         const bool present = std::string(row.family) == "PRESENT";
@@ -87,10 +87,8 @@ int main(int argc, char** argv) {
     }
 
     util::Stopwatch total;
-    flow::BatchParams batch;
-    batch.jobs = args.jobs;
     const std::vector<flow::ScenarioRecord> records =
-        flow::BatchRunner(batch).run(scenarios);
+        flow::run_batch(scenarios, args.jobs);
 
     for (std::size_t i = 0; i < records.size(); ++i) {
         const Row& row = kPaperRows[i];

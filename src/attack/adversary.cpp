@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "attack/plausibility.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mvf::attack {
@@ -28,6 +27,16 @@ void accumulate(sat::Solver::Stats* into, const sat::Solver::Stats& from) {
     // A maximum, not a total: the deepest level any aggregated call reached.
     into->max_decision_level =
         std::max(into->max_decision_level, from.max_decision_level);
+}
+
+/// The survivor figures an oracle adversary reports from its counting tail.
+void copy_count(const OracleAttackResult& res, AdversaryReport* report) {
+    report->survivors = res.surviving_configs;
+    if (res.counted) {
+        report->survivors_str = res.survivors.to_string();
+        report->count_mode = std::string(count_mode_name(res.count_mode));
+        report->count = res.count_stats;
+    }
 }
 
 }  // namespace
@@ -292,12 +301,7 @@ AdversaryReport CegarAdversary::attack(const camo::CamoNetlist& netlist,
     report.outcome = std::string(attack_status_name(res.status));
     // Total oracle patterns issued: warm-up blocks + distinguishing inputs.
     report.queries = res.queries + res.warmup_queries;
-    report.survivors = res.surviving_configs;
-    if (res.counted) {
-        report.survivors_str = res.survivors.to_string();
-        report.count_mode = std::string(count_mode_name(res.count_mode));
-        report.count = res.count_stats;
-    }
+    copy_count(res, &report);
     report.metrics = res.metrics;
     report.seconds = res.seconds;
     report.sat = res.sat_stats;
@@ -317,55 +321,19 @@ AdversaryReport RandomSamplingAdversary::attack(
             "RandomSamplingAdversary: num_queries must be > 0");
     }
     util::Stopwatch sw;
-    const int m = netlist.num_pis();
     OracleAttackResult result;
     std::vector<std::vector<bool>> inputs;
     std::vector<std::vector<bool>> answers;
-
-    util::Rng rng(seed_);
-    try {
-        if (oracle->scripted_pattern() != nullptr) {
-            // Transcript replay: re-issue the recorded sequence one by one.
-            const std::vector<bool>* scripted = nullptr;
-            while (static_cast<int>(inputs.size()) < num_queries_ &&
-                   (scripted = oracle->scripted_pattern()) != nullptr) {
-                std::vector<bool> in = *scripted;
-                answers.push_back(oracle->query(in));
-                inputs.push_back(std::move(in));
-            }
-        } else {
-            int remaining = num_queries_;
-            while (remaining > 0) {
-                const int count = std::min(remaining, kQueryBlockWidth);
-                std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-                for (std::uint64_t& w : words) w = rng.next_u64();
-                try {
-                    const std::vector<std::uint64_t> po_words =
-                        oracle->query_block(words, count);
-                    for (int k = 0; k < count; ++k) {
-                        inputs.push_back(unpack_lane(words, k));
-                        answers.push_back(unpack_lane(po_words, k));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    // Blocks are all-or-nothing; drain the remaining budget
-                    // with scalar queries over the same pattern sequence so
-                    // the whole allowance is spent before giving up.
-                    for (int k = 0; k < count; ++k) {
-                        std::vector<bool> in = unpack_lane(words, k);
-                        answers.push_back(oracle->query(in));
-                        inputs.push_back(std::move(in));
-                    }
-                }
-                remaining -= count;
-            }
-        }
-    } catch (const OracleBudgetExceeded&) {
+    const bool budget_tripped = !random_queries(
+        *oracle, netlist.num_pis(), num_queries_, seed_,
+        [&](std::vector<bool> in, std::vector<bool> out) {
+            inputs.push_back(std::move(in));
+            answers.push_back(std::move(out));
+        });
+    if (budget_tripped) {
         result.status = OracleAttackResult::Status::kQueryBudget;
     }
     result.queries = static_cast<int>(inputs.size());
-
-    const bool budget_tripped =
-        result.status == OracleAttackResult::Status::kQueryBudget;
     if (!budget_tripped && params_.enumerate_survivors) {
         count_consistent_configs(netlist, inputs, answers, params_, &result);
     }
@@ -385,12 +353,7 @@ AdversaryReport RandomSamplingAdversary::attack(
                                (result.counted ? result.survivors.to_string()
                                                : std::string("uncounted")) +
                                " survivors";
-    report.survivors = result.surviving_configs;
-    if (result.counted) {
-        report.survivors_str = result.survivors.to_string();
-        report.count_mode = std::string(count_mode_name(result.count_mode));
-        report.count = result.count_stats;
-    }
+    copy_count(result, &report);
     report.seconds = result.seconds;
     last_result_ = std::move(result);
     return report;
@@ -412,17 +375,6 @@ AdversaryRegistry::AdversaryRegistry() {
 AdversaryRegistry& AdversaryRegistry::instance() {
     static AdversaryRegistry registry;
     return registry;
-}
-
-void AdversaryRegistry::register_adversary(std::string name,
-                                           AdversaryFactory factory) {
-    for (auto& [existing, f] : factories_) {
-        if (existing == name) {
-            f = std::move(factory);
-            return;
-        }
-    }
-    factories_.emplace_back(std::move(name), std::move(factory));
 }
 
 bool AdversaryRegistry::contains(const std::string& name) const {

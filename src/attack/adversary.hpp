@@ -8,7 +8,7 @@
 // the knowledge its threat model assumes, consumes a camouflaged netlist
 // (plus an oracle when its model grants one), and produces a uniform
 // `AdversaryReport` that serializes to JSON.  The registry maps names to
-// factories so experiment drivers -- flow::AttackStage, flow::BatchRunner,
+// factories so experiment drivers -- flow::AttackStage, the job scheduler,
 // and the mvf CLI -- can run any subset chosen at runtime with zero new C++.
 
 #include <cstdint>
@@ -129,15 +129,11 @@ struct AdversaryOptions {
 using AdversaryFactory =
     std::function<std::unique_ptr<Adversary>(const AdversaryOptions&)>;
 
-/// Name -> factory registry.  The built-in adversaries ("plausibility",
-/// "cegar", "random-sampling") are registered on first access; extensions
-/// may register more.
+/// Name -> factory registry of the built-in adversaries ("plausibility",
+/// "cegar", "random-sampling"), registered on first access.
 class AdversaryRegistry {
 public:
     static AdversaryRegistry& instance();
-
-    /// Registers (or replaces) a factory under `name`.
-    void register_adversary(std::string name, AdversaryFactory factory);
 
     bool contains(const std::string& name) const;
 
@@ -202,7 +198,9 @@ private:
 /// (the same counting backends as the CEGAR attacker).  success = the
 /// random sample alone pinned the chip down to one surviving
 /// configuration.  Under a replaying TranscriptOracle the recorded
-/// patterns are re-issued instead of fresh random ones.
+/// patterns are re-issued instead of fresh random ones, and a transcript
+/// shorter than `num_queries` ends in "query budget", as a live budget
+/// trip does.
 class RandomSamplingAdversary final : public Adversary {
 public:
     explicit RandomSamplingAdversary(OracleAttackParams params = {},

@@ -216,8 +216,6 @@ std::vector<std::uint64_t> NoisyOracle::query_block(
 
 // ------------------------------------------------------ OracleTranscript --
 
-namespace {
-
 std::string bits_to_string(const std::vector<bool>& bits) {
     std::string out(bits.size(), '0');
     for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -225,6 +223,8 @@ std::string bits_to_string(const std::vector<bool>& bits) {
     }
     return out;
 }
+
+namespace {
 
 std::vector<bool> bits_from_string(const std::string& text, int expect,
                                    const char* what) {

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "camo/camo_netlist.hpp"
@@ -90,6 +91,10 @@ std::vector<bool> unpack_lane(const std::vector<std::uint64_t>& words, int k);
 /// scalar answer, sizing `out` (to one zeroed word per bit) on first use.
 void fold_lane(const std::vector<bool>& answer, int k,
                std::vector<std::uint64_t>* out);
+
+/// A pattern as a 0/1 string, input 0 first: the form transcripts, query
+/// commitments and trace records carry.
+std::string bits_to_string(const std::vector<bool>& bits);
 
 /// Black-box combinational oracle (the attacker's working chip).
 class Oracle {

@@ -44,13 +44,6 @@ std::string_view attack_status_name(OracleAttackResult::Status s) {
 
 namespace {
 
-std::string pattern_bits(const std::vector<bool>& pattern) {
-    std::string s;
-    s.reserve(pattern.size());
-    for (const bool b : pattern) s.push_back(b ? '1' : '0');
-    return s;
-}
-
 double us_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - t0)
@@ -248,6 +241,66 @@ void count_consistent_configs(const CamoNetlist& netlist,
     finish_span();
 }
 
+bool random_queries(Oracle& oracle, int num_inputs, int count,
+                    std::uint64_t seed, const AnswerFn& take,
+                    const std::function<void(double)>& on_query_us) {
+    const auto timed = [&](const auto& ask) {
+        if (!on_query_us) return ask();
+        const auto q0 = std::chrono::steady_clock::now();
+        auto answer = ask();
+        on_query_us(us_since(q0));
+        return answer;
+    };
+    int remaining = count;
+    try {
+        // Replay: the transcript prescribes the patterns.  For a live
+        // recording the scripted patterns ARE the Rng sequence, so this is
+        // equivalent to regenerating them; a proof replay scripts its whole
+        // transcript here.
+        bool scripted = false;
+        while (remaining > 0 && oracle.scripted_pattern() != nullptr) {
+            std::vector<bool> in = *oracle.scripted_pattern();
+            std::vector<bool> out = oracle.query(in);
+            take(std::move(in), std::move(out));
+            scripted = true;
+            --remaining;
+        }
+        // A transcript that ended early trips the budget (a replayed chip
+        // answers exactly its recorded queries) instead of inventing fresh
+        // patterns the replay could never answer.
+        if (scripted) return remaining == 0;
+        util::Rng rng(seed);
+        while (remaining > 0) {
+            const int n = std::min(remaining, kQueryBlockWidth);
+            std::vector<std::uint64_t> words(
+                static_cast<std::size_t>(num_inputs));
+            for (std::uint64_t& w : words) w = rng.next_u64();
+            try {
+                const std::vector<std::uint64_t> po_words =
+                    timed([&] { return oracle.query_block(words, n); });
+                for (int k = 0; k < n; ++k) {
+                    take(unpack_lane(words, k), unpack_lane(po_words, k));
+                }
+            } catch (const OracleBudgetExceeded&) {
+                // The whole block overran the remaining budget (blocks are
+                // all-or-nothing); drain what is left with scalar queries
+                // over the SAME pattern sequence so the full allowance is
+                // spent before the budget trips.
+                for (int k = 0; k < n; ++k) {
+                    std::vector<bool> in = unpack_lane(words, k);
+                    std::vector<bool> out =
+                        timed([&] { return oracle.query(in); });
+                    take(std::move(in), std::move(out));
+                }
+            }
+            remaining -= n;
+        }
+    } catch (const OracleBudgetExceeded&) {
+        return false;
+    }
+    return true;
+}
+
 OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
                                  const OracleAttackParams& params) {
     const int m = netlist.num_pis();
@@ -379,78 +432,20 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             warm_args.set("patterns", params.random_warmup);
         }
         obs::Span warm_span("warmup", "attack", std::move(warm_args));
-        util::Rng wrng(params.warmup_seed);
-        int remaining = params.random_warmup;
-        const auto take_answer = [&](const std::vector<std::uint64_t>& words,
-                                     int k, std::vector<bool> out) {
-            std::vector<bool> in = unpack_lane(words, k);
+        const auto take_answer = [&](std::vector<bool> in,
+                                     std::vector<bool> out) {
             assert(static_cast<int>(out.size()) == r);
             constrain_both(in, out);
             constraint_inputs.push_back(std::move(in));
             answers.push_back(std::move(out));
             ++result.warmup_queries;
         };
-        // Replay: the transcript prescribes the warm-up patterns.  For a
-        // live recording the scripted patterns ARE the wrng sequence, so
-        // this path is equivalent to regenerating them; a proof replay
-        // scripts its whole transcript as warm-up.
-        while (remaining > 0 && !budget_tripped &&
-               oracle.scripted_pattern() != nullptr) {
-            std::vector<bool> in = *oracle.scripted_pattern();
-            try {
-                std::vector<bool> out = oracle.query(in);
-                constrain_both(in, out);
-                constraint_inputs.push_back(std::move(in));
-                answers.push_back(std::move(out));
-                ++result.warmup_queries;
-            } catch (const OracleBudgetExceeded&) {
-                result.status = OracleAttackResult::Status::kQueryBudget;
-                budget_tripped = true;
-            }
-            --remaining;
-        }
-        if (remaining > 0 && !budget_tripped &&
-            result.warmup_queries > 0) {
-            // Scripted warm-up ran but the transcript ended early:
-            // terminate honestly (a replayed chip answers exactly its
-            // recorded queries), instead of inventing fresh patterns the
-            // replay below could never answer.
+        if (!random_queries(oracle, m, params.random_warmup,
+                            params.warmup_seed, take_answer,
+                            collect ? std::function<void(double)>(observe_query)
+                                    : nullptr)) {
             result.status = OracleAttackResult::Status::kQueryBudget;
             budget_tripped = true;
-        }
-        while (remaining > 0 && !budget_tripped) {
-            const int count = std::min(remaining, kQueryBlockWidth);
-            std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-            for (std::uint64_t& w : words) w = wrng.next_u64();
-            try {
-                const auto q0 = collect ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point();
-                const std::vector<std::uint64_t> po_words =
-                    oracle.query_block(words, count);
-                if (collect) observe_query(us_since(q0));
-                for (int k = 0; k < count; ++k) {
-                    take_answer(words, k, unpack_lane(po_words, k));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                // The whole block overran the remaining budget (blocks are
-                // all-or-nothing); drain what is left with scalar queries
-                // over the SAME pattern sequence so the full allowance is
-                // spent before terminating honestly.
-                try {
-                    for (int k = 0; k < count; ++k) {
-                        const auto q0 =
-                            collect ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point();
-                        std::vector<bool> out = oracle.query(unpack_lane(words, k));
-                        if (collect) observe_query(us_since(q0));
-                        take_answer(words, k, std::move(out));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    budget_tripped = true;
-                }
-            }
-            remaining -= count;
         }
     }
 
@@ -523,7 +518,7 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         answers.push_back(std::move(answer));
         if (iter_span) {
             report::Json ea = report::Json::object();
-            ea.set("pattern", pattern_bits(pattern));
+            ea.set("pattern", bits_to_string(pattern));
             ea.set("conflicts", delta.conflicts);
             ea.set("decisions", delta.decisions);
             ea.set("propagations", delta.propagations);

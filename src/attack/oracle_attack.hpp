@@ -20,6 +20,7 @@
 // enumeration (see CountMode).
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -128,11 +129,11 @@ struct OracleAttackParams {
     /// (count::CounterConfig::cube_vars); 0 = auto from attack_threads.
     int cube_vars = 0;
     /// Worker pool for the cube workers.  nullptr (the default) spins up a
-    /// private pool; the batch runner passes its own pool so `mvf batch
-    /// --jobs N` with attack_threads > 1 cannot oversubscribe or deadlock
-    /// (workers submitting subtasks to the same pool helping-wait via
-    /// ThreadPool::run_one).  Runtime plumbing only: excluded from spec
-    /// hashing.
+    /// private pool; a multi-worker flow::JobScheduler passes its own pool,
+    /// so `mvf batch --jobs N` and `mvf serve` with attack_threads > 1
+    /// cannot oversubscribe or deadlock (workers submitting subtasks to the
+    /// same pool helping-wait via ThreadPool::run_one).  Runtime plumbing
+    /// only: excluded from spec hashing.
     util::ThreadPool* pool = nullptr;
 };
 
@@ -202,6 +203,25 @@ std::string_view attack_status_name(OracleAttackResult::Status s);
 OracleAttackResult oracle_attack(const camo::CamoNetlist& netlist,
                                  Oracle& oracle,
                                  const OracleAttackParams& params = {});
+
+/// Receives one answered pattern: the inputs and the oracle's outputs.
+using AnswerFn =
+    std::function<void(std::vector<bool> inputs, std::vector<bool> outputs)>;
+
+/// The random-query phase both oracle adversaries share (CEGAR's
+/// random_warmup, the random-sampling baseline): asks `oracle` for `count`
+/// patterns of `num_inputs` bits drawn from util::Rng(seed), 64 per
+/// query_block call.  A block that would overrun the remaining budget is
+/// asked one pattern at a time, so the whole allowance is spent before
+/// the budget trips.  Under a replaying TranscriptOracle the recorded
+/// patterns are asked instead, and a transcript that ends early trips the
+/// budget too.  `take` receives every answered pattern in query order;
+/// `on_query_us`, when set, the latency of each oracle call in
+/// microseconds (replayed queries are not timed).  Returns false when the
+/// budget tripped.
+bool random_queries(Oracle& oracle, int num_inputs, int count,
+                    std::uint64_t seed, const AnswerFn& take,
+                    const std::function<void(double)>& on_query_us = {});
 
 /// The survivor-counting tail of oracle_attack, reusable by any adversary
 /// that gathers I/O constraints (inputs[i] answered by answers[i]): counts

@@ -1,16 +1,6 @@
 #include "audit/committing_oracle.hpp"
 
 namespace mvf::audit {
-namespace {
-
-std::string bits_to_string(const std::vector<bool>& bits) {
-    std::string s;
-    s.reserve(bits.size());
-    for (const bool b : bits) s.push_back(b ? '1' : '0');
-    return s;
-}
-
-}  // namespace
 
 CommittingOracle::CommittingOracle(attack::Oracle& inner,
                                    std::uint64_t salt_seed,
@@ -28,9 +18,9 @@ std::string CommittingOracle::leaf_message(std::uint64_t index,
     std::string msg = "q";
     msg += std::to_string(index);
     msg += '|';
-    msg += bits_to_string(inputs);
+    msg += attack::bits_to_string(inputs);
     msg += '|';
-    msg += bits_to_string(outputs);
+    msg += attack::bits_to_string(outputs);
     msg += '|';
     msg += prev_digest_hex;
     return msg;

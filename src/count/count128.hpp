@@ -143,16 +143,6 @@ public:
         if (k > 0) mul_u64(1ull << k);
     }
 
-    /// Saturates this count to `cap` when it exceeds it (the legacy
-    /// enumeration path's max_survivors clamp).  Returns true if clamped.
-    bool clamp_u64(std::uint64_t cap) {
-        if (hi_ == 0 && lo_ <= cap && !saturated_) return false;
-        hi_ = 0;
-        lo_ = cap;
-        saturated_ = false;
-        return true;
-    }
-
     /// Value as uint64, pinned to UINT64_MAX when it does not fit.
     std::uint64_t to_u64_saturating() const {
         return hi_ != 0 ? UINT64_MAX : lo_;

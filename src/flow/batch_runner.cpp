@@ -1,20 +1,11 @@
 #include "flow/batch_runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <future>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "flow/spec_hash.hpp"
 #include "obs/trace.hpp"
 #include "sbox/sbox_data.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mvf::flow {
 
@@ -168,99 +159,6 @@ report::Json ScenarioRecord::to_json() const {
     }
     j.set("attacks", std::move(attacks_json));
     return j;
-}
-
-std::vector<ScenarioRecord> BatchRunner::run(
-    const std::vector<Scenario>& scenarios) const {
-    std::vector<ScenarioRecord> records(scenarios.size());
-    const int count = static_cast<int>(scenarios.size());
-    const auto report_progress = [this](const ScenarioRecord& r, int total) {
-        if (!params_.verbose) return;
-        std::fprintf(stderr, "[%d/%d] %s: %s (%.1fs)\n", r.index + 1, total,
-                     r.name.c_str(), r.ok ? "ok" : r.error.c_str(), r.seconds);
-    };
-
-    // Heartbeat: while scenarios run, a side thread streams completed/total
-    // counts as "batch-progress" counter samples into the trace -- the
-    // progress records a monitoring consumer tails instead of waiting for
-    // the final report.  Active only when a trace sink is installed.
-    std::atomic<int> completed{0};
-    obs::TraceSink* const sink = obs::tracing();
-    const bool heartbeat_active =
-        sink != nullptr && params_.heartbeat_ms > 0 && count > 0;
-    std::mutex hb_mu;
-    std::condition_variable hb_cv;
-    bool hb_done = false;
-    std::thread heartbeat;
-    if (heartbeat_active) {
-        heartbeat = std::thread([&] {
-            const auto sample = [&] {
-                report::Json v = report::Json::object();
-                v.set("completed", completed.load(std::memory_order_relaxed));
-                v.set("total", count);
-                sink->counter("batch-progress", std::move(v));
-                sink->flush();  // tailing consumers see the sample now
-            };
-            std::unique_lock<std::mutex> lock(hb_mu);
-            while (!hb_done) {
-                sample();
-                hb_cv.wait_for(lock,
-                               std::chrono::milliseconds(params_.heartbeat_ms),
-                               [&] { return hb_done; });
-            }
-            sample();  // final completed == total record
-        });
-    }
-    const auto stop_heartbeat = [&] {
-        if (!heartbeat_active) return;
-        {
-            std::lock_guard<std::mutex> lock(hb_mu);
-            hb_done = true;
-        }
-        hb_cv.notify_all();
-        heartbeat.join();
-    };
-
-    if (params_.jobs <= 1 || count <= 1) {
-        for (int i = 0; i < count; ++i) {
-            records[static_cast<std::size_t>(i)] =
-                run_scenario(scenarios[static_cast<std::size_t>(i)], i);
-            completed.fetch_add(1, std::memory_order_relaxed);
-            report_progress(records[static_cast<std::size_t>(i)], count);
-        }
-        stop_heartbeat();
-        return records;
-    }
-
-    util::ThreadPool pool(std::min(params_.jobs, count));
-    std::vector<std::future<void>> futures;
-    futures.reserve(scenarios.size());
-    for (int i = 0; i < count; ++i) {
-        // Sharded submission spreads the batch round-robin across the
-        // workers' deques; idle workers steal from the back, so a shard
-        // stuck behind one long scenario drains via its neighbours.
-        futures.push_back(pool.submit_sharded(
-            i, [&scenarios, &records, &completed, &pool, i] {
-                // Parallel attacks inside a parallel batch share THIS pool
-                // instead of spawning their own: the scenario worker
-                // helping-waits (ThreadPool::run_one) on its subtasks, so
-                // cube workers cannot deadlock or oversubscribe even with
-                // every worker busy.
-                Scenario scenario = scenarios[static_cast<std::size_t>(i)];
-                if (scenario.params.oracle.attack_threads > 1) {
-                    scenario.params.oracle.pool = &pool;
-                }
-                records[static_cast<std::size_t>(i)] =
-                    run_scenario(scenario, i);
-                completed.fetch_add(1, std::memory_order_relaxed);
-            }));
-    }
-    for (int i = 0; i < count; ++i) {
-        futures[static_cast<std::size_t>(i)].get();
-        report_progress(records[static_cast<std::size_t>(i)], count);
-    }
-    stop_heartbeat();
-    return records;
 }
 
 report::Json batch_report(const std::vector<ScenarioRecord>& records,

@@ -1,13 +1,14 @@
 #pragma once
-// Parallel batch execution of independent flow scenarios.
+// One scenario run, the unit every batch executes.
 //
 // A Scenario names a viable-function set (S-box family x merge width), the
-// FlowParams to run it under, and a seed; BatchRunner executes N scenarios
-// on a util::ThreadPool with one isolated FlowContext + ObfuscationFlow
-// (i.e. private synthesis caches) per scenario, so results are bit-identical
-// regardless of --jobs and scheduling order.  Each scenario yields a
-// structured ScenarioRecord that serializes to JSON (report::JsonWriter),
-// the machine-readable counterpart of the benches' CSV.
+// FlowParams to run it under, and a seed; run_scenario executes it with one
+// isolated FlowContext + ObfuscationFlow (i.e. private synthesis caches),
+// so results are bit-identical regardless of --jobs and scheduling order
+// (flow/scheduler.hpp runs batches of them in parallel).  Each scenario
+// yields a structured ScenarioRecord that serializes to JSON
+// (report::JsonWriter), the machine-readable counterpart of the benches'
+// CSV.
 //
 // Scenarios come from the API, from `mvf run` flags or from spec files
 // (flow/scenario_keys.hpp, which also defines Scenario and the spec
@@ -61,9 +62,9 @@ struct ScenarioRecord {
     report::Json to_json() const;
 };
 
-/// External wiring for one scenario run (all optional).  BatchRunner uses
-/// it internally; the serve scheduler passes its own cancel token, deadline
-/// and shared stage cache.
+/// External wiring for one scenario run (all optional).  The job scheduler
+/// passes its job's cancel token, deadline, progress stream and stage
+/// cache.
 struct ScenarioRunHooks {
     /// Cooperative cancellation (copies share the flag; see CancelToken).
     std::optional<CancelToken> cancel;
@@ -77,35 +78,11 @@ struct ScenarioRunHooks {
 };
 
 /// Runs one scenario in isolation (private ObfuscationFlow => private
-/// synthesis caches): the unit both BatchRunner and the serve scheduler
-/// execute.  Never throws -- failures and cancellation are captured in the
-/// record's status/error fields.
+/// synthesis caches): the unit the job scheduler executes.  Never throws --
+/// failures and cancellation are captured in the record's status/error
+/// fields.
 ScenarioRecord run_scenario(const Scenario& scenario, int index,
                             const ScenarioRunHooks& hooks = {});
-
-struct BatchParams {
-    /// Worker threads; 1 = serial in the calling thread.
-    int jobs = 1;
-    /// Per-scenario progress line on stderr.
-    bool verbose = false;
-    /// Heartbeat period for the trace's "batch-progress" counter stream
-    /// (completed/total scenario counts -- the NDJSON progress records a
-    /// future `mvf serve` will reuse).  Only active while a trace sink is
-    /// installed; 0 disables.
-    int heartbeat_ms = 1000;
-};
-
-class BatchRunner {
-public:
-    explicit BatchRunner(BatchParams params = {}) : params_(params) {}
-
-    /// Runs every scenario; records come back in input order.  Scenario
-    /// failures are captured in their record, never thrown.
-    std::vector<ScenarioRecord> run(const std::vector<Scenario>& scenarios) const;
-
-private:
-    BatchParams params_;
-};
 
 /// Wraps records as the batch report document: {"scenarios": [...],
 /// "total_seconds": ..., "failures": ...}.

@@ -1,12 +1,13 @@
-#include "serve/scheduler.hpp"
+#include "flow/scheduler.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
 #include "flow/spec_hash.hpp"
-#include "serve/protocol.hpp"
+#include "util/hash.hpp"
 
-namespace mvf::serve {
+namespace mvf::flow {
 
 std::string_view job_state_name(JobState s) {
     switch (s) {
@@ -18,7 +19,7 @@ std::string_view job_state_name(JobState s) {
     return "unknown";
 }
 
-JobScheduler::JobScheduler(int workers, flow::StageStore* store)
+JobScheduler::JobScheduler(int workers, StageStore* store)
     : store_(store), pool_(workers) {}
 
 JobScheduler::~JobScheduler() {
@@ -26,19 +27,23 @@ JobScheduler::~JobScheduler() {
     pool_.wait_idle();
 }
 
-std::string JobScheduler::submit(std::vector<flow::Scenario> scenarios,
+std::string JobScheduler::submit(std::vector<Scenario> scenarios,
                                  const SubmitOptions& options) {
     auto job = std::make_shared<Job>();
-    std::size_t shard;
     {
         std::lock_guard lock(mu_);
         job->id = "j" + std::to_string(next_id_++);
-        shard = next_shard_;
-        // Round-robin the job's scenarios over worker deques starting at a
-        // fresh offset, so concurrent jobs land on different workers.
-        next_shard_ += scenarios.size();
     }
     job->scenarios = std::move(scenarios);
+    if (workers() > 1) {
+        // Cube workers join the scenario workers on pool_ (see the header);
+        // the pointer is runtime plumbing, outside every spec hash.
+        for (Scenario& s : job->scenarios) {
+            if (s.params.oracle.attack_threads > 1) {
+                s.params.oracle.pool = &pool_;
+            }
+        }
+    }
     job->submitted = std::chrono::steady_clock::now();
     if (options.timeout_s > 0.0) {
         job->deadline =
@@ -47,7 +52,7 @@ std::string JobScheduler::submit(std::vector<flow::Scenario> scenarios,
                 std::chrono::duration<double>(options.timeout_s));
     }
     job->records.resize(job->scenarios.size());
-    if (options.sink) job->sinks.push_back(options.sink);
+    job->sinks = options.sinks;
     const int total = static_cast<int>(job->scenarios.size());
     {
         std::lock_guard lock(mu_);
@@ -67,8 +72,7 @@ std::string JobScheduler::submit(std::vector<flow::Scenario> scenarios,
     args.set("scenarios", total);
     emit_instant(job, "job-submitted", std::move(args));
     for (int i = 0; i < total; ++i) {
-        pool_.submit_sharded(shard + static_cast<std::size_t>(i),
-                             [this, job, i] { run_scenario_task(job, i); });
+        pool_.submit([this, job, i] { run_scenario_task(job, i); });
     }
     return job->id;
 }
@@ -79,9 +83,9 @@ void JobScheduler::run_scenario_task(const std::shared_ptr<Job>& job,
         std::lock_guard lock(mu_);
         if (job->state == JobState::kQueued) job->state = JobState::kRunning;
     }
-    const flow::Scenario& scenario =
+    const Scenario& scenario =
         job->scenarios[static_cast<std::size_t>(index)];
-    flow::ScenarioRecord record;
+    ScenarioRecord record;
     if (job->cancel.cancelled()) {
         // Cancelled while queued: a placeholder record, no pipeline work.
         record.index = index;
@@ -92,14 +96,14 @@ void JobScheduler::run_scenario_task(const std::shared_ptr<Job>& job,
         record.ok = false;
         record.status = "cancelled";
         record.error = "cancelled while queued";
-        record.spec_hash = flow::spec_hash(scenario);
+        record.spec_hash = spec_hash(scenario);
     } else {
-        flow::ScenarioRunHooks hooks;
+        ScenarioRunHooks hooks;
         hooks.cancel = job->cancel;
         hooks.deadline = job->deadline;
         hooks.stage_store = store_;
         hooks.progress = [this, &job, index,
-                          &scenario](const flow::StageEvent& ev) {
+                          &scenario](const StageEvent& ev) {
             report::Json args = report::Json::object();
             args.set("job", job->id);
             args.set("scenario", scenario.name);
@@ -112,7 +116,7 @@ void JobScheduler::run_scenario_task(const std::shared_ptr<Job>& job,
             args.set("cached", ev.cached);
             emit_instant(job, "stage", std::move(args));
         };
-        record = flow::run_scenario(scenario, index, hooks);
+        record = run_scenario(scenario, index, hooks);
     }
     {
         std::lock_guard lock(mu_);
@@ -141,7 +145,7 @@ void JobScheduler::finish_scenario(const std::shared_ptr<Job>& job,
         }
         st = status_locked(*job);
     }
-    const flow::ScenarioRecord& rec =
+    const ScenarioRecord& rec =
         job->records[static_cast<std::size_t>(index)];
     report::Json done = report::Json::object();
     done.set("job", job->id);
@@ -189,7 +193,7 @@ void JobScheduler::emit_instant(const std::shared_ptr<Job>& job,
     std::vector<std::shared_ptr<obs::TraceSink>> sinks = job->sinks;
     lock.unlock();
     for (const auto& sink : sinks) {
-        sink->instant(name, "serve", args);
+        sink->instant(name, "job", args);
         sink->flush();
     }
 }
@@ -200,7 +204,7 @@ JobStatus JobScheduler::status_locked(const Job& job) const {
     st.state = job.state;
     st.completed = job.completed;
     st.total = static_cast<int>(job.scenarios.size());
-    for (const flow::ScenarioRecord& r : job.records) {
+    for (const ScenarioRecord& r : job.records) {
         if (r.status == "error") ++st.failures;
         st.cache_hits += r.cache_hits;
     }
@@ -312,4 +316,51 @@ void JobScheduler::cancel_all() {
     for (const auto& j : jobs) j->cancel.cancel();
 }
 
-}  // namespace mvf::serve
+std::vector<ScenarioRecord> run_batch(const std::vector<Scenario>& scenarios,
+                                      int jobs, const SubmitOptions& options) {
+    const int count = static_cast<int>(scenarios.size());
+    JobScheduler scheduler(std::min(jobs, std::max(count, 1)), nullptr);
+    return scheduler.wait(scheduler.submit(scenarios, options))->records;
+}
+
+namespace {
+
+bool is_volatile_key(const std::string& key) {
+    return key == "seconds" || key == "total_seconds" ||
+           key == "solve_seconds" || key == "metrics" || key == "cache_hits";
+}
+
+}  // namespace
+
+report::Json strip_volatile(const report::Json& j) {
+    switch (j.type()) {
+        case report::Json::Type::kArray: {
+            report::Json out = report::Json::array();
+            for (const report::Json& item : j.items()) {
+                out.push_back(strip_volatile(item));
+            }
+            return out;
+        }
+        case report::Json::Type::kObject: {
+            report::Json out = report::Json::object();
+            for (const auto& [key, value] : j.members()) {
+                if (is_volatile_key(key)) continue;
+                out.set(key, strip_volatile(value));
+            }
+            return out;
+        }
+        default:
+            return j;
+    }
+}
+
+std::string records_hash(const std::vector<ScenarioRecord>& records) {
+    report::Json arr = report::Json::array();
+    for (const ScenarioRecord& r : records) {
+        arr.push_back(r.to_json());
+    }
+    return util::fnv1a64_hex(
+        report::canonicalized(strip_volatile(arr)).dump());
+}
+
+}  // namespace mvf::flow

@@ -1,19 +1,27 @@
 #pragma once
-// Job scheduler for the experiment server.
+// The one way scenario batches run in parallel.
 //
-// A job is one submitted scenario batch.  The scheduler shards every
-// job's scenarios across one shared util::ThreadPool via submit_sharded
-// (per-worker deques + work-stealing), so scenarios from several
-// concurrent jobs interleave instead of head-of-line blocking, and all
-// jobs share one flow::StageStore -- a scenario one client already paid
-// for is a cache restore for every later client.
+// A job is one submitted scenario batch.  `mvf run`, `mvf batch`, the
+// benches and the tests submit one job and wait for it (run_batch is the
+// few-line form); `mvf serve` keeps one scheduler for all its sessions.
+// Every job's scenarios go onto one shared util::ThreadPool in submission
+// order, and all jobs share one optional flow::StageStore -- a scenario
+// one client already paid for is a cache restore for every later client.
+//
+// Parallel attacks share the pool.  When the scheduler has more than one
+// worker, a scenario with attack_threads > 1 runs its exact-count cube
+// workers on the scheduler's pool instead of a private one: the scenario's
+// thread helping-waits (ThreadPool::run_one) on its cube tasks, so a job
+// adds no threads beyond the pool's and nested submission cannot
+// deadlock.  A one-worker scheduler leaves the counter its private pool,
+// because sharing would serialize the count behind the scenario's thread.
 //
 // Per-job wiring: a flow::CancelToken (cancel() flips it; queued scenarios
 // then complete immediately as "cancelled" records, the running one stops
 // at its next stage boundary), an optional deadline, and any number of
 // attached obs::TraceSink streams that receive per-stage progress and
-// job-progress counters (the serve sessions point these at client
-// sockets).  A sink detaching mid-run -- client disconnected -- is
+// job-progress counters (`mvf --trace`/`--verbose` and the serve sessions'
+// client sockets).  A sink detaching mid-run -- client disconnected -- is
 // harmless: emission just stops reaching it.
 //
 // Retention: the scheduler keeps at most kMaxRetainedJobs terminal jobs
@@ -23,7 +31,7 @@
 // a finished job is evicted only once kMaxRetainedJobs newer jobs have
 // finished.
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -34,9 +42,10 @@
 
 #include "flow/batch_runner.hpp"
 #include "obs/trace.hpp"
+#include "report/json.hpp"
 #include "util/thread_pool.hpp"
 
-namespace mvf::serve {
+namespace mvf::flow {
 
 enum class JobState { kQueued, kRunning, kDone, kCancelled };
 
@@ -58,14 +67,14 @@ struct JobStatus {
 struct JobResults {
     JobStatus status;
     /// In input order; records of unfinished scenarios are placeholders.
-    std::vector<flow::ScenarioRecord> records;
+    std::vector<ScenarioRecord> records;
 };
 
 struct SubmitOptions {
     /// Wall-clock budget for the whole job (0 = none).
     double timeout_s = 0.0;
-    /// Initial trace stream (more can attach later via watch()).
-    std::shared_ptr<obs::TraceSink> sink;
+    /// Initial trace streams (more can attach later via watch()).
+    std::vector<std::shared_ptr<obs::TraceSink>> sinks;
 };
 
 class JobScheduler {
@@ -74,12 +83,12 @@ public:
     static constexpr std::size_t kMaxRetainedJobs = 256;
 
     /// `workers` pool threads; `store` may be null (no stage caching).
-    JobScheduler(int workers, flow::StageStore* store);
+    JobScheduler(int workers, StageStore* store);
     /// Cancels everything still running and drains the pool.
     ~JobScheduler();
 
     /// Enqueues a job; returns its id ("j1", "j2", ...).
-    std::string submit(std::vector<flow::Scenario> scenarios,
+    std::string submit(std::vector<Scenario> scenarios,
                        const SubmitOptions& options = {});
 
     /// Flips the job's cancel token; false for unknown and evicted ids.
@@ -114,11 +123,11 @@ public:
 private:
     struct Job {
         std::string id;
-        std::vector<flow::Scenario> scenarios;
-        flow::CancelToken cancel;
+        std::vector<Scenario> scenarios;
+        CancelToken cancel;
         std::optional<std::chrono::steady_clock::time_point> deadline;
         std::chrono::steady_clock::time_point submitted;
-        std::vector<flow::ScenarioRecord> records;
+        std::vector<ScenarioRecord> records;
         int completed = 0;
         JobState state = JobState::kQueued;
         double seconds = 0.0;
@@ -142,13 +151,32 @@ private:
     /// Evicts the oldest unpinned terminal jobs beyond kMaxRetainedJobs.
     void evict_locked();
 
-    flow::StageStore* store_;
+    StageStore* store_;
     mutable std::mutex mu_;
     std::condition_variable terminal_cv_;
     std::vector<std::shared_ptr<Job>> jobs_;
     std::uint64_t next_id_ = 1;
-    std::uint64_t next_shard_ = 0;
     util::ThreadPool pool_;  ///< last: its dtor drains tasks that use *this
 };
 
-}  // namespace mvf::serve
+/// Runs `scenarios` as one job on a scheduler of `jobs` workers (at most
+/// one per scenario), waits, and returns the records in input order.
+/// Scenario failures are captured in their record, never thrown.  The
+/// scheduler's workers are joined before this returns, so `options.sinks`
+/// receive nothing afterwards.
+std::vector<ScenarioRecord> run_batch(const std::vector<Scenario>& scenarios,
+                                      int jobs,
+                                      const SubmitOptions& options = {});
+
+/// Recursively removes volatile members ("seconds", "total_seconds",
+/// "solve_seconds", "metrics", "cache_hits") -- everything that may
+/// legitimately differ between a fresh and a cache-served run of the same
+/// experiment.
+report::Json strip_volatile(const report::Json& j);
+
+/// FNV-1a of the canonicalized, volatile-stripped records array: equal
+/// hashes mean semantically identical results, no matter which stages
+/// came from the cache or how many workers ran them.
+std::string records_hash(const std::vector<ScenarioRecord>& records);
+
+}  // namespace mvf::flow

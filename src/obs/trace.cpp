@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <unistd.h>
+
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,18 @@ TraceSink::TraceSink(std::FILE* stream, std::string label, TraceFormat format)
     if (file_ && format_ == TraceFormat::kChrome) {
         std::fputs("[\n", file_);
     }
+}
+
+std::shared_ptr<TraceSink> fd_sink(int fd, std::string label) {
+    const int dup_fd = ::dup(fd);
+    if (dup_fd < 0) return nullptr;
+    std::FILE* f = ::fdopen(dup_fd, "w");
+    if (!f) {
+        ::close(dup_fd);
+        return nullptr;
+    }
+    std::setvbuf(f, nullptr, _IOLBF, 0);
+    return std::make_shared<TraceSink>(f, std::move(label));
 }
 
 TraceSink::~TraceSink() {

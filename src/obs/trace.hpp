@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -109,6 +110,12 @@ private:
     std::unordered_map<std::thread::id, int> tids_;  // under mu_
     std::atomic<std::uint64_t> events_{0};
 };
+
+/// A line-buffered NDJSON sink on a dup of `fd` (every record flushes at
+/// its newline, and closing the sink closes only the dup); null when the
+/// fd cannot be duplicated.  The serve sessions point one at a client
+/// socket, `mvf --verbose` at stderr.
+std::shared_ptr<TraceSink> fd_sink(int fd, std::string label);
 
 /// Process-global sink used by every instrumentation site.  Not owned:
 /// the installer (CLI, test, bench) keeps the TraceSink alive and must

@@ -2,7 +2,7 @@
 // Structured experiment records: a small JSON value type with emission and
 // parsing, plus a file writer.
 //
-// The batch runner and the mvf CLI report one JSON record per scenario
+// Scenario batches and the mvf CLI report one JSON record per scenario
 // (machine-readable counterpart of the bench harnesses' CSV output), and
 // adversary reports round-trip through JSON so downstream tooling -- and
 // the CI smoke job -- can validate them without C++.  Objects preserve

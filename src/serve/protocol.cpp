@@ -1,48 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include "util/hash.hpp"
-
 namespace mvf::serve {
-
-namespace {
-
-bool is_volatile_key(const std::string& key) {
-    return key == "seconds" || key == "total_seconds" ||
-           key == "solve_seconds" || key == "metrics" || key == "cache_hits";
-}
-
-}  // namespace
-
-report::Json strip_volatile(const report::Json& j) {
-    switch (j.type()) {
-        case report::Json::Type::kArray: {
-            report::Json out = report::Json::array();
-            for (const report::Json& item : j.items()) {
-                out.push_back(strip_volatile(item));
-            }
-            return out;
-        }
-        case report::Json::Type::kObject: {
-            report::Json out = report::Json::object();
-            for (const auto& [key, value] : j.members()) {
-                if (is_volatile_key(key)) continue;
-                out.set(key, strip_volatile(value));
-            }
-            return out;
-        }
-        default:
-            return j;
-    }
-}
-
-std::string records_hash(const std::vector<flow::ScenarioRecord>& records) {
-    report::Json arr = report::Json::array();
-    for (const flow::ScenarioRecord& r : records) {
-        arr.push_back(r.to_json());
-    }
-    return util::fnv1a64_hex(
-        report::canonicalized(strip_volatile(arr)).dump());
-}
 
 std::string error_line(const std::string& text) {
     report::Json j = report::Json::object();

@@ -11,7 +11,7 @@
 //   op        request members                  response
 //   --------  -------------------------------  -------------------------------
 //   ping      -                                {"ok":true}
-//   submit    spec (text), jobs?, timeout_s?,  ack {"ok":true,"job":id};
+//   submit    spec (text), timeout_s?,         ack {"ok":true,"job":id};
 //             stream?, wait? (default true)    wait: results line after run
 //   status    job? (all jobs when absent)      {"ok":true,"jobs":[...]}
 //   results   job                              {"ok":true,"report":...,
@@ -23,22 +23,21 @@
 //
 // Errors: {"ok":false,"error":"..."} -- unknown op, malformed JSON,
 // unknown or evicted job id (the scheduler keeps the most recent
-// JobScheduler::kMaxRetainedJobs finished jobs), malformed scenario spec.
+// flow::JobScheduler::kMaxRetainedJobs finished jobs), malformed scenario
+// spec.
 // A request line longer than kMaxRequestLine bytes gets one error line,
 // and the server then drops the connection (it stops reading mid-line,
 // so the stream is out of step).
 //
-// records_hash is the bit-identity fingerprint CI keys on: the batch
-// records as JSON with volatile members (wall-clock timings, latency
-// histograms, cache-hit counts) stripped recursively, canonicalized, and
-// FNV-1a hashed -- equal hashes mean semantically identical results, no
-// matter which stages came from the cache.
+// records_hash (flow::records_hash) is the bit-identity fingerprint CI
+// keys on: the batch records as JSON with volatile members (wall-clock
+// timings, latency histograms, cache-hit counts) stripped recursively,
+// canonicalized, and FNV-1a hashed -- equal hashes mean semantically
+// identical results, no matter which stages came from the cache.
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
-#include "flow/batch_runner.hpp"
 #include "report/json.hpp"
 
 namespace mvf::serve {
@@ -50,15 +49,6 @@ inline constexpr int kProtocolVersion = 1;
 /// of thousands of scenario lines fits many times over).  Responses are
 /// not capped.
 inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
-
-/// Recursively removes volatile members ("seconds", "total_seconds",
-/// "solve_seconds", "metrics", "cache_hits") -- everything that may
-/// legitimately differ between a fresh and a cache-served run of the same
-/// experiment.
-report::Json strip_volatile(const report::Json& j);
-
-/// FNV-1a of the canonicalized, volatile-stripped records array.
-std::string records_hash(const std::vector<flow::ScenarioRecord>& records);
 
 /// {"ok":false,"error":text} on one line.
 std::string error_line(const std::string& text);

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <stdexcept>
@@ -14,25 +13,10 @@ namespace mvf::serve {
 
 namespace {
 
-/// Wraps a dup of the client fd as a line-buffered FILE* for a TraceSink:
-/// every complete NDJSON record flushes at its newline, and closing the
-/// sink closes only the dup, never the session socket.
-std::shared_ptr<obs::TraceSink> socket_sink(const util::Socket& socket) {
-    const int fd = ::dup(socket.fd());
-    if (fd < 0) return nullptr;
-    std::FILE* f = ::fdopen(fd, "w");
-    if (!f) {
-        ::close(fd);
-        return nullptr;
-    }
-    std::setvbuf(f, nullptr, _IOLBF, 0);
-    return std::make_shared<obs::TraceSink>(f, "<client>");
-}
-
-report::Json status_json(const JobStatus& st) {
+report::Json status_json(const flow::JobStatus& st) {
     report::Json j = report::Json::object();
     j.set("job", st.id);
-    j.set("state", std::string(job_state_name(st.state)));
+    j.set("state", std::string(flow::job_state_name(st.state)));
     j.set("completed", st.completed);
     j.set("total", st.total);
     j.set("failures", st.failures);
@@ -47,7 +31,7 @@ report::Json status_json(const JobStatus& st) {
 Server::Server(ServerParams params)
     : params_(std::move(params)),
       cache_(std::make_unique<StageCache>(params_.cache)),
-      scheduler_(std::make_unique<JobScheduler>(params_.workers,
+      scheduler_(std::make_unique<flow::JobScheduler>(params_.workers,
                                                 cache_.get())) {
     util::ignore_sigpipe();
 }
@@ -180,22 +164,22 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         socket.send_line(error_line(
             scheduler_->evicted(id)
                 ? "job " + id + " was evicted: the server keeps the last " +
-                      std::to_string(JobScheduler::kMaxRetainedJobs) +
+                      std::to_string(flow::JobScheduler::kMaxRetainedJobs) +
                       " finished jobs"
                 : "unknown job: " + id));
     };
     const auto send_results = [&](const std::string& id,
-                                  const std::optional<JobResults>& res) {
+                                  const std::optional<flow::JobResults>& res) {
         if (!res) {
             no_job(id);
             return;
         }
-        const JobStatus& st = res->status;
+        const flow::JobStatus& st = res->status;
         report::Json j = report::Json::object();
         j.set("ok", true);
         j.set("op", "results");
         j.set("job", id);
-        j.set("state", std::string(job_state_name(st.state)));
+        j.set("state", std::string(flow::job_state_name(st.state)));
         j.set("records_hash", st.records_hash);
         j.set("cache_hits", st.cache_hits);
         j.set("seconds", st.seconds);
@@ -223,7 +207,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             socket.send_line(error_line(e.what()));
             return true;
         }
-        SubmitOptions options;
+        flow::SubmitOptions options;
         if (const report::Json* t = request.find("timeout_s");
             t && t->is_number()) {
             options.timeout_s = t->as_number();
@@ -234,7 +218,8 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         };
         const bool stream = flag("stream", false);
         const bool wait = flag("wait", true);
-        const std::string id = scheduler_->submit(std::move(scenarios));
+        const std::string id =
+            scheduler_->submit(std::move(scenarios), options);
         report::Json ack = report::Json::object();
         ack.set("ok", true);
         ack.set("op", "submit");
@@ -246,7 +231,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         // client always reads ack -> trace records -> results in order.
         // (Events emitted before the attach are not replayed.)
         if (stream) {
-            if (std::shared_ptr<obs::TraceSink> sink = socket_sink(socket)) {
+            if (auto sink = obs::fd_sink(socket.fd(), "<client>")) {
                 scheduler_->watch(id, std::move(sink));
             }
         }
@@ -259,7 +244,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         j.set("ok", true);
         j.set("op", "status");
         if (job_arg(&id)) {
-            const std::optional<JobStatus> st = scheduler_->status(id);
+            const std::optional<flow::JobStatus> st = scheduler_->status(id);
             if (!st) {
                 no_job(id);
                 return true;
@@ -269,7 +254,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             j.set("jobs", std::move(arr));
         } else {
             report::Json arr = report::Json::array();
-            for (const JobStatus& st : scheduler_->jobs()) {
+            for (const flow::JobStatus& st : scheduler_->jobs()) {
                 arr.push_back(status_json(st));
             }
             j.set("jobs", std::move(arr));
@@ -302,7 +287,7 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
         ack.set("op", "watch");
         ack.set("job", id);
         if (!socket.send_line(response_line(ack))) return false;
-        if (std::shared_ptr<obs::TraceSink> sink = socket_sink(socket)) {
+        if (auto sink = obs::fd_sink(socket.fd(), "<client>")) {
             scheduler_->watch(id, std::move(sink));  // no-op when terminal
         }
         send_results(id, scheduler_->wait(id));
@@ -318,12 +303,12 @@ bool Server::handle(util::Socket& socket, const std::string& line) {
             no_job(id);
             return true;
         }
-        const std::optional<JobStatus> st = scheduler_->status(id);
+        const std::optional<flow::JobStatus> st = scheduler_->status(id);
         report::Json j = report::Json::object();
         j.set("ok", true);
         j.set("op", "cancel");
         j.set("job", id);
-        if (st) j.set("state", std::string(job_state_name(st->state)));
+        if (st) j.set("state", std::string(flow::job_state_name(st->state)));
         socket.send_line(response_line(j));
         return true;
     }

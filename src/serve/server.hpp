@@ -2,7 +2,7 @@
 // The persistent experiment server behind `mvf serve`.
 //
 // One accept loop, one session thread per client connection, one shared
-// JobScheduler + StageCache behind them all.  The accept loop joins the
+// flow::JobScheduler + StageCache behind them all.  The accept loop joins the
 // sessions that have ended each time it starts a new one, so a long-lived
 // server holds threads only for its live connections (plus those that
 // ended since the last accept); the destructor waits for the rest.
@@ -27,7 +27,7 @@
 #include <string>
 #include <thread>
 
-#include "serve/scheduler.hpp"
+#include "flow/scheduler.hpp"
 #include "serve/stage_cache.hpp"
 #include "util/socket.hpp"
 
@@ -60,7 +60,7 @@ public:
     /// Thread-safe; unblocks run().  Idempotent.
     void request_shutdown();
 
-    JobScheduler& scheduler() { return *scheduler_; }
+    flow::JobScheduler& scheduler() { return *scheduler_; }
     StageCache& cache() { return *cache_; }
 
 private:
@@ -81,7 +81,7 @@ private:
     ServerParams params_;
     util::SocketAddr bound_addr_;
     std::unique_ptr<StageCache> cache_;
-    std::unique_ptr<JobScheduler> scheduler_;
+    std::unique_ptr<flow::JobScheduler> scheduler_;
     util::ListenSocket listener_;
     std::atomic<bool> stopping_{false};
     std::mutex sessions_mu_;

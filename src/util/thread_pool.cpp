@@ -6,11 +6,9 @@ namespace mvf::util {
 
 ThreadPool::ThreadPool(int threads) {
     const int count = std::max(1, threads);
-    shards_.resize(static_cast<std::size_t>(count));
     workers_.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
-        workers_.emplace_back(
-            [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+        workers_.emplace_back([this] { worker_loop(); });
     }
 }
 
@@ -28,21 +26,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::future<void> future = packaged.get_future();
     {
         std::unique_lock lock(mutex_);
-        queue_.push(std::move(packaged));
-        ++pending_;
-    }
-    work_ready_.notify_one();
-    return future;
-}
-
-std::future<void> ThreadPool::submit_sharded(std::size_t shard,
-                                             std::function<void()> task) {
-    std::packaged_task<void()> packaged(std::move(task));
-    std::future<void> future = packaged.get_future();
-    {
-        std::unique_lock lock(mutex_);
-        shards_[shard % shards_.size()].push_back(std::move(packaged));
-        ++pending_;
+        queue_.push_back(std::move(packaged));
     }
     work_ready_.notify_one();
     return future;
@@ -50,97 +34,42 @@ std::future<void> ThreadPool::submit_sharded(std::size_t shard,
 
 void ThreadPool::wait_idle() {
     std::unique_lock lock(mutex_);
-    idle_.wait(lock, [this] { return pending_ == 0 && in_flight_ == 0; });
+    idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 bool ThreadPool::run_one() {
     std::packaged_task<void()> task;
     {
         std::unique_lock lock(mutex_);
-        if (pending_ == 0) return false;
-        // External callers have no shard of their own: drain the shared
-        // queue first, then relieve the fullest deque from the back (same
-        // placement discipline as a steal, but not counted as one -- the
-        // caller is helping, not idle-stealing).
-        if (!queue_.empty()) {
-            task = std::move(queue_.front());
-            queue_.pop();
-        } else {
-            std::size_t victim = shards_.size();
-            std::size_t victim_size = 0;
-            for (std::size_t i = 0; i < shards_.size(); ++i) {
-                if (shards_[i].size() > victim_size) {
-                    victim = i;
-                    victim_size = shards_[i].size();
-                }
-            }
-            task = std::move(shards_[victim].back());
-            shards_[victim].pop_back();
-        }
-        --pending_;
+        if (queue_.empty()) return false;
+        task = std::move(queue_.back());
+        queue_.pop_back();
         ++in_flight_;
     }
-    task();  // exceptions land in the task's future
-    {
-        std::unique_lock lock(mutex_);
-        --in_flight_;
-        if (pending_ == 0 && in_flight_ == 0) idle_.notify_all();
-    }
+    run_task(task);
     return true;
 }
 
-std::size_t ThreadPool::steals() const {
+void ThreadPool::run_task(std::packaged_task<void()>& task) {
+    task();  // exceptions land in the task's future
     std::unique_lock lock(mutex_);
-    return steals_;
+    --in_flight_;
+    if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
 }
 
-std::packaged_task<void()> ThreadPool::take_locked(std::size_t worker) {
-    std::deque<std::packaged_task<void()>>& own = shards_[worker];
-    if (!own.empty()) {
-        std::packaged_task<void()> task = std::move(own.front());
-        own.pop_front();
-        return task;
-    }
-    if (!queue_.empty()) {
-        std::packaged_task<void()> task = std::move(queue_.front());
-        queue_.pop();
-        return task;
-    }
-    // Steal from the back of the fullest other deque: the back is the work
-    // its owner would reach last, so stealing there keeps each shard's own
-    // FIFO order intact for as long as possible.
-    std::size_t victim = worker;
-    std::size_t victim_size = 0;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (i != worker && shards_[i].size() > victim_size) {
-            victim = i;
-            victim_size = shards_[i].size();
-        }
-    }
-    std::packaged_task<void()> task = std::move(shards_[victim].back());
-    shards_[victim].pop_back();
-    ++steals_;
-    return task;
-}
-
-void ThreadPool::worker_loop(std::size_t worker) {
+void ThreadPool::worker_loop() {
     while (true) {
         std::packaged_task<void()> task;
         {
             std::unique_lock lock(mutex_);
             work_ready_.wait(lock,
-                             [this] { return stopping_ || pending_ > 0; });
-            if (pending_ == 0) return;  // stopping_ and drained
-            task = take_locked(worker);
-            --pending_;
+                             [this] { return stopping_ || !queue_.empty(); });
+            if (queue_.empty()) return;  // stopping_ and drained
+            task = std::move(queue_.front());
+            queue_.pop_front();
             ++in_flight_;
         }
-        task();  // exceptions land in the task's future
-        {
-            std::unique_lock lock(mutex_);
-            --in_flight_;
-            if (pending_ == 0 && in_flight_ == 0) idle_.notify_all();
-        }
+        run_task(task);
     }
 }
 

@@ -14,12 +14,11 @@
 #include "attack/oracle_attack.hpp"
 #include "audit/attack_proof.hpp"
 #include "camo/inject.hpp"
-#include "flow/batch_runner.hpp"
+#include "flow/scheduler.hpp"
 #include "flow/spec_hash.hpp"
 #include "flow/stage_io.hpp"
 #include "io/import.hpp"
 #include "net/aig_sim.hpp"
-#include "serve/protocol.hpp"
 #include "serve/stage_cache.hpp"
 #include "sim/netlist_sim.hpp"
 
@@ -299,16 +298,12 @@ TEST(CircuitFlow, SerialAndParallelRecordsBitIdentical) {
     const std::string path = write_temp_circuit("batch_c17.bench", kC17Bench);
     const std::vector<Scenario> scenarios = {c17_scenario(path, 1),
                                              c17_scenario(path, 2)};
-    BatchParams serial;
-    serial.jobs = 1;
-    BatchParams parallel;
-    parallel.jobs = 2;
-    const auto a = BatchRunner(serial).run(scenarios);
-    const auto b = BatchRunner(parallel).run(scenarios);
+    const auto a = run_batch(scenarios, 1);
+    const auto b = run_batch(scenarios, 2);
     ASSERT_EQ(a.size(), 2u);
     ASSERT_TRUE(a[0].ok) << a[0].error;
     ASSERT_TRUE(a[1].ok) << a[1].error;
-    EXPECT_EQ(serve::records_hash(a), serve::records_hash(b));
+    EXPECT_EQ(records_hash(a), records_hash(b));
 }
 
 TEST(CircuitFlow, EmitProofVerifiesChipFree) {
@@ -352,7 +347,7 @@ TEST(CircuitFlow, StageCacheInvalidatesWhenFileChanges) {
     const ScenarioRecord warm = run_scenario(s, 0, hooks);
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_GT(warm.cache_hits, 0);
-    EXPECT_EQ(serve::records_hash({cold}), serve::records_hash({warm}));
+    EXPECT_EQ(records_hash({cold}), records_hash({warm}));
 
     // Touch the circuit's BYTES without changing its function: the
     // content-hashed keys must miss (no stale warm hit), and the fresh

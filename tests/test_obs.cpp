@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/adversary.hpp"
-#include "flow/batch_runner.hpp"
+#include "flow/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/json.hpp"
@@ -366,7 +367,7 @@ TEST(Metrics, SpecMetricsKeyFillsReportHistograms) {
         "name=m funcs=present:2 seed=3 population=4 generations=2 "
         "attack=cegar baseline=0 metrics=1 max_survivors=64\n");
     const std::vector<flow::ScenarioRecord> records =
-        flow::BatchRunner().run(scenarios);
+        flow::run_batch(scenarios, 1);
     ASSERT_EQ(records.size(), 1u);
     ASSERT_TRUE(records[0].ok) << records[0].error;
     ASSERT_EQ(records[0].attacks.size(), 1u);
@@ -390,14 +391,15 @@ TEST(BatchRunnerTrace, ParallelBatchTraceIsWellFormed) {
     const std::vector<flow::Scenario> scenarios =
         flow::parse_scenario_spec(spec);
     {
-        TraceSink sink(path);
-        ASSERT_TRUE(sink.ok());
-        ScopedSink scoped(&sink);
-        flow::BatchParams params;
-        params.jobs = 4;
-        params.heartbeat_ms = 10;
+        // Installed globally for the spans and attached to the job for its
+        // progress records, as `mvf batch --trace` does.
+        const auto sink = std::make_shared<TraceSink>(path);
+        ASSERT_TRUE(sink->ok());
+        ScopedSink scoped(sink.get());
+        flow::SubmitOptions options;
+        options.sinks.push_back(sink);
         const std::vector<flow::ScenarioRecord> records =
-            flow::BatchRunner(params).run(scenarios);
+            flow::run_batch(scenarios, 4, options);
         ASSERT_EQ(records.size(), 6u);
         for (const flow::ScenarioRecord& r : records) {
             EXPECT_TRUE(r.ok) << r.error;
@@ -407,11 +409,18 @@ TEST(BatchRunnerTrace, ParallelBatchTraceIsWellFormed) {
     const TraceValidation v = validate_trace(text);
     EXPECT_TRUE(v.ok) << v.error;
     EXPECT_EQ(v.open_spans, 0);
-    // One scenario span pair per scenario plus stage spans inside, and at
-    // least one heartbeat counter sample (the final one is guaranteed).
+    // One scenario span pair per scenario plus stage spans inside, and one
+    // job-progress counter sample per finished scenario.
     EXPECT_GE(v.records, 6 * 2);
     EXPECT_NE(text.find("\"name\":\"scenario\""), std::string::npos);
-    EXPECT_NE(text.find("\"name\":\"batch-progress\""), std::string::npos);
+    std::size_t progress = 0;
+    for (std::size_t at = text.find("\"name\":\"job-progress\"");
+         at != std::string::npos;
+         at = text.find("\"name\":\"job-progress\"", at + 1)) {
+        ++progress;
+    }
+    EXPECT_EQ(progress, 6u);
+    EXPECT_NE(text.find("\"name\":\"job-done\""), std::string::npos);
     EXPECT_NE(text.find("\"name\":\"pin-search\""), std::string::npos);
     std::remove(path.c_str());
 }

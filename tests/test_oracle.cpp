@@ -646,6 +646,35 @@ TEST(RandomSampling, BudgetTripsHonestlyAfterDrainingTheAllowance) {
     EXPECT_EQ(budgeted.remaining(), 0u);
 }
 
+TEST(RandomSampling, ShortTranscriptReplayEndsInQueryBudget) {
+    const CamoLibrary lib = standard_camo_library();
+    util::Rng rng(73);
+    const CamoNetlist nl = attack::random_camo_netlist(lib, 5, 2, 9, rng);
+    SimOracle chip(nl, nl.configuration_for_code(0));
+    TranscriptOracle recorder(chip);
+    RandomSamplingAdversary live(enumerate_params(), 16, 3);
+    const AdversaryReport recorded = live.attack(nl, &recorder);
+    ASSERT_EQ(recorded.queries, 16);
+    ASSERT_NE(recorded.outcome, "query budget");
+
+    // The whole transcript replays to the live report.
+    TranscriptOracle full(recorder.transcript());
+    RandomSamplingAdversary again(enumerate_params(), 16, 3);
+    AdversaryReport replayed = again.attack(nl, &full);
+    replayed.seconds = recorded.seconds;
+    EXPECT_TRUE(replayed == recorded);
+
+    // Asking for more patterns than were recorded ends as a live budget
+    // trip does, after answering every recorded one.
+    TranscriptOracle short_replay(recorder.transcript());
+    RandomSamplingAdversary more(enumerate_params(), 32, 3);
+    const AdversaryReport r = more.attack(nl, &short_replay);
+    EXPECT_EQ(r.outcome, "query budget");
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.queries, 16);
+    EXPECT_TRUE(r.count_mode.empty());  // nothing was counted
+}
+
 TEST(OracleAttack, WarmupDrainsTheBudgetBeforeTrippingHonestly) {
     const CamoLibrary lib = standard_camo_library();
     util::Rng rng(71);

@@ -1,5 +1,6 @@
 // Tests for the composable pipeline API: the staged flow, the adversary
-// registry, the batch runner, and the JSON report layer.
+// registry, scenario batches on the job scheduler, and the JSON report
+// layer.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "flow/batch_runner.hpp"
 #include "flow/pipeline.hpp"
+#include "flow/scheduler.hpp"
 #include "report/json.hpp"
 #include "sbox/sbox_data.hpp"
 
@@ -274,15 +275,9 @@ void strip_timing(std::vector<ScenarioRecord>* records) {
 TEST(BatchRunner, ParallelExecutionMatchesSerial) {
     const std::vector<Scenario> scenarios = eight_scenarios();
 
-    BatchParams serial;
-    serial.jobs = 1;
-    std::vector<ScenarioRecord> serial_records =
-        BatchRunner(serial).run(scenarios);
+    std::vector<ScenarioRecord> serial_records = run_batch(scenarios, 1);
 
-    BatchParams parallel;
-    parallel.jobs = 4;
-    std::vector<ScenarioRecord> parallel_records =
-        BatchRunner(parallel).run(scenarios);
+    std::vector<ScenarioRecord> parallel_records = run_batch(scenarios, 4);
 
     ASSERT_EQ(serial_records.size(), parallel_records.size());
     strip_timing(&serial_records);
@@ -317,8 +312,7 @@ TEST(BatchRunner, ScenarioFailureIsCapturedNotThrown) {
     good.name = "fine";
     good.params = tiny_params(2);
 
-    const std::vector<ScenarioRecord> records =
-        BatchRunner().run({bad, good});
+    const std::vector<ScenarioRecord> records = run_batch({bad, good}, 1);
     ASSERT_EQ(records.size(), 2u);
     EXPECT_FALSE(records[0].ok);
     EXPECT_NE(records[0].error.find("camouflaged"), std::string::npos);
@@ -501,10 +495,7 @@ TEST(BatchRunner, ParallelJobsWithParallelAttacksComplete) {
         scenarios.push_back(std::move(s));
     }
 
-    BatchParams parallel;
-    parallel.jobs = 2;
-    const std::vector<ScenarioRecord> records =
-        BatchRunner(parallel).run(scenarios);
+    const std::vector<ScenarioRecord> records = run_batch(scenarios, 2);
     ASSERT_EQ(records.size(), 4u);
     for (const ScenarioRecord& r : records) {
         EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
@@ -522,7 +513,7 @@ TEST(BatchRunner, ParallelJobsWithParallelAttacksComplete) {
     std::vector<Scenario> serial_scenarios = scenarios;
     for (Scenario& s : serial_scenarios) s.params.oracle.attack_threads = 1;
     const std::vector<ScenarioRecord> serial_records =
-        BatchRunner().run(serial_scenarios);
+        run_batch(serial_scenarios, 1);
     ASSERT_EQ(serial_records.size(), records.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].attacks[0].survivors,
@@ -538,7 +529,7 @@ TEST(BatchRunner, UnknownFamilyFailsTheScenarioOnly) {
     Scenario s;
     s.name = "martian";
     s.family = "martian";
-    const std::vector<ScenarioRecord> records = BatchRunner().run({s});
+    const std::vector<ScenarioRecord> records = run_batch({s}, 1);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_FALSE(records[0].ok);
     EXPECT_NE(records[0].error.find("martian"), std::string::npos);
@@ -554,10 +545,7 @@ TEST(BatchRunner, ThrowingScenarioMidBatchDegradesGracefully) {
         "funcs=present:2 population=8 generations=3 seed=33 attack=none\n");
     ASSERT_EQ(scenarios.size(), 3u);
 
-    BatchParams params;
-    params.jobs = 2;
-    const std::vector<ScenarioRecord> records =
-        BatchRunner(params).run(scenarios);
+    const std::vector<ScenarioRecord> records = run_batch(scenarios, 2);
     ASSERT_EQ(records.size(), 3u);
 
     EXPECT_TRUE(records[0].ok);
@@ -676,7 +664,7 @@ TEST(Json, BatchReportValidatesLikeCheckReport) {
     s.name = "one";
     s.params = tiny_params(23);
     s.params.adversaries = {"plausibility"};
-    const std::vector<ScenarioRecord> records = BatchRunner().run({s});
+    const std::vector<ScenarioRecord> records = run_batch({s}, 1);
     const report::Json doc =
         report::Json::parse(batch_report(records, 1.5).dump(2));
     EXPECT_EQ(doc.at("scenario_count").as_int(), 1);

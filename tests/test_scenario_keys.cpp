@@ -588,6 +588,7 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 random_warmup=-1",
         "funcs=present:2 random_queries=0",
         "funcs=present:2 attack_threads=0",
+        "funcs=present:2 attack_threads=257",
         "funcs=present:2 cube_vars=17",
         "funcs=present:2 attack=cegar emit_proof=p.json "
         "replay_transcript=t.json",

@@ -1,29 +1,47 @@
 // The serve subsystem: the two-tier StageCache, the records_hash bit-
-// identity digest, the sharded JobScheduler, and a real client/server
-// round trip over a unix socket -- submit the same spec twice, expect the
-// second run to restore every stage from cache and hash to the same
-// records digest, then prove cancellation leaves the server serviceable.
+// identity digest, the JobScheduler it runs jobs on, and a real
+// client/server round trip over a unix socket -- submit the same spec
+// twice, expect the second run to restore every stage from cache and hash
+// to the same records digest, then prove cancellation leaves the server
+// serviceable.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "flow/batch_runner.hpp"
+#include "flow/scheduler.hpp"
 #include "obs/trace.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/stage_cache.hpp"
 #include "util/socket.hpp"
 
 namespace mvf::serve {
 namespace {
+
+using flow::JobResults;
+using flow::JobScheduler;
+using flow::JobState;
+using flow::JobStatus;
+using flow::records_hash;
+
+/// A name under testing::TempDir() that no other process uses, so test
+/// binaries running side by side (say, two sanitizer builds) never share
+/// a socket or a spill directory.
+std::string temp_path(const std::string& name) {
+    return testing::TempDir() + "mvf_serve_" + std::to_string(::getpid()) +
+           "_" + name;
+}
 
 report::Json snapshot_of_size(std::size_t bytes) {
     report::Json j = report::Json::object();
@@ -84,7 +102,7 @@ TEST(StageCache, LruEvictsOldestWhenOverBudget) {
 }
 
 TEST(StageCache, SpillServesEvictedAndRestartedEntries) {
-    const std::string dir = testing::TempDir() + "mvf_serve_spill";
+    const std::string dir = temp_path("spill");
     StageCacheParams params;
     params.max_bytes = 600;
     params.spill_dir = dir;
@@ -106,6 +124,7 @@ TEST(StageCache, SpillServesEvictedAndRestartedEntries) {
     EXPECT_TRUE(restarted.load("deadbeef:s1:synthesize", &out));
     EXPECT_EQ(out.at("pad").as_string().size(), 200u);
     EXPECT_EQ(restarted.stats().spill_hits, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------------------- records_hash --
@@ -201,6 +220,50 @@ TEST(JobScheduler, CancelledJobTerminatesAndSchedulerStaysUsable) {
     EXPECT_EQ(scheduler.status(next)->state, JobState::kDone);
 }
 
+/// Threads of this process, from /proc/self/status (-1 when unreadable).
+int thread_count() {
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+        if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    }
+    return -1;
+}
+
+TEST(JobScheduler, CubeWorkersRunOnTheSchedulerPool) {
+    // attack_threads=8 on a 2-worker scheduler: the exact count's cube
+    // workers must run on the pool's threads, not on private ones, so the
+    // process never holds more threads than before the submit.
+    flow::Scenario s = flow::parse_scenario_spec(
+                           "funcs=present:2 seed=3 population=6 generations=2 "
+                           "attack=cegar attack_threads=8 cube_vars=6\n")
+                           .at(0);
+    // This flow netlist is dense: the counter spends the whole decision
+    // budget in cube mode (hundreds of milliseconds), then enumerates up
+    // to the cap.
+    s.params.oracle.count_max_decisions = 20'000;
+    s.params.oracle.max_survivors = 64;
+    JobScheduler scheduler(2, nullptr);
+    const int before = thread_count();
+    ASSERT_GT(before, 0) << "/proc/self/status is unreadable";
+    const std::string id = scheduler.submit({s});
+    int peak = before;
+    int samples = 0;
+    for (JobState state = JobState::kQueued;
+         state == JobState::kQueued || state == JobState::kRunning;
+         state = scheduler.status(id)->state) {
+        peak = std::max(peak, thread_count());
+        ++samples;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::optional<JobResults> res = scheduler.wait(id);
+    ASSERT_TRUE(res.has_value());
+    const flow::ScenarioRecord& r = res->records.at(0);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.attacks.size(), 1u);
+    EXPECT_GE(r.attacks[0].count.decisions, 20'000u);
+    EXPECT_LE(peak, before) << samples << " samples";
+}
+
 // ---------------------------------------------------------- end to end --
 
 struct RunningServer {
@@ -218,12 +281,12 @@ struct RunningServer {
 };
 
 util::SocketAddr temp_unix_addr(const char* name) {
-    return util::SocketAddr::parse("unix:" + testing::TempDir() + name);
+    return util::SocketAddr::parse("unix:" + temp_path(name));
 }
 
 TEST(Server, SubmitTwiceIsBitIdenticalAndServedFromCache) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_e2e.sock");
+    params.listen = temp_unix_addr("e2e.sock");
     params.workers = 2;
     RunningServer running(std::move(params));
     const Client client(running.server.bound_addr());
@@ -272,9 +335,27 @@ TEST(Server, SubmitTwiceIsBitIdenticalAndServedFromCache) {
               field(first, "records_hash").as_string());
 }
 
+TEST(Server, SubmitTimeoutCancelsAtTheNextStageBoundary) {
+    ServerParams params;
+    params.listen = temp_unix_addr("timeout.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+    const Client client(running.server.bound_addr());
+
+    // A deadline that has passed before the first stage starts.
+    const ClientResult r = client.submit(kTinySpec, /*wait=*/true,
+                                         /*stream=*/false, /*timeout_s=*/1e-9);
+    ASSERT_TRUE(r.ok) << r.error;
+    const report::Json& record = r.results.at("report").at("scenarios").at(0);
+    EXPECT_EQ(record.at("status").as_string(), "cancelled");
+    EXPECT_NE(record.at("error").as_string().find("cancelled before stage"),
+              std::string::npos)
+        << record.at("error").as_string();
+}
+
 TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_cancel.sock");
+    params.listen = temp_unix_addr("cancel.sock");
     params.workers = 1;
     RunningServer running(std::move(params));
     const Client client(running.server.bound_addr());
@@ -309,7 +390,7 @@ TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {
 
 TEST(Server, FinishedJobsBeyondTheCapAreEvictedOldestFirst) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_evict.sock");
+    params.listen = temp_unix_addr("evict.sock");
     params.workers = 1;
     RunningServer running(std::move(params));
     const Client client(running.server.bound_addr());
@@ -350,7 +431,7 @@ TEST(Server, FinishedJobsBeyondTheCapAreEvictedOldestFirst) {
 
 TEST(Server, OverlongRequestLineIsRefusedAndTheServerStaysUp) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_overlong.sock");
+    params.listen = temp_unix_addr("overlong.sock");
     params.workers = 1;
     RunningServer running(std::move(params));
 
@@ -389,7 +470,7 @@ std::size_t mapping_count() {
 
 TEST(Server, EndedSessionsAreJoinedWhileTheServerRuns) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_reap.sock");
+    params.listen = temp_unix_addr("reap.sock");
     params.workers = 1;
     RunningServer running(std::move(params));
     const Client client(running.server.bound_addr());
@@ -408,7 +489,7 @@ TEST(Server, EndedSessionsAreJoinedWhileTheServerRuns) {
 
 TEST(Server, ShutdownOpStopsTheAcceptLoop) {
     ServerParams params;
-    params.listen = temp_unix_addr("mvf_serve_shutdown.sock");
+    params.listen = temp_unix_addr("shutdown.sock");
     params.workers = 1;
     Server server(std::move(params));
     server.bind();

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -167,48 +168,16 @@ TEST(Stopwatch, MeasuresElapsedTime) {
     EXPECT_LE(sw.elapsed_seconds(), before + 1.0);
 }
 
-TEST(ThreadPool, ShardedSubmissionRunsEveryTask) {
+TEST(ThreadPool, SubmissionRunsEveryTask) {
     ThreadPool pool(3);
     std::atomic<int> ran{0};
     std::vector<std::future<void>> futures;
     for (std::size_t i = 0; i < 64; ++i) {
-        futures.push_back(pool.submit_sharded(i, [&ran] { ++ran; }));
+        futures.push_back(pool.submit([&ran] { ++ran; }));
     }
     for (std::future<void>& f : futures) f.get();
     EXPECT_EQ(ran.load(), 64);
     pool.wait_idle();
-}
-
-TEST(ThreadPool, ShardedAndSharedQueuesCoexist) {
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futures;
-    for (std::size_t i = 0; i < 16; ++i) {
-        futures.push_back(pool.submit_sharded(i, [&ran] { ++ran; }));
-        futures.push_back(pool.submit([&ran] { ++ran; }));
-    }
-    for (std::future<void>& f : futures) f.get();
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, IdleWorkersStealFromALoadedShard) {
-    // Pile every task onto shard 0 of a multi-worker pool; the only way
-    // the other workers contribute (and steals() moves) is by stealing
-    // from shard 0's deque.  Tasks block until all workers participate
-    // would be flaky -- instead make them slow enough that one worker
-    // alone cannot drain the deque before an idle neighbour grabs some.
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 32; ++i) {
-        futures.push_back(pool.submit_sharded(0, [&ran] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ++ran;
-        }));
-    }
-    for (std::future<void>& f : futures) f.get();
-    EXPECT_EQ(ran.load(), 32);
-    EXPECT_GT(pool.steals(), 0u);
 }
 
 TEST(ThreadPool, RunOneExecutesAPendingTaskOnTheCallingThread) {
@@ -270,14 +239,44 @@ TEST(ThreadPool, NestedSubmissionWithHelpingWaitDoesNotDeadlock) {
     EXPECT_EQ(inner_ran.load(), 24);
 }
 
-TEST(ThreadPool, ShardedTaskExceptionsPropagateThroughTheFuture) {
+TEST(ThreadPool, RunOneTakesTheNewestTaskAndWorkersTheOldest) {
+    // A helping waiter's own subtasks are the ones it submitted last, so
+    // run_one serves the back of the queue; workers serve the front, so
+    // submissions start in order.
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    std::atomic<bool> parked{false};
+    std::future<void> blocker =
+        pool.submit([&parked, f = gate.get_future().share()] {
+            parked = true;
+            f.wait();
+        });
+    while (!parked.load()) std::this_thread::yield();
+
+    std::mutex mu;
+    std::vector<int> order;
+    std::vector<std::future<void>> tasks;
+    for (int i = 0; i < 3; ++i) {
+        tasks.push_back(pool.submit([&mu, &order, i] {
+            std::lock_guard lock(mu);
+            order.push_back(i);
+        }));
+    }
+    EXPECT_TRUE(pool.run_one());  // on this thread: the newest, task 2
+    gate.set_value();  // the worker drains the rest oldest first
+    blocker.get();
+    for (std::future<void>& t : tasks) t.get();
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(ThreadPool, TaskExceptionsPropagateThroughTheFuture) {
     ThreadPool pool(2);
     std::future<void> bad =
-        pool.submit_sharded(1, [] { throw std::runtime_error("boom"); });
+        pool.submit([] { throw std::runtime_error("boom"); });
     EXPECT_THROW(bad.get(), std::runtime_error);
     // The worker survives the throwing task.
     std::atomic<bool> ran{false};
-    pool.submit_sharded(1, [&ran] { ran = true; }).get();
+    pool.submit([&ran] { ran = true; }).get();
     EXPECT_TRUE(ran.load());
 }
 

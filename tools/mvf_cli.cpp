@@ -2,7 +2,7 @@
 //
 // New workloads need zero C++: scenarios are described by flags or a plain
 // text spec file and executed through the same flow::Pipeline /
-// flow::BatchRunner API the library exposes.
+// flow::JobScheduler API the library exposes.
 //
 //   mvf run    [scenario flags]           one scenario, human-readable summary
 //   mvf attack [scenario flags]           run + red-team with --adversaries
@@ -29,8 +29,11 @@
 //
 // Exit codes: 0 success; 1 scenario/validation failure; 2 usage error.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -39,7 +42,7 @@
 #include "attack/adversary.hpp"
 #include "audit/attack_proof.hpp"
 #include "camo/camo_cell.hpp"
-#include "flow/batch_runner.hpp"
+#include "flow/scheduler.hpp"
 #include "flow/stage_io.hpp"
 #include "map/gate_library.hpp"
 #include "obs/metrics.hpp"
@@ -90,7 +93,8 @@ int usage() {
         "\n"
         "observability options (run/attack/batch):\n"
         "  --trace FILE       stream structured span/counter events to FILE\n"
-        "                     (per CEGAR iteration, pipeline stage, scenario)\n"
+        "                     (per CEGAR iteration, pipeline stage, scenario,\n"
+        "                     and the job's progress records)\n"
         "  --trace-format F   ndjson (default; one JSON record per line) or\n"
         "                     chrome (load in Perfetto / chrome://tracing)\n"
         "  --metrics          collect latency histograms and counters; the\n"
@@ -101,7 +105,9 @@ int usage() {
         "  --spec FILE        scenario spec (required; scenario keys go here)\n"
         "  --jobs N           worker threads (default 1)\n"
         "  --json FILE        write the batch report to FILE\n"
-        "  --verbose          per-scenario progress on stderr\n"
+        "  --verbose          NDJSON progress records on stderr (stage,\n"
+        "                     scenario-done, job-progress: the records\n"
+        "                     mvf submit --stream prints)\n"
         "\n"
         "serve options:\n"
         "  --listen ADDR      unix:/path.sock or tcp:host:port (port 0 =\n"
@@ -293,17 +299,26 @@ int write_report(const std::string& path,
 
 int run_scenarios(const std::vector<flow::Scenario>& scenarios,
                   const ProcessFlags& flags) {
-    // The sink outlives the batch; uninstall before it is destroyed so no
-    // late event races the close.
-    std::optional<obs::TraceSink> sink;
+    // The trace sink is installed globally, for every thread's spans, and
+    // attached to the job, for its progress records.  run_batch joins its
+    // workers before it returns, so uninstalling then races no late event.
+    flow::SubmitOptions options;
+    std::shared_ptr<obs::TraceSink> sink;
     if (!flags.trace_path.empty()) {
-        sink.emplace(flags.trace_path, flags.trace_format);
+        sink = std::make_shared<obs::TraceSink>(flags.trace_path,
+                                                flags.trace_format);
         if (!sink->ok()) {
             std::fprintf(stderr, "mvf: cannot open trace file %s\n",
                          flags.trace_path.c_str());
             return 2;
         }
-        obs::set_trace_sink(&*sink);
+        obs::set_trace_sink(sink.get());
+        options.sinks.push_back(sink);
+    }
+    if (flags.verbose) {
+        if (auto err = obs::fd_sink(STDERR_FILENO, "<stderr>")) {
+            options.sinks.push_back(std::move(err));
+        }
     }
     if (flags.metrics) {
         obs::MetricsRegistry::global().reset();
@@ -311,11 +326,8 @@ int run_scenarios(const std::vector<flow::Scenario>& scenarios,
     }
 
     util::Stopwatch sw;
-    flow::BatchParams batch;
-    batch.jobs = flags.jobs;
-    batch.verbose = flags.verbose;
     const std::vector<flow::ScenarioRecord> records =
-        flow::BatchRunner(batch).run(scenarios);
+        flow::run_batch(scenarios, flags.jobs, options);
     const double total = sw.elapsed_seconds();
 
     if (sink) {
