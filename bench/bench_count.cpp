@@ -10,12 +10,15 @@
 //             spaces") is about.  Enumeration saturates at the cap from
 //             D >= 9 on; the counter decomposes the dead tail into one
 //             component per cell and stays exact and fast.
-//   randP  -- random fully-camouflaged netlists at P primary inputs where
-//             both backends complete: the harness asserts bit-identical
-//             counts (a live differential, like bench_oracle_attack's
-//             pipeline on/off replay).
+//   randP  -- random fully-camouflaged netlists at P primary inputs, some
+//             where both backends complete and some where enumeration
+//             saturates.
 //
-// The harness FAILS (exit 1) if any differential assertion trips.
+// That the counts agree wherever enumeration completes, and that the
+// parallel counts equal the serial one, is pinned by test_count.  The one
+// check left here is timing: in full mode on a host with >= 4 cores the
+// harness fails (exit 1) unless 4 cube workers count at least 2x faster
+// than the serial counter.
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,15 +43,6 @@ using attack::OracleAttackResult;
 using attack::SimOracle;
 using camo::CamoLibrary;
 using camo::CamoNetlist;
-
-int failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        std::fprintf(stderr, "ASSERTION FAILED: %s\n", what.c_str());
-        ++failures;
-    }
-}
 
 /// 2 PIs, `dead` camouflaged cells outside the PO cone, one live
 /// camouflaged NAND2 driving the PO (see tests/test_count.cpp).
@@ -127,27 +121,15 @@ Row run_row(const CamoNetlist& nl, const std::string& name,
         row.enum_seconds = sw.elapsed_seconds();
         row.enum_count = r.survivors.to_string();
         row.enum_status = status_name(r.status);
-
-        // Differential: wherever enumeration completes, the counter must
-        // have produced the identical exact figure.
-        if (r.status == OracleAttackResult::Status::kSolved) {
-            check(row.exact_status == "solved" &&
-                      row.exact_count == row.enum_count,
-                  name + ": exact " + row.exact_count + " (" +
-                      row.exact_status + ") vs enumeration " + row.enum_count);
-        }
     }
     return row;
 }
 
 /// Cube-and-conquer scaling on a dense random 3-CNF (no netlist structure
-/// to decompose away, so the cube workers do real branching work).  The
-/// counts must be bit-identical across thread counts -- the cube split is
-/// a partition-sum -- and in full mode the 4-thread run must clear the 2x
-/// acceptance bar (skipped under --quick: CI smoke runners may have 2
-/// cores).
-void parallel_count_section(const benchx::BenchArgs& args,
-                            benchx::BenchJson& bj) {
+/// to decompose away, so the cube workers do real branching work).  In
+/// full mode the 4-thread run must clear the 2x acceptance bar (skipped
+/// under --quick); returns false if it does not.
+bool parallel_count_section(const benchx::BenchArgs& args) {
     using count::Cnf;
     using count::CounterConfig;
     using count::ProjectedCounter;
@@ -171,7 +153,6 @@ void parallel_count_section(const benchx::BenchArgs& args,
     ProjectedCounter serial(cnf);
     const ProjectedCounter::Result base = serial.count();
     const double serial_s = sw.elapsed_seconds();
-    check(base.exact, "parallel section: serial reference count not exact");
 
     std::printf(
         "\ncube-and-conquer scaling (dense random 3-CNF, %d vars, %d "
@@ -185,40 +166,30 @@ void parallel_count_section(const benchx::BenchArgs& args,
         cc.threads = threads;
         sw.reset();
         ProjectedCounter parallel(cnf, cc);
-        const ProjectedCounter::Result r = parallel.count();
+        parallel.count();
         const double par_s = sw.elapsed_seconds();
         const double speedup = par_s > 0.0 ? serial_s / par_s : 0.0;
         if (threads == 4) speedup4 = speedup;
-        check(r.exact == base.exact &&
-                  r.count.to_string() == base.count.to_string(),
-              "parallel count diverged at " + std::to_string(threads) +
-                  " threads: " + r.count.to_string() + " vs " +
-                  base.count.to_string());
         std::printf("  %d threads     %8.3fs   %4.1fx\n", threads, par_s,
                     speedup);
-        if (bj.enabled()) {
-            report::Json j = report::Json::object();
-            j.set("family", "cube3cnf");
-            j.set("threads", threads);
-            j.set("serial_seconds", serial_s);
-            j.set("parallel_seconds", par_s);
-            j.set("speedup", speedup);
-            j.set("count", r.count.to_string());
-            bj.add_row(std::move(j));
-        }
     }
     // The 2x acceptance bound only means something where 4 workers can
-    // actually run concurrently; on fewer cores the differential above
-    // still proves bit-identity, but the timing is just timesharing.
+    // actually run concurrently; on fewer cores the timing is just
+    // timesharing.
     const unsigned cores = std::thread::hardware_concurrency();
     if (!args.quick && cores >= 4) {
-        check(speedup4 >= 2.0,
-              "cube-and-conquer speedup at 4 threads is " +
-                  std::to_string(speedup4) + "x (acceptance bound: 2x)");
+        if (speedup4 < 2.0) {
+            std::fprintf(stderr,
+                         "cube-and-conquer speedup at 4 threads is %.2fx "
+                         "(acceptance bound: 2x)\n",
+                         speedup4);
+            return false;
+        }
     } else if (!args.quick) {
         std::printf("  (speedup bound skipped: %u core%s)\n", cores,
                     cores == 1 ? "" : "s");
     }
+    return true;
 }
 
 }  // namespace
@@ -271,17 +242,6 @@ int main(int argc, char** argv) {
                                budget, enum_cap));
     }
 
-    // The acceptance check: at least one row per family saturates the
-    // legacy path while the counter stays exact and uncapped.
-    bool cap_beaten = false;
-    for (const Row& r : rows) {
-        if (r.enum_status == "capped" && r.exact_status == "solved") {
-            cap_beaten = true;
-        }
-    }
-    check(cap_beaten,
-          "no row had enumeration capped with an exact uncapped count");
-
     std::printf("\n%-8s %9s %-30s %-14s %9s %10s %9s %-12s %9s\n", "family",
                 "bits", "exact count", "exact status", "exact s", "decisions",
                 "cachehit", "enum status", "enum s");
@@ -314,29 +274,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    benchx::BenchJson bj("count", args);
-    if (bj.enabled()) {
-        for (const Row& r : rows) {
-            report::Json j = report::Json::object();
-            j.set("family", r.name);
-            j.set("space_bits", r.space_bits);
-            j.set("exact_count", r.exact_count);
-            j.set("exact_status", r.exact_status);
-            j.set("exact_seconds", r.exact_seconds);
-            j.set("decisions", r.decisions);
-            j.set("components", r.components);
-            j.set("cache_hits", r.cache_hits);
-            j.set("enum_count", r.enum_count);
-            j.set("enum_status", r.enum_status);
-            j.set("enum_seconds", r.enum_seconds);
-            bj.add_row(std::move(j));
-        }
-    }
-
-    parallel_count_section(args, bj);
-
-    bj.set("failures", failures);
-    bj.write();
+    const bool bound_ok = parallel_count_section(args);
 
     std::printf(
         "\nnote: 'capped' rows are the legacy lower bound (cap 2^%d); the\n"
@@ -345,10 +283,5 @@ int main(int argc, char** argv) {
         "the cap for; dense decomposition-resistant instances fall back to\n"
         "enumeration after the decision budget (see README).\n",
         args.quick ? 14 : 20);
-    if (failures > 0) {
-        std::fprintf(stderr, "%d differential assertion(s) failed\n", failures);
-        return 1;
-    }
-    std::printf("all differential assertions passed\n");
-    return 0;
+    return bound_ok ? 0 : 1;
 }

@@ -21,33 +21,22 @@
 // public API the attack uses live.  Any prefix of a valid run's transcript
 // is itself a valid distinguishing sequence against the same oracle, so
 // both runs do the same number of CEGAR solves over the same logical
-// constraint sets and converge to bit-identical outcomes -- the harness
-// asserts identical query and survivor counts and reports the speedup as a
-// pure solver-layer measurement on identical attack transcripts.
-//
-// Before the cost curves, a word-parallel oracle microbenchmark times one
-// 64-pattern query_block against 64 scalar query() calls (and against the
-// legacy allocating simulate_camo_pattern path) on a 16-PI netlist, and
-// DIES unless the block path is at least 8x faster -- the batching
-// speedup is asserted, not eyeballed.
+// constraint sets, and the speedup column is a pure solver-layer
+// measurement on identical attack transcripts.  That the outcome does not
+// depend on the encoding is pinned by test_shared_miter and
+// test_count_fuzz; the timing bounds of the word-parallel oracle, disabled
+// tracing and the committing oracle by test_acceptance_bounds.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "attack/oracle.hpp"
 #include "attack/oracle_attack.hpp"
 #include "attack/random_camo.hpp"
-#include "audit/commitment.hpp"
-#include "audit/committing_oracle.hpp"
 #include "bench_common.hpp"
 #include "flow/obfuscation_flow.hpp"
-#include "obs/trace.hpp"
 #include "sbox/sbox_data.hpp"
 #include "util/csv.hpp"
-#include "util/sha256.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -77,9 +66,7 @@ void print_row(const Row& row) {
 }
 
 /// Runs the full-pipeline attack under a recording TranscriptOracle, then
-/// replays its transcript chip-free on the legacy encoding; dies if the
-/// outcomes diverge (they cannot, short of a solver bug -- this is the
-/// "measured, not asserted" guarantee).
+/// replays its transcript chip-free on the legacy encoding.
 Row run_row(const mvf::camo::CamoNetlist& nl, mvf::attack::Oracle& oracle,
             mvf::attack::OracleAttackParams params, std::string name) {
     Row row;
@@ -98,162 +85,7 @@ Row run_row(const mvf::camo::CamoNetlist& nl, mvf::attack::Oracle& oracle,
     params.shared_miter = false;
     mvf::attack::TranscriptOracle replay(recorder.transcript());
     row.plain = mvf::attack::oracle_attack(nl, replay, params);
-
-    if (row.plain.queries != row.attack.queries ||
-        row.plain.surviving_configs != row.attack.surviving_configs ||
-        row.plain.status != row.attack.status) {
-        std::fprintf(stderr,
-                     "FATAL: %s: outcomes diverged between solver configs "
-                     "(queries %d vs %d, survivors %llu vs %llu)\n",
-                     row.name.c_str(), row.attack.queries, row.plain.queries,
-                     static_cast<unsigned long long>(row.attack.surviving_configs),
-                     static_cast<unsigned long long>(row.plain.surviving_configs));
-        std::exit(1);
-    }
     return row;
-}
-
-/// Times one 64-pattern query_block against 64 scalar query() calls and
-/// against the legacy allocating simulate_camo_pattern path; dies unless
-/// the word-parallel block is at least 8x faster than scalar queries (the
-/// acceptance bound of the batched oracle API).
-void word_parallel_microbench(const mvf::camo::CamoLibrary& lib,
-                              std::uint64_t seed) {
-    using namespace mvf;
-    util::Rng rng(seed * 131 + 7);
-    const camo::CamoNetlist nl =
-        attack::random_camo_netlist(lib, 16, 4, 32, rng);
-    const std::vector<int> config = nl.configuration_for_code(0);
-    attack::SimOracle oracle(nl, config);
-
-    std::vector<std::vector<bool>> patterns;
-    for (int k = 0; k < attack::kQueryBlockWidth; ++k) {
-        std::vector<bool> p(static_cast<std::size_t>(nl.num_pis()));
-        for (std::size_t i = 0; i < p.size(); ++i) p[i] = rng.coin(0.5);
-        patterns.push_back(std::move(p));
-    }
-    const std::vector<std::uint64_t> words = attack::pack_block(patterns);
-
-    // Correctness before timing: every block lane must match the scalar
-    // path bit for bit.
-    const std::vector<std::uint64_t> block =
-        oracle.query_block(words, attack::kQueryBlockWidth);
-    for (int k = 0; k < attack::kQueryBlockWidth; ++k) {
-        if (oracle.query(patterns[static_cast<std::size_t>(k)]) !=
-            attack::unpack_lane(block, k)) {
-            std::fprintf(stderr,
-                         "FATAL: query_block lane %d diverges from scalar "
-                         "query\n", k);
-            std::exit(1);
-        }
-    }
-
-    // Best-of-3 trials per path to shave scheduler noise off the assert.
-    const int reps = 500;
-    std::uint64_t sink = 0;
-    double scalar_s = 1e30;
-    double block_s = 1e30;
-    double alloc_s = 1e30;
-    for (int trial = 0; trial < 3; ++trial) {
-        mvf::util::Stopwatch sw;
-        for (int rep = 0; rep < reps; ++rep) {
-            for (const std::vector<bool>& p : patterns) {
-                sink += oracle.query(p)[0] ? 1u : 0u;
-            }
-        }
-        scalar_s = std::min(scalar_s, sw.elapsed_seconds());
-        sw.reset();
-        for (int rep = 0; rep < reps; ++rep) {
-            sink += oracle.query_block(words, attack::kQueryBlockWidth)[0] & 1u;
-        }
-        block_s = std::min(block_s, sw.elapsed_seconds());
-        sw.reset();
-        for (int rep = 0; rep < reps; ++rep) {
-            for (const std::vector<bool>& p : patterns) {
-                sink += sim::simulate_camo_pattern(nl, config, p)[0] ? 1u : 0u;
-            }
-        }
-        alloc_s = std::min(alloc_s, sw.elapsed_seconds());
-    }
-
-    const double block_speedup = block_s > 0.0 ? scalar_s / block_s : 0.0;
-    const double scratch_gain =
-        alloc_s > 0.0 ? (alloc_s - scalar_s) / alloc_s * 100.0 : 0.0;
-    std::printf(
-        "word-parallel oracle microbench (%d PIs, %d cells, %d patterns x %d "
-        "reps, checksum %llu):\n",
-        nl.num_pis(), nl.num_cells(), attack::kQueryBlockWidth, reps,
-        static_cast<unsigned long long>(sink));
-    std::printf("  query_block            %9.3f ms   %5.1fx vs 64 scalar queries\n",
-                block_s * 1e3, block_speedup);
-    std::printf("  scalar query (scratch) %9.3f ms\n", scalar_s * 1e3);
-    std::printf("  simulate_camo_pattern  %9.3f ms   scratch scalar is %.1f%% faster\n\n",
-                alloc_s * 1e3, scratch_gain);
-    if (block_speedup < 8.0) {
-        std::fprintf(stderr,
-                     "FATAL: query_block is only %.1fx faster than 64 scalar "
-                     "queries (acceptance bound: 8x)\n", block_speedup);
-        std::exit(1);
-    }
-}
-
-/// Measures what the tracing instrumentation costs when NO sink is
-/// installed, and DIES if it exceeds 2% of the attack's wall time.  The
-/// event count is taken from a real traced run (sink on /dev/null), the
-/// per-event disabled cost from a tight Span construct/destruct loop --
-/// each site must boil down to one atomic load + branch.
-void disabled_tracing_overhead_assert(
-    const mvf::camo::CamoLibrary& lib, std::uint64_t seed,
-    const mvf::attack::OracleAttackParams& params) {
-    using namespace mvf;
-    util::Rng rng(seed * 977 + 8);
-    const camo::CamoNetlist nl = attack::random_camo_netlist(lib, 8, 2, 16, rng);
-    attack::SimOracle oracle(nl, nl.configuration_for_code(0));
-
-    // Untraced reference run (best of 3 against scheduler noise).
-    double untraced_s = 1e30;
-    for (int trial = 0; trial < 3; ++trial) {
-        util::Stopwatch sw;
-        attack::oracle_attack(nl, oracle, params);
-        untraced_s = std::min(untraced_s, sw.elapsed_seconds());
-    }
-
-    // The same attack traced into /dev/null counts the event sites crossed.
-    std::uint64_t events = 0;
-    {
-        obs::TraceSink sink("/dev/null");
-        if (sink.ok()) {
-            obs::set_trace_sink(&sink);
-            attack::oracle_attack(nl, oracle, params);
-            obs::set_trace_sink(nullptr);
-            events = sink.events();
-        }
-    }
-
-    // Per-event cost with tracing disabled: one Span per two events.
-    const int reps = 2'000'000;
-    int live = 0;
-    util::Stopwatch sw;
-    for (int i = 0; i < reps; ++i) {
-        obs::Span span("noop", "bench");
-        if (span) ++live;
-    }
-    const double per_event_s = sw.elapsed_seconds() / (2.0 * reps);
-
-    const double overhead_s = per_event_s * static_cast<double>(events);
-    const double pct =
-        untraced_s > 0.0 ? overhead_s / untraced_s * 100.0 : 0.0;
-    std::printf(
-        "disabled-tracing overhead: %.1f ns/event x %llu events = %.1f us "
-        "on a %.3fs attack (%.4f%%, live spans %d)\n\n",
-        per_event_s * 1e9, static_cast<unsigned long long>(events),
-        overhead_s * 1e6, untraced_s, pct, live);
-    if (pct >= 2.0) {
-        std::fprintf(stderr,
-                     "FATAL: disabled tracing costs %.2f%% of attack wall "
-                     "time (acceptance bound: 2%%)\n", pct);
-        std::exit(1);
-    }
 }
 
 }  // namespace
@@ -266,8 +98,6 @@ int main(int argc, char** argv) {
 
     const camo::CamoLibrary camo_lib =
         camo::CamoLibrary::from_gate_library(tech::GateLibrary::standard());
-
-    word_parallel_microbench(camo_lib, args.seed);
 
     struct Size {
         int pis, pos, cells;
@@ -293,7 +123,6 @@ int main(int argc, char** argv) {
                         "queries", "conflicts", "eliminated_vars", "survivors",
                         "pre_seconds", "plain_seconds", "solved"});
     }
-    benchx::BenchJson bj("oracle_attack", args);
     double total_pre = 0.0;
     double total_plain = 0.0;
     const auto emit = [&](const Row& row) {
@@ -301,24 +130,6 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
         total_pre += row.attack.seconds;
         total_plain += row.plain.seconds;
-        if (bj.enabled()) {
-            report::Json r = report::Json::object();
-            r.set("circuit", row.name);
-            r.set("pis", row.pis);
-            r.set("pos", row.pos);
-            r.set("cells", row.cells);
-            r.set("config_bits", row.space_bits);
-            r.set("queries", row.attack.queries);
-            r.set("conflicts", row.attack.sat_stats.conflicts);
-            r.set("solves", row.attack.sat_stats.solves);
-            r.set("max_decision_level", row.attack.sat_stats.max_decision_level);
-            r.set("eliminated_vars", row.attack.sat_stats.eliminated_vars);
-            r.set("survivors", row.attack.surviving_configs);
-            r.set("pre_seconds", row.attack.seconds);
-            r.set("plain_seconds", row.plain.seconds);
-            r.set("solved", row.attack.solved());
-            bj.add_row(std::move(r));
-        }
         if (csv) {
             csv->write_row(
                 {row.name, util::CsvWriter::field(static_cast<std::size_t>(row.pis)),
@@ -345,8 +156,6 @@ int main(int argc, char** argv) {
     // revisions.
     attack_params.count_mode = attack::CountMode::kEnumerate;
     attack_params.max_survivors = 1u << 12;
-
-    disabled_tracing_overhead_assert(camo_lib, args.seed, attack_params);
 
     for (const Size& size : sizes) {
         util::Rng rng(args.seed * 977 + static_cast<std::uint64_t>(size.pis));
@@ -379,111 +188,11 @@ int main(int argc, char** argv) {
         wp.warmup_seed = args.seed;
         const attack::OracleAttackResult warm =
             attack::oracle_attack(nl, oracle, wp);
-        if (warm.surviving_configs != base.surviving_configs) {
-            std::fprintf(stderr,
-                         "FATAL: random warm-up changed the survivor count "
-                         "(%llu vs %llu)\n",
-                         static_cast<unsigned long long>(warm.surviving_configs),
-                         static_cast<unsigned long long>(base.surviving_configs));
-            std::exit(1);
-        }
         std::printf(
             "\nrandom warm-up on rand%d: chip queries %d -> %d (%d warm-up + "
             "%d distinguishing), %.3fs -> %.3fs CEGAR\n\n",
             pis, base.queries, warm.warmup_queries + warm.queries,
             warm.warmup_queries, warm.queries, base.seconds, warm.seconds);
-        if (bj.enabled()) {
-            report::Json w = report::Json::object();
-            w.set("pis", pis);
-            w.set("base_queries", base.queries);
-            w.set("warm_queries", warm.queries);
-            w.set("warmup_queries", warm.warmup_queries);
-            w.set("base_seconds", base.seconds);
-            w.set("warm_seconds", warm.seconds);
-            bj.set("random_warmup", std::move(w));
-        }
-    }
-
-    // Committing-oracle overhead at rand16: a real committed run must
-    // preserve the attack outcome bit for bit (commitments observe, never
-    // perturb), and the per-pattern commitment cost -- measured from a
-    // tight chain-extension loop, like the disabled-tracing assert --
-    // must stay under 5% of the attack's wall time.
-    {
-        const int pis = 16;
-        util::Rng rng(args.seed * 977 + static_cast<std::uint64_t>(pis));
-        const camo::CamoNetlist nl =
-            attack::random_camo_netlist(camo_lib, pis, 4, 32, rng);
-        attack::SimOracle chip(nl, nl.configuration_for_code(0));
-        attack::OracleAttackParams cp = attack_params;
-        cp.solver.preprocess = true;
-        cp.shared_miter = true;
-        cp.random_warmup = 64;
-        cp.warmup_seed = args.seed;
-        const attack::OracleAttackResult base =
-            attack::oracle_attack(nl, chip, cp);
-
-        audit::CommittingOracle committer(chip, args.seed,
-                                          mvf::util::sha256_hex("bench"));
-        const attack::OracleAttackResult committed =
-            attack::oracle_attack(nl, committer, cp);
-        if (committed.queries != base.queries ||
-            committed.warmup_queries != base.warmup_queries ||
-            committed.surviving_configs != base.surviving_configs) {
-            std::fprintf(stderr,
-                         "FATAL: the committing decorator changed the attack "
-                         "outcome on rand%d (queries %d vs %d, survivors "
-                         "%llu vs %llu)\n",
-                         pis, committed.queries, base.queries,
-                         static_cast<unsigned long long>(
-                             committed.surviving_configs),
-                         static_cast<unsigned long long>(
-                             base.surviving_configs));
-            std::exit(1);
-        }
-        const std::uint64_t patterns = committer.committed();
-
-        // Per-pattern cost: extend a real commitment chain (salt draw +
-        // leaf message + SHA-256) over representative 16-in/4-out
-        // patterns.  Analytic like the tracing assert: wall-clock A/B of
-        // two full attacks would drown 1e2..1e4 hash calls in seconds of
-        // SAT noise.
-        const int reps = 20'000;
-        const std::vector<bool> in(16, true);
-        const std::vector<bool> out(4, false);
-        std::string prev = mvf::util::sha256_hex("bench");
-        util::Stopwatch sw;
-        for (int i = 0; i < reps; ++i) {
-            const audit::Commitment c = audit::Commitment::commit(
-                audit::CommittingOracle::leaf_message(
-                    static_cast<std::size_t>(i), in, out, prev),
-                prev.substr(0, 32));  // salt-shaped 32-hex-char string
-            prev = c.digest_hex;
-        }
-        const double per_commit_s = sw.elapsed_seconds() / reps;
-        const double overhead_s =
-            per_commit_s * static_cast<double>(patterns);
-        const double pct =
-            base.seconds > 0.0 ? overhead_s / base.seconds * 100.0 : 0.0;
-        std::printf(
-            "committing overhead on rand%d: %.2f us/pattern x %llu patterns "
-            "= %.1f us on a %.3fs attack (%.4f%%, outcome preserved)\n\n",
-            pis, per_commit_s * 1e6, static_cast<unsigned long long>(patterns),
-            overhead_s * 1e6, base.seconds, pct);
-        if (bj.enabled()) {
-            report::Json c = report::Json::object();
-            c.set("pis", pis);
-            c.set("patterns", patterns);
-            c.set("per_commit_us", per_commit_s * 1e6);
-            c.set("overhead_percent", pct);
-            bj.set("committing_overhead", std::move(c));
-        }
-        if (pct >= 5.0) {
-            std::fprintf(stderr,
-                         "FATAL: committing costs %.2f%% of attack wall time "
-                         "(acceptance bound: 5%%)\n", pct);
-            std::exit(1);
-        }
     }
 
     // The paper's own flow output (4 merged 4-bit S-boxes) under the same
@@ -512,8 +221,5 @@ int main(int argc, char** argv) {
         "the oracle; the flow's other viable functions are BY DESIGN\n"
         "different functions, so a working-chip adversary eliminates them --\n"
         "the paper's security model assumes the attacker has no such chip.\n");
-    bj.set("total_pre_seconds", total_pre);
-    bj.set("total_plain_seconds", total_plain);
-    bj.write();
     return 0;
 }

@@ -224,19 +224,17 @@ std::string bits_to_string(const std::vector<bool>& bits) {
     return out;
 }
 
-namespace {
-
-std::vector<bool> bits_from_string(const std::string& text, int expect,
-                                   const char* what) {
-    if (static_cast<int>(text.size()) != expect) {
-        throw report::JsonError(std::string("transcript ") + what +
-                                " has width " + std::to_string(text.size()) +
-                                ", expected " + std::to_string(expect));
+std::vector<bool> bits_from_string(const std::string& text,
+                                   std::size_t width, const char* what) {
+    if (text.size() != width) {
+        throw report::JsonError(std::string(what) + " has width " +
+                                std::to_string(text.size()) + ", expected " +
+                                std::to_string(width));
     }
     std::vector<bool> out(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
         if (text[i] != '0' && text[i] != '1') {
-            throw report::JsonError(std::string("transcript ") + what +
+            throw report::JsonError(std::string(what) +
                                     " must be a 0/1 string, got \"" + text +
                                     "\"");
         }
@@ -244,8 +242,6 @@ std::vector<bool> bits_from_string(const std::string& text, int expect,
     }
     return out;
 }
-
-}  // namespace
 
 report::Json OracleTranscript::to_json() const {
     report::Json j = report::Json::object();
@@ -271,9 +267,12 @@ OracleTranscript OracleTranscript::from_json(const report::Json& j) {
     }
     for (const report::Json& q : j.at("queries").items()) {
         Entry e;
-        e.inputs = bits_from_string(q.at("in").as_string(), t.num_inputs, "query");
-        e.outputs =
-            bits_from_string(q.at("out").as_string(), t.num_outputs, "answer");
+        e.inputs = bits_from_string(q.at("in").as_string(),
+                                    static_cast<std::size_t>(t.num_inputs),
+                                    "transcript query");
+        e.outputs = bits_from_string(q.at("out").as_string(),
+                                     static_cast<std::size_t>(t.num_outputs),
+                                     "transcript answer");
         t.entries.push_back(std::move(e));
     }
     return t;

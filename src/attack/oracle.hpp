@@ -96,6 +96,11 @@ void fold_lane(const std::vector<bool>& answer, int k,
 /// commitments and trace records carry.
 std::string bits_to_string(const std::vector<bool>& bits);
 
+/// Strict inverse of bits_to_string: throws report::JsonError, naming
+/// `what`, unless `text` is exactly `width` characters of '0' and '1'.
+std::vector<bool> bits_from_string(const std::string& text, std::size_t width,
+                                   const char* what);
+
 /// Black-box combinational oracle (the attacker's working chip).
 class Oracle {
 public:

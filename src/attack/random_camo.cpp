@@ -82,7 +82,7 @@ camo::CamoNetlist random_camo_netlist(const camo::CamoLibrary& library,
     std::vector<bool> has_fanout;
     std::vector<int> unused;  // nodes with no fanout yet
     for (int i = 0; i < num_pis; ++i) {
-        unused.push_back(out.add_pi("i" + std::to_string(i)));
+        unused.push_back(out.add_pi('i' + std::to_string(i)));
         has_fanout.push_back(false);
     }
 
@@ -126,7 +126,7 @@ camo::CamoNetlist random_camo_netlist(const camo::CamoLibrary& library,
     }
     for (int q = 0; q < num_pos; ++q) {
         out.add_po(cell_nodes[static_cast<std::size_t>(num_cells - num_pos + q)],
-                   "o" + std::to_string(q));
+                   'o' + std::to_string(q));
     }
     return out;
 }

@@ -79,11 +79,7 @@ report::Json ReplayParams::to_json() const {
     j.set("count_max_decisions", count_max_decisions);
     j.set("enumerate_survivors", enumerate_survivors);
     if (!fixed_nominal.empty()) {
-        std::string bits(fixed_nominal.size(), '0');
-        for (std::size_t i = 0; i < fixed_nominal.size(); ++i) {
-            if (fixed_nominal[i]) bits[i] = '1';
-        }
-        j.set("fixed_nominal", std::move(bits));
+        j.set("fixed_nominal", attack::bits_to_string(fixed_nominal));
     }
     return j;
 }
@@ -103,13 +99,12 @@ ReplayParams ReplayParams::from_json(const report::Json& j) {
     // epsilon, delta and count_seed; no backend reads them, so they are
     // skipped (an "approx" count_mode is refused above).
     // Absent in proofs from S-box scenarios and in pre-circuit artifacts;
-    // both mean "no cell is known nominal".
+    // both mean "no cell is known nominal".  Its width is checked against
+    // the netlist in verify().
     if (const report::Json* f = j.find("fixed_nominal")) {
         const std::string& bits = f->as_string();
-        r.fixed_nominal.resize(bits.size());
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            r.fixed_nominal[i] = bits[i] == '1';
-        }
+        r.fixed_nominal =
+            attack::bits_from_string(bits, bits.size(), "fixed_nominal");
     }
     return r;
 }
@@ -215,6 +210,16 @@ ProofVerification AttackProof::verify(const camo::CamoNetlist& netlist) const {
     options.oracle = params.to_attack_params(entries);
     options.random_queries = options.oracle.random_warmup;
     try {
+        // The encoder indexes fixed_nominal by node id: a proof whose width
+        // differs from the netlist's node count is refused, not replayed.
+        const std::size_t nodes = static_cast<std::size_t>(netlist.num_nodes());
+        if (!params.fixed_nominal.empty() &&
+            params.fixed_nominal.size() != nodes) {
+            throw std::invalid_argument(
+                "fixed_nominal has width " +
+                std::to_string(params.fixed_nominal.size()) + ", expected " +
+                std::to_string(nodes) + " (the netlist's node count)");
+        }
         std::unique_ptr<attack::Adversary> adversary =
             attack::AdversaryRegistry::instance().create(report.adversary,
                                                          options);

@@ -164,7 +164,7 @@ std::vector<TruthTable> MergedSpec::reference_tts() const {
 std::vector<std::string> MergedSpec::pi_names() const {
     std::vector<std::string> names;
     names.reserve(static_cast<std::size_t>(num_inputs() + select_count()));
-    for (int i = 0; i < num_inputs(); ++i) names.push_back("i" + std::to_string(i));
+    for (int i = 0; i < num_inputs(); ++i) names.push_back('i' + std::to_string(i));
     for (int j = 0; j < select_count(); ++j) names.push_back("sel" + std::to_string(j));
     return names;
 }

@@ -279,7 +279,7 @@ std::vector<ScenarioKey> build_table() {
 
     // S-box flow.
     row("population pop", sbox(kPinSearch, "ga.population"), "N",
-        field(FIELD(ga.population)), "GA population (default 48)");
+        field(FIELD(ga.population), at_least(1)), "GA population (default 48)");
     row("generations gens", sbox(kPinSearch, "ga.generations"), "N",
         field(FIELD(ga.generations)), "GA generations (default 60)");
     row("baseline", sbox(kPinSearch, "run_random_baseline"), "",

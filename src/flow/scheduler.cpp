@@ -32,7 +32,7 @@ std::string JobScheduler::submit(std::vector<Scenario> scenarios,
     auto job = std::make_shared<Job>();
     {
         std::lock_guard lock(mu_);
-        job->id = "j" + std::to_string(next_id_++);
+        job->id = 'j' + std::to_string(next_id_++);
     }
     job->scenarios = std::move(scenarios);
     if (workers() > 1) {
@@ -133,8 +133,12 @@ void JobScheduler::finish_scenario(const std::shared_ptr<Job>& job,
         std::lock_guard lock(mu_);
         ++job->completed;
         if (job->completed == static_cast<int>(job->scenarios.size())) {
-            job->state = job->cancel.cancelled() ? JobState::kCancelled
-                                                 : JobState::kDone;
+            // A deadline cuts records without firing the token.
+            const bool cut = std::any_of(
+                job->records.begin(), job->records.end(),
+                [](const ScenarioRecord& r) { return r.status == "cancelled"; });
+            job->state = job->cancel.cancelled() || cut ? JobState::kCancelled
+                                                        : JobState::kDone;
             job->seconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - job->submitted)

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "attack/adversary.hpp"
+#include "attack/oracle.hpp"
 
 namespace mvf::flow {
 
@@ -226,11 +227,7 @@ report::Json snapshot_context(const FlowContext& ctx) {
         j.set("camouflaged", camo_netlist_to_json(*r.camouflaged));
     }
     if (!r.fixed_nominal.empty()) {
-        std::string bits(r.fixed_nominal.size(), '0');
-        for (std::size_t i = 0; i < r.fixed_nominal.size(); ++i) {
-            if (r.fixed_nominal[i]) bits[i] = '1';
-        }
-        j.set("fixed_nominal", std::move(bits));
+        j.set("fixed_nominal", attack::bits_to_string(r.fixed_nominal));
     }
     report::Json attacks = report::Json::array();
     for (const attack::AdversaryReport& a : r.attack_reports) {
@@ -263,11 +260,10 @@ void restore_context(const report::Json& snapshot, FlowContext* ctx) {
         r.camouflaged = camo_netlist_from_json(*c, ctx->flow->camo_library());
     }
     if (const report::Json* f = snapshot.find("fixed_nominal")) {
-        const std::string& bits = f->as_string();
-        r.fixed_nominal.resize(bits.size());
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            r.fixed_nominal[i] = bits[i] == '1';
-        }
+        // One flag per camouflaged-netlist node; anything else misses.
+        const int nodes = r.camouflaged ? r.camouflaged->num_nodes() : 0;
+        r.fixed_nominal = attack::bits_from_string(
+            f->as_string(), static_cast<std::size_t>(nodes), "fixed_nominal");
     }
     for (const report::Json& a : snapshot.at("attack_reports").items()) {
         r.attack_reports.push_back(attack::AdversaryReport::from_json(a));

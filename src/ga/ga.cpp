@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mvf::ga {
 namespace {
@@ -16,6 +18,11 @@ struct Individual {
 
 GaResult run_ga(int num_functions, int num_inputs, int num_outputs,
                 const FitnessFn& fitness, const GaParams& params) {
+    if (params.population < 1) {
+        std::string what = "ga: population must be >= 1, got ";
+        what += std::to_string(params.population);
+        throw std::invalid_argument(what);
+    }
     util::Rng rng(params.seed);
     GaResult result;
     result.best_area = std::numeric_limits<double>::infinity();

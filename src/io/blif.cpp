@@ -16,7 +16,7 @@ namespace {
 std::string aig_signal(Lit l) {
     if (l == Aig::kConst0) return "gnd";
     if (l == Aig::kConst1) return "vdd";
-    const std::string base = "n" + std::to_string(Aig::lit_node(l));
+    const std::string base = 'n' + std::to_string(Aig::lit_node(l));
     return Aig::lit_complemented(l) ? base + "_inv" : base;
 }
 
@@ -87,7 +87,7 @@ void write_blif(const tech::Netlist& netlist, const std::string& model_name,
             case tech::Netlist::NodeKind::kConst1:
                 return "vdd";
             case tech::Netlist::NodeKind::kCell:
-                return "w" + std::to_string(id);
+                return 'w' + std::to_string(id);
         }
         return "?";
     };

@@ -757,12 +757,12 @@ ImportedCircuit read_aiger(std::istream& in, const std::string& filename) {
     circuit.input_names.resize(static_cast<std::size_t>(num_inputs));
     for (std::uint64_t i = 0; i < num_inputs; ++i) {
         circuit.input_names[static_cast<std::size_t>(i)] =
-            "i" + std::to_string(i);
+            'i' + std::to_string(i);
     }
     circuit.output_names.resize(static_cast<std::size_t>(num_outputs));
     for (std::uint64_t i = 0; i < num_outputs; ++i) {
         circuit.output_names[static_cast<std::size_t>(i)] =
-            "o" + std::to_string(i);
+            'o' + std::to_string(i);
     }
     std::string sym;
     while (std::getline(in, sym)) {

@@ -28,7 +28,7 @@ private:
     static std::string format(const std::string& file, int line,
                               const std::string& message) {
         std::string out = file.empty() ? std::string("<stream>") : file;
-        if (line > 0) out += ":" + std::to_string(line);
+        if (line > 0) out += ':' + std::to_string(line);
         out += ": ";
         out += message;
         return out;

@@ -163,7 +163,7 @@ std::string FactorTree::string_below(int idx) const {
                 if (i) s += ' ';
                 const FactorNode& c = node(n.children[i]);
                 if (c.kind == FactorKind::kOr)
-                    s += "(" + string_below(n.children[i]) + ")";
+                    s += '(' + string_below(n.children[i]) + ')';
                 else
                     s += string_below(n.children[i]);
             }

@@ -208,7 +208,7 @@ struct Mapper {
         for (int i = 0; i < aig.num_pis(); ++i) {
             std::string name = i < static_cast<int>(pi_names.size())
                                    ? pi_names[static_cast<std::size_t>(i)]
-                                   : "i" + std::to_string(i);
+                                   : 'i' + std::to_string(i);
             const bool sel = i < static_cast<int>(pi_is_select.size()) &&
                              pi_is_select[static_cast<std::size_t>(i)];
             pi_ids[static_cast<std::size_t>(i)] = netlist.add_pi(std::move(name), sel);
@@ -266,7 +266,7 @@ struct Mapper {
             const Lit po = aig.po(i);
             const int id =
                 build(build, Aig::lit_node(po), Aig::lit_complemented(po) ? 1 : 0);
-            netlist.add_po(id, "o" + std::to_string(i));
+            netlist.add_po(id, 'o' + std::to_string(i));
         }
         return netlist;
     }

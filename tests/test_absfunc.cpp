@@ -103,7 +103,7 @@ TEST(Subtree, RespectsSignalLeafBudget) {
     Netlist nl(GateLibrary::standard());
     const GateLibrary& lib = nl.library();
     std::vector<int> pis;
-    for (int i = 0; i < 8; ++i) pis.push_back(nl.add_pi("i" + std::to_string(i)));
+    for (int i = 0; i < 8; ++i) pis.push_back(nl.add_pi('i' + std::to_string(i)));
     const int g1 = nl.add_cell(lib.find("AND4"), {pis[0], pis[1], pis[2], pis[3]});
     const int g2 = nl.add_cell(lib.find("AND4"), {pis[4], pis[5], pis[6], pis[7]});
     const int g3 = nl.add_cell(lib.find("AND2"), {g1, g2});

@@ -24,7 +24,7 @@ CamoNetlist single_cell_netlist(const CamoLibrary& lib, const char* cell_name) {
     cell.kind = CamoNetlist::NodeKind::kCell;
     cell.camo_cell_id = camo_id;
     for (int i = 0; i < pins; ++i) {
-        cell.fanins.push_back(nl.add_pi("p" + std::to_string(i)));
+        cell.fanins.push_back(nl.add_pi('p' + std::to_string(i)));
     }
     cell.used_pin_mask = (1u << pins) - 1;
     cell.config_fn = {0};

@@ -89,7 +89,7 @@ TEST(MerkleTree, PathsVerifyForEveryLeafAtEveryCount) {
     for (const int count : {1, 2, 3, 4, 5, 7, 8}) {
         std::vector<std::string> leaves;
         for (int i = 0; i < count; ++i) {
-            leaves.push_back(util::sha256_hex("q" + std::to_string(i)));
+            leaves.push_back(util::sha256_hex('q' + std::to_string(i)));
         }
         const MerkleTree tree(leaves);
         for (int i = 0; i < count; ++i) {

@@ -306,28 +306,65 @@ TEST(CircuitFlow, SerialAndParallelRecordsBitIdentical) {
     EXPECT_EQ(records_hash(a), records_hash(b));
 }
 
-TEST(CircuitFlow, EmitProofVerifiesChipFree) {
-    const std::string path = write_temp_circuit("proof_c17.bench", kC17Bench);
-    const std::string proof_path = testing::TempDir() + "c17_proof.json";
+/// The proof document a c17 attack with emit_proof writes.
+report::Json emitted_c17_proof(const std::string& stem) {
+    const std::string path = write_temp_circuit(stem + ".bench", kC17Bench);
+    const std::string proof_path = testing::TempDir() + stem + "_proof.json";
     Scenario s = c17_scenario(path, 3);
     s.params.emit_proof = proof_path;
     const ScenarioRecord r = run_scenario(s, 0);
-    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.ok) << r.error;
 
     std::ifstream in(proof_path);
-    ASSERT_TRUE(in.good());
+    EXPECT_TRUE(in.good());
     std::ostringstream text;
     text << in.rdbuf();
-    const audit::AttackProof proof =
-        audit::AttackProof::from_json(report::Json::parse(text.str()));
-    // Injected netlists ship fixed_nominal in the replay parameters;
-    // without it the replay would free every cell and change the count.
-    EXPECT_FALSE(proof.params.fixed_nominal.empty());
+    return report::Json::parse(text.str());
+}
+
+/// Parses and verifies a proof document the way `mvf verify-proof` does.
+audit::ProofVerification verify_document(const report::Json& doc) {
+    const audit::AttackProof proof = audit::AttackProof::from_json(doc);
     const CamoNetlist netlist = camo_netlist_from_json(
         proof.netlist,
         camo::CamoLibrary::from_gate_library(tech::GateLibrary::standard()));
-    const audit::ProofVerification v = proof.verify(netlist);
+    return proof.verify(netlist);
+}
+
+TEST(CircuitFlow, EmitProofVerifiesChipFree) {
+    const report::Json doc = emitted_c17_proof("proof_c17");
+    // Injected netlists ship fixed_nominal in the replay parameters;
+    // without it the replay would free every cell and change the count.
+    EXPECT_FALSE(audit::AttackProof::from_json(doc).params.fixed_nominal.empty());
+    const audit::ProofVerification v = verify_document(doc);
     EXPECT_TRUE(v.ok) << (v.failures.empty() ? "" : v.failures[0]);
+}
+
+TEST(CircuitFlow, TamperedFixedNominalIsRefusedByName) {
+    const report::Json doc = emitted_c17_proof("tamper_c17");
+    const std::string bits = doc.at("params").at("fixed_nominal").as_string();
+    ASSERT_GT(bits.size(), 2u);
+    std::string stray = bits;
+    stray[bits.size() - 3] = 'x';
+    stray[bits.size() - 1] = 'z';
+    // Characters other than 0/1, 5 flags too many, and a single flag that
+    // used to send the encoder past the end of the vector.
+    for (const std::string& bad : {stray, bits + "00000", std::string("1")}) {
+        report::Json tampered = doc;
+        report::Json params = tampered.at("params");
+        params.set("fixed_nominal", bad);
+        tampered.set("params", std::move(params));
+        std::string failure;
+        try {
+            const audit::ProofVerification v = verify_document(tampered);
+            EXPECT_FALSE(v.ok) << bad;
+            for (const std::string& f : v.failures) failure += f + "\n";
+        } catch (const report::JsonError& e) {
+            failure = e.what();
+        }
+        EXPECT_NE(failure.find("fixed_nominal"), std::string::npos)
+            << bad << ": " << failure;
+    }
 }
 
 // ------------------------------------------------------ cache invalidation --

@@ -19,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "attack/adversary.hpp"
 #include "attack/oracle_attack.hpp"
@@ -341,6 +343,29 @@ std::optional<std::uint64_t> brute_force_count(
     }
 }
 
+/// 2 PIs, one live camouflaged NAND2 driving the PO, and `dead` additional
+/// camouflaged cells outside the PO cone.  The survivor count is
+/// (#plausible)^dead x (live survivors): astronomically beyond any
+/// enumeration cap, and trivially decomposable for the projected counter.
+CamoNetlist dead_tail_netlist(const CamoLibrary& lib, int dead) {
+    CamoNetlist nl(lib);
+    const int camo_id = lib.camo_of_nominal(lib.gate_library().find("NAND2"));
+    const int a = nl.add_pi("a");
+    const int b = nl.add_pi("b");
+    const auto make_cell = [&](void) {
+        CamoNetlist::Node cell;
+        cell.kind = CamoNetlist::NodeKind::kCell;
+        cell.camo_cell_id = camo_id;
+        cell.fanins = {a, b};
+        cell.used_pin_mask = 3;
+        cell.config_fn = {0};
+        return cell;
+    };
+    for (int i = 0; i < dead; ++i) nl.add_cell(make_cell());
+    nl.add_po(nl.add_cell(make_cell()), "o");
+    return nl;
+}
+
 TEST(CountDifferential, ExactMatchesBruteForceAndEnumeration) {
     // Random camouflaged netlists, widths 2-6, fully camouflaged and two
     // fixed_nominal densities: brute force over the whole configuration
@@ -416,32 +441,36 @@ TEST(CountDifferential, ExactMatchesBruteForceAndEnumeration) {
         }
     }
     ASSERT_GE(cases, 40) << "generator produced too few tractable netlists";
+
+    // bench_count's --quick rows whose enumeration completes, with spaces
+    // past the brute force above: dead4, and rand6s2 (generator seed
+    // 2 * 6101 + 6), counted under the bench's 400,000-decision budget.
+    util::Rng rng(2 * 6101 + 6);
+    const CamoNetlist dead4 = dead_tail_netlist(lib, 4);
+    const CamoNetlist rand6s2 = attack::random_camo_netlist(lib, 6, 2, 9, rng);
+    for (const auto& [tag, nl] :
+         {std::pair{"dead4", &dead4}, std::pair{"rand6s2", &rand6s2}}) {
+        const std::vector<int> hidden = nl->configuration_for_code(0);
+        OracleAttackParams enumerate;
+        enumerate.count_mode = CountMode::kEnumerate;
+        enumerate.max_survivors = 1u << 14;
+        SimOracle oracle_e(*nl, hidden);
+        const OracleAttackResult re =
+            attack::oracle_attack(*nl, oracle_e, enumerate);
+        ASSERT_EQ(re.status, OracleAttackResult::Status::kSolved) << tag;
+
+        OracleAttackParams exact;
+        exact.count_mode = CountMode::kExact;
+        exact.count_max_decisions = 400'000;
+        SimOracle oracle_x(*nl, hidden);
+        const OracleAttackResult rx = attack::oracle_attack(*nl, oracle_x, exact);
+        ASSERT_EQ(rx.status, OracleAttackResult::Status::kSolved) << tag;
+        EXPECT_EQ(rx.count_mode, CountMode::kExact) << tag;
+        EXPECT_EQ(rx.survivors.to_string(), re.survivors.to_string()) << tag;
+    }
 }
 
 // -------------------------------------- the uncapped-space acceptance case
-
-/// 2 PIs, one live camouflaged NAND2 driving the PO, and `dead` additional
-/// camouflaged cells outside the PO cone.  The survivor count is
-/// (#plausible)^dead x (live survivors): astronomically beyond any
-/// enumeration cap, and trivially decomposable for the projected counter.
-CamoNetlist dead_tail_netlist(const CamoLibrary& lib, int dead) {
-    CamoNetlist nl(lib);
-    const int camo_id = lib.camo_of_nominal(lib.gate_library().find("NAND2"));
-    const int a = nl.add_pi("a");
-    const int b = nl.add_pi("b");
-    const auto make_cell = [&](void) {
-        CamoNetlist::Node cell;
-        cell.kind = CamoNetlist::NodeKind::kCell;
-        cell.camo_cell_id = camo_id;
-        cell.fanins = {a, b};
-        cell.used_pin_mask = 3;
-        cell.config_fn = {0};
-        return cell;
-    };
-    for (int i = 0; i < dead; ++i) nl.add_cell(make_cell());
-    nl.add_po(nl.add_cell(make_cell()), "o");
-    return nl;
-}
 
 TEST(CountDifferential, ExactCounterRemovesTheEnumerationCap) {
     const CamoLibrary lib = standard_camo_library();
@@ -476,6 +505,14 @@ TEST(CountDifferential, ExactCounterRemovesTheEnumerationCap) {
     }
     // Cheap: the dead tail decomposes into one component per cell.
     EXPECT_LE(r.count_stats.decisions, 100000u);
+
+    // On the same netlist the legacy enumeration stops at its cap.
+    OracleAttackParams capped;
+    capped.count_mode = CountMode::kEnumerate;
+    capped.max_survivors = 1u << 14;
+    SimOracle oracle_e(nl, nl.configuration_for_code(0));
+    EXPECT_EQ(attack::oracle_attack(nl, oracle_e, capped).status,
+              OracleAttackResult::Status::kSurvivorLimit);
 }
 
 TEST(CountDifferential, ExactReportRoundTripsThroughJson) {
@@ -724,12 +761,10 @@ TEST(ProjectedCounter, GoldenSearchOnAttackInstances) {
 TEST(ParallelCount, RandomCnfCubeSplitIsBitIdenticalToSerial) {
     // Random 3-CNFs, serial vs every {threads, cube_vars} combination: the
     // cube split is a partition-sum, so counts and exactness flags must be
-    // bit-identical, not merely close.
-    util::Rng rng(101);
-    int nonzero = 0;
-    for (int instance = 0; instance < 12; ++instance) {
-        const int vars = 6 + rng.uniform_int(0, 8);
-        const int clauses = vars + rng.uniform_int(0, 2 * vars);
+    // bit-identical, not merely close.  The last instance is dense like the
+    // one bench_count's scaling section counts: 36 variables, clause ratio
+    // 1.7, every variable projected.
+    const auto random_clauses = [](util::Rng& rng, int vars, int clauses) {
         std::vector<std::vector<sat::Lit>> cls;
         for (int c = 0; c < clauses; ++c) {
             std::vector<sat::Lit> clause;
@@ -739,23 +774,40 @@ TEST(ParallelCount, RandomCnfCubeSplitIsBitIdenticalToSerial) {
             }
             cls.push_back(std::move(clause));
         }
+        return cls;
+    };
+    std::vector<Cnf> instances;
+    util::Rng rng(101);
+    for (int instance = 0; instance < 12; ++instance) {
+        const int vars = 6 + rng.uniform_int(0, 8);
+        const int clauses = vars + rng.uniform_int(0, 2 * vars);
+        std::vector<std::vector<sat::Lit>> cls =
+            random_clauses(rng, vars, clauses);
         std::vector<sat::Var> proj;
         for (sat::Var v = 0; v < vars; ++v) {
             if (rng.coin(0.7)) proj.push_back(v);
         }
+        instances.push_back(make_cnf(vars, std::move(cls), std::move(proj)));
+    }
+    util::Rng dense_rng(410);
+    std::vector<sat::Var> all(36);
+    std::iota(all.begin(), all.end(), 0);
+    instances.push_back(make_cnf(36, random_clauses(dense_rng, 36, 61), all));
 
-        ProjectedCounter serial(make_cnf(vars, cls, proj));
+    int nonzero = 0;
+    for (std::size_t instance = 0; instance < instances.size(); ++instance) {
+        ProjectedCounter serial(instances[instance]);
         const ProjectedCounter::Result want = serial.count();
         ASSERT_TRUE(want.exact);
         if (!want.count.is_zero()) ++nonzero;
 
-        for (const int threads : {1, 2, 8}) {
+        for (const int threads : {1, 2, 4, 8}) {
             for (const int cube_vars : {0, 1, 3}) {
                 if (threads == 1 && cube_vars == 0) continue;  // = serial
                 CounterConfig cc;
                 cc.threads = threads;
                 cc.cube_vars = cube_vars;
-                ProjectedCounter parallel(make_cnf(vars, cls, proj), cc);
+                ProjectedCounter parallel(instances[instance], cc);
                 const ProjectedCounter::Result got = parallel.count();
                 const std::string tag =
                     "instance=" + std::to_string(instance) +

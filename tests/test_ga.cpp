@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "ga/ga.hpp"
 
@@ -138,6 +139,15 @@ TEST(Ga, EvaluationBudgetIsAccounted) {
     EXPECT_EQ(calls, r.history.evaluations);
     // initial pop + (pop - elite) per generation
     EXPECT_EQ(r.history.evaluations, 10 + 5 * (10 - 2));
+    // An empty or negative population is refused before any evaluation.
+    for (const int population : {0, -3}) {
+        params.population = population;
+        EXPECT_THROW(run_ga(1, 4, 4, [&calls](const PinAssignment&) {
+            ++calls;
+            return 1.0;
+        }, params), std::invalid_argument) << population;
+    }
+    EXPECT_EQ(calls, r.history.evaluations);
 }
 
 TEST(Ga, DeterministicForFixedSeed) {

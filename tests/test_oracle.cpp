@@ -108,24 +108,39 @@ TEST(WordSim, ExhaustiveDifferentialAgainstScalarEvaluator) {
 
 TEST(WordSim, PartialBlocksAndScratchReuse) {
     const CamoLibrary lib = standard_camo_library();
-    util::Rng rng(77);
-    const CamoNetlist nl = attack::random_camo_netlist(lib, 8, 3, 14, rng);
-    const std::vector<int> config = nl.configuration_for_code(0);
-    SimOracle oracle(nl, config);
-    // Repeated partial blocks through ONE oracle instance (scratch reuse).
-    for (const int count : {1, 3, 17, 64, 5, 64, 2}) {
-        std::vector<std::vector<bool>> patterns;
-        for (int k = 0; k < count; ++k) {
-            std::vector<bool> p(8);
-            for (int i = 0; i < 8; ++i) p[static_cast<std::size_t>(i)] = rng.coin(0.5);
-            patterns.push_back(std::move(p));
-        }
-        const std::vector<std::uint64_t> answers =
-            oracle.query_block(pack_block(patterns), count);
-        for (int k = 0; k < count; ++k) {
-            EXPECT_EQ(unpack_lane(answers, k),
-                      sim::simulate_camo_pattern(
-                          nl, config, patterns[static_cast<std::size_t>(k)]));
+    // (PIs, POs, cells, generator seed); the 16-PI netlist is the one the
+    // query_block timing bound runs on.
+    struct Shape {
+        int pis, pos, cells;
+        std::uint64_t seed;
+    };
+    for (const Shape& shape : {Shape{8, 3, 14, 77}, Shape{16, 4, 32, 138}}) {
+        util::Rng rng(shape.seed);
+        const CamoNetlist nl = attack::random_camo_netlist(
+            lib, shape.pis, shape.pos, shape.cells, rng);
+        const std::vector<int> config = nl.configuration_for_code(0);
+        SimOracle oracle(nl, config);
+        // Repeated partial blocks through ONE oracle instance (scratch
+        // reuse), each lane checked against the simulator and against the
+        // oracle's own scalar query.
+        for (const int count : {1, 3, 17, 64, 5, 64, 2}) {
+            std::vector<std::vector<bool>> patterns;
+            for (int k = 0; k < count; ++k) {
+                std::vector<bool> p(static_cast<std::size_t>(shape.pis));
+                for (std::size_t i = 0; i < p.size(); ++i) p[i] = rng.coin(0.5);
+                patterns.push_back(std::move(p));
+            }
+            const std::vector<std::uint64_t> answers =
+                oracle.query_block(pack_block(patterns), count);
+            for (int k = 0; k < count; ++k) {
+                const std::vector<bool>& p =
+                    patterns[static_cast<std::size_t>(k)];
+                EXPECT_EQ(unpack_lane(answers, k),
+                          sim::simulate_camo_pattern(nl, config, p))
+                    << shape.pis << " PIs, lane " << k;
+                EXPECT_EQ(unpack_lane(answers, k), oracle.query(p))
+                    << shape.pis << " PIs, lane " << k;
+            }
         }
     }
 }
@@ -576,25 +591,40 @@ TEST(OracleAttack, TranscriptReplayIsBitIdenticalToLiveRun) {
 
 TEST(OracleAttack, RandomWarmupPreservesOutcomeAndCutsIterations) {
     const CamoLibrary lib = standard_camo_library();
-    util::Rng rng(59);
-    const CamoNetlist nl = attack::random_camo_netlist(lib, 8, 2, 14, rng);
-    SimOracle chip(nl, nl.configuration_for_code(0));
+    // (PIs, POs, cells, generator seed, warm-up patterns, warm-up seed); the
+    // 12-PI case is bench_oracle_attack's warm-up line at --seed 1.
+    struct Case {
+        int pis, pos, cells;
+        std::uint64_t seed;
+        int warmup;
+        std::uint64_t warmup_seed;
+    };
+    for (const Case& c :
+         {Case{8, 2, 14, 59, 32, 5}, Case{12, 3, 24, 977 + 12, 64, 1}}) {
+        util::Rng rng(c.seed);
+        const CamoNetlist nl =
+            attack::random_camo_netlist(lib, c.pis, c.pos, c.cells, rng);
+        SimOracle chip(nl, nl.configuration_for_code(0));
 
-    OracleAttackParams params = enumerate_params();
-    const OracleAttackResult base = oracle_attack(nl, chip, params);
-    ASSERT_NE(base.status, OracleAttackResult::Status::kNoSurvivor);
+        OracleAttackParams params = enumerate_params();
+        const OracleAttackResult base = oracle_attack(nl, chip, params);
+        ASSERT_NE(base.status, OracleAttackResult::Status::kNoSurvivor)
+            << c.pis << " PIs";
 
-    params.random_warmup = 32;
-    params.warmup_seed = 5;
-    const OracleAttackResult warm = oracle_attack(nl, chip, params);
-    ASSERT_NE(warm.status, OracleAttackResult::Status::kNoSurvivor);
-    // The warm-up never changes WHAT survives -- only how the attack gets
-    // there: warm-up constraints are true chip behavior, so the surviving
-    // equivalence class is identical.
-    EXPECT_EQ(warm.surviving_configs, base.surviving_configs);
-    EXPECT_EQ(warm.warmup_queries, 32);
-    // Pre-pruning the viable set can only shrink the distinguishing set.
-    EXPECT_LE(warm.queries, base.queries);
+        params.random_warmup = c.warmup;
+        params.warmup_seed = c.warmup_seed;
+        const OracleAttackResult warm = oracle_attack(nl, chip, params);
+        ASSERT_NE(warm.status, OracleAttackResult::Status::kNoSurvivor)
+            << c.pis << " PIs";
+        // The warm-up never changes WHAT survives -- only how the attack
+        // gets there: warm-up constraints are true chip behavior, so the
+        // surviving equivalence class is identical.
+        EXPECT_EQ(warm.surviving_configs, base.surviving_configs)
+            << c.pis << " PIs";
+        EXPECT_EQ(warm.warmup_queries, c.warmup) << c.pis << " PIs";
+        // Pre-pruning the viable set can only shrink the distinguishing set.
+        EXPECT_LE(warm.queries, base.queries) << c.pis << " PIs";
+    }
 }
 
 // --------------------------------------------------- random-sampling --

@@ -249,7 +249,7 @@ std::vector<Scenario> eight_scenarios() {
     for (int i = 0; i < 8; ++i) {
         Scenario s;
         s.n = (i % 2 == 0) ? 2 : 4;
-        s.name = "s" + std::to_string(i);
+        s.name = 's' + std::to_string(i);
         s.params = tiny_params(static_cast<std::uint64_t>(100 + i));
         s.params.ga.population = 6;
         s.params.ga.generations = 2;

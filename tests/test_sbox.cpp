@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "sbox/sbox_data.hpp"
@@ -23,8 +24,17 @@ TEST(Sbox, OutputTruthTablesMatchLookup) {
 TEST(LeanderPoschmann, SixteenDistinctTables) {
     const auto& all = leander_poschmann_16();
     ASSERT_EQ(all.size(), 16u);
-    std::set<std::vector<std::uint8_t>> unique;
-    for (const Sbox& s : all) unique.insert(s.table);
+    // 16 nibbles pack one 4-bit table into one word.
+    std::set<std::uint64_t> unique;
+    for (const Sbox& s : all) {
+        ASSERT_EQ(s.table.size(), 16u) << s.name;
+        std::uint64_t packed = 0;
+        for (const std::uint8_t v : s.table) {
+            ASSERT_LT(v, 16u) << s.name;
+            packed = packed << 4 | v;
+        }
+        unique.insert(packed);
+    }
     EXPECT_EQ(unique.size(), 16u);
 }
 

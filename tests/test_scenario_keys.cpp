@@ -590,6 +590,10 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 attack_threads=0",
         "funcs=present:2 attack_threads=257",
         "funcs=present:2 cube_vars=17",
+        // An empty GA population crashed run_ga; a negative one threw a
+        // std::length_error from std::vector.
+        "funcs=present:2 population=0",
+        "funcs=present:2 population=-3",
         "funcs=present:2 attack=cegar emit_proof=p.json "
         "replay_transcript=t.json",
         // CircuitSpec.ContradictionsAreRejected.

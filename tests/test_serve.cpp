@@ -351,6 +351,8 @@ TEST(Server, SubmitTimeoutCancelsAtTheNextStageBoundary) {
     EXPECT_NE(record.at("error").as_string().find("cancelled before stage"),
               std::string::npos)
         << record.at("error").as_string();
+    // A job whose only record was cut ends cancelled, not done.
+    EXPECT_EQ(r.results.at("state").as_string(), "cancelled");
 }
 
 TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {

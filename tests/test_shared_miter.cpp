@@ -6,6 +6,7 @@
 // (lexicographically minimal) distinguishing inputs the whole attack
 // outcome is a function of the problem, not the encoding, so this harness
 // runs every generator-family camouflaged netlist up to 6 primary inputs
+// (and bench_oracle_attack's 8-input rand8 netlist)
 // through both encodings -- legacy two-copy (PR-1) and shared, each with
 // preprocessing off and on -- and asserts identical distinguishing-input
 // SEQUENCES and surviving-configuration counts across all four.
@@ -109,9 +110,16 @@ class SharedMiterExhaustive : public ::testing::TestWithParam<int> {};
 TEST_P(SharedMiterExhaustive, IdenticalOutcomesAcrossEncodings) {
     // One shard per PI width 2..6; per width, a seed sweep over the
     // random_camo_netlist generator family at several sizes, fully
-    // camouflaged and with two fixed_nominal densities.
+    // camouflaged and with two fixed_nominal densities.  The 8-PI shard is
+    // the one netlist of bench_oracle_attack's rand8 row at --seed 1.
     const int pis = GetParam();
     const CamoLibrary lib = standard_camo_library();
+    if (pis == 8) {
+        util::Rng rng(977 + 8);
+        expect_identical(random_camo_netlist(lib, 8, 2, 16, rng), nullptr,
+                         "rand8");
+        return;
+    }
     int cases = 0;
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
         util::Rng rng(seed * 92821 + static_cast<std::uint64_t>(pis));
@@ -148,7 +156,7 @@ TEST_P(SharedMiterExhaustive, IdenticalOutcomesAcrossEncodings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PiWidths, SharedMiterExhaustive,
-                         ::testing::Range(2, 7));
+                         ::testing::Values(2, 3, 4, 5, 6, 8));
 
 TEST(SharedMiter, SharedCellsAreCountedAndReduceVariables) {
     // Direct check that sharing fires: with most cells fixed the shared

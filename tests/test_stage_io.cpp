@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "flow/batch_runner.hpp"
 #include "flow/pipeline.hpp"
@@ -102,6 +103,23 @@ TEST(StageIo, ContextSnapshotRestoresToIdenticalSnapshot) {
     EXPECT_TRUE(restored.best_spec.has_value());
     EXPECT_EQ(restored.result.ga_area, ctx.result.ga_area);
     EXPECT_EQ(restored.result.verified, ctx.result.verified);
+
+    // fixed_nominal carries one 0/1 flag per camouflaged-netlist node; any
+    // other string is refused, which the pipeline treats as a cache miss.
+    ASSERT_TRUE(ctx.result.camouflaged.has_value());
+    const std::size_t nodes =
+        static_cast<std::size_t>(ctx.result.camouflaged->num_nodes());
+    report::Json flagged = snapshot;
+    flagged.set("fixed_nominal", std::string(nodes, '1'));
+    restore_context(flagged, &restored);
+    EXPECT_EQ(restored.result.fixed_nominal, std::vector<bool>(nodes, true));
+    for (const std::string& bad :
+         {std::string(nodes + 5, '0'), std::string("1"),
+          std::string(nodes - 1, '0') + "x"}) {
+        flagged.set("fixed_nominal", bad);
+        EXPECT_THROW(restore_context(flagged, &restored), report::JsonError)
+            << bad;
+    }
 }
 
 TEST(StageIo, RestoreRejectsMalformedSnapshots) {

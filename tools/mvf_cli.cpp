@@ -207,6 +207,10 @@ bool parse_flags(int argc, char** argv, flow::ScenarioDraft* draft,
         } else if (batch && arg == "--jobs") {
             if (!next_value(argc, argv, &i, &value)) return false;
             if (!parse_int_flag(value, "--jobs", &flags->jobs)) return false;
+            if (flags->jobs <= 0) {
+                std::fprintf(stderr, "mvf batch: --jobs must be > 0\n");
+                return false;
+            }
         } else if (batch && arg == "--verbose") {
             flags->verbose = true;
         } else if (batch && flow::is_scenario_flag(arg)) {
