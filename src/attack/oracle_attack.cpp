@@ -217,11 +217,6 @@ void count_consistent_configs(const CamoNetlist& netlist,
                          ? static_cast<std::size_t>(params.count_cache_mb) << 20
                          : 1u << 20;
     cc.max_decisions = params.count_max_decisions;
-    // Cube-and-conquer: attack_threads > 1 splits the projection into
-    // selector cubes counted in parallel (bit-identical to serial).
-    cc.threads = params.attack_threads;
-    cc.cube_vars = params.cube_vars;
-    cc.pool = params.pool;
     count::ProjectedCounter pc(cnf, cc);
     const count::ProjectedCounter::Result pcr = pc.count();
     res.count_stats = pcr.stats;

@@ -32,10 +32,6 @@
 #include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 
-namespace mvf::util {
-class ThreadPool;
-}  // namespace mvf::util
-
 namespace mvf::attack {
 
 /// How the surviving-configuration count is computed once CEGAR converges.
@@ -73,8 +69,14 @@ struct OracleAttackParams {
     /// hundreds to tens of thousands of decisions; a dense
     /// decomposition-resistant instance can exhaust any budget, and the
     /// fallback keeps the attack terminating with the legacy lower bound
-    /// (a few seconds of burned budget) instead of hanging.  The fallback
-    /// is visible in the result: count_mode reads kEnumerate.
+    /// instead of hanging.  Reaching the default budget takes about a
+    /// second; the cost is the fallback's enumeration up to max_survivors
+    /// (2^20 by default).  On a 4-core x86-64 host that took 147-196 s on
+    /// a 6-PI, 11-cell random netlist at the default budget, and 117-136 s
+    /// on another at a 1,000,000-decision budget, where an unlimited
+    /// budget counts exactly in 8.3 s.  0 (count exactly, no fallback) or
+    /// a smaller max_survivors avoids it.  The fallback is visible in the
+    /// result: count_mode reads kEnumerate.
     std::uint64_t count_max_decisions = 100'000;
     /// Safety valve on CEGAR iterations; 0 = unlimited.
     int max_iterations = 0;
@@ -120,21 +122,6 @@ struct OracleAttackParams {
     /// --metrics) is; off by default because the per-query timing calls,
     /// while cheap, are measurable on microsecond-scale oracles.
     bool collect_metrics = false;
-    /// The one parallelism knob: cube-and-conquer workers for the exact
-    /// survivor count (count::CounterConfig::threads).  The CEGAR loop is
-    /// serial whatever the value, so the query sequence and every count
-    /// match the attack_threads = 1 run (the default).
-    int attack_threads = 1;
-    /// Selector-cube width for the parallel exact counter
-    /// (count::CounterConfig::cube_vars); 0 = auto from attack_threads.
-    int cube_vars = 0;
-    /// Worker pool for the cube workers.  nullptr (the default) spins up a
-    /// private pool; a multi-worker flow::JobScheduler passes its own pool,
-    /// so `mvf batch --jobs N` and `mvf serve` with attack_threads > 1
-    /// cannot oversubscribe or deadlock (workers submitting subtasks to the
-    /// same pool helping-wait via ThreadPool::run_one).  Runtime plumbing
-    /// only: excluded from spec hashing.
-    util::ThreadPool* pool = nullptr;
 };
 
 struct OracleAttackResult {

@@ -66,7 +66,6 @@ attack::OracleAttackParams ReplayParams::to_attack_params(
                           ? INT_MAX
                           : static_cast<int>(transcript_entries);
     p.max_iterations = 0;
-    p.attack_threads = 1;
     if (!fixed_nominal.empty()) p.fixed_nominal = &fixed_nominal;
     return p;
 }

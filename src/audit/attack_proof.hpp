@@ -49,7 +49,7 @@ namespace mvf::audit {
 /// The semantic subset of OracleAttackParams a verifier needs to recompute
 /// the survivor count (both counting backends are deterministic, so
 /// carrying these pins the count exactly).  Performance-only knobs
-/// (solver config, shared_miter, threads) are deliberately absent, and so
+/// (solver config, shared_miter) are deliberately absent, and so
 /// is the warm-up split: under replay ALL transcript entries are constrained
 /// as scripted warm-up, which yields the same constraint set -- and hence
 /// the same survivors and status -- as the live run regardless of how the

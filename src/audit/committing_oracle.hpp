@@ -11,7 +11,7 @@
 //
 // Like TranscriptOracle's recorder this is deliberately NOT thread-safe:
 // a commitment chain is one ordered sequence, which the serial CEGAR loop
-// produces whatever its attack_threads.
+// produces.
 
 #ifndef MVF_AUDIT_COMMITTING_ORACLE_HPP
 #define MVF_AUDIT_COMMITTING_ORACLE_HPP

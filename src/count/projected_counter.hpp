@@ -25,8 +25,7 @@
 // Layout (the part that makes a decision cost what it changed): the
 // database is one flat literal array plus per-clause offsets, with flat
 // per-literal occurrence lists beside it, and the assignment is a
-// per-literal value array, so a literal's value is one load.  The store is
-// shared read-only by the cube workers of a parallel count.  Unit
+// per-literal value array, so a literal's value is one load.  Unit
 // propagation walks the occurrence lists of the literals assigned since the
 // branch, never the whole component; that finds the same fixpoint, and the
 // same conflict or none, as rescanning the component until nothing
@@ -35,9 +34,9 @@
 // newly assigned literal can turn unit or empty, (b) components are
 // variable-disjoint, so a clause outside the component that holds one of
 // its unassigned variables is already satisfied, and (c) the fixpoint and
-// whether it conflicts do not depend on the visiting order.  The root (and
-// each cube) scans every clause once for units first.  Decomposition is one
-// pass over the parent's clauses on a per-depth scratch frame whose
+// whether it conflicts do not depend on the visiting order.  The root scans
+// every clause once for units first.  Decomposition is one pass over the
+// parent's clauses on a per-depth scratch frame whose
 // capacity is kept: a component is a pair of spans into the frame of the
 // level that split it, clauses in residual order and components in order of
 // their first clause; component variables come out sorted by filtering the
@@ -48,21 +47,14 @@
 // 1 or 0 via a plain DPLL existence check.  Counts are Count128 and
 // saturate (flagged, never wrapped) beyond 2^128 - 1.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "count/cnf.hpp"
 #include "count/count128.hpp"
-
-namespace mvf::util {
-class ThreadPool;
-}  // namespace mvf::util
 
 namespace mvf::count {
 
@@ -72,29 +64,8 @@ struct CounterConfig {
     /// result stays exact, only the reuse rate degrades.
     std::size_t cache_bytes = 64ull << 20;
     /// Safety valve on branch decisions; 0 = unlimited.  When exceeded the
-    /// search aborts and Result::exact is false.  In cube mode the budget
-    /// is GLOBAL across all cubes (a shared atomic), so the valve fires at
-    /// the same total work as serially -- though not at the same point in
-    /// the search, so budget-aborted runs are only comparable via
-    /// exact=false, never via the partial count.
+    /// search aborts and Result::exact is false.
     std::uint64_t max_decisions = 0;
-    /// Worker threads for cube-and-conquer counting (<= 1 = serial).
-    int threads = 1;
-    /// Selector-cube width k: the top-level projection is split into 2^k
-    /// cubes over the k most-active projection variables, counted
-    /// independently and summed.  0 = pick automatically from `threads`
-    /// (the smallest k giving >= 4 cubes per worker).  Cube mode engages
-    /// when threads > 1 or cube_vars > 0, and is bit-identical to the
-    /// serial count: exact projected counts are partition-sums, so any
-    /// cube split of the assignment space yields the same total, and
-    /// Count128 saturation pins to the same 2^128-1 either way.
-    int cube_vars = 0;
-    /// Pool to run cube workers on; nullptr = a private pool of
-    /// `threads - 1` workers.  Sharing the caller's pool is safe even when
-    /// the caller IS a pool worker: the counter drains cubes on the
-    /// calling thread too and help-waits (ThreadPool::run_one) on its
-    /// futures, so it cannot starve with zero free workers.
-    util::ThreadPool* pool = nullptr;
 };
 
 struct CounterStats {
@@ -136,40 +107,6 @@ struct ComponentKeyHash {
     }
 };
 
-/// Mutex-sharded component cache shared by the cube workers of one
-/// parallel count: the cube subproblems decompose into the same renamed
-/// components, so a component proved by one worker is a hit for every
-/// other.  Each shard has its own lock, map and byte budget (total /
-/// shards) with the same evict-every-other overflow sweep as the serial
-/// cache.  Correctness never depends on cache contents -- a racy
-/// lookup/store interleaving costs at most a recount.
-class SharedComponentCache {
-public:
-    SharedComponentCache(std::size_t budget_bytes, int shards);
-
-    /// True and *out filled on a hit.
-    bool lookup(const ComponentKey& key, Count128* out) const;
-    /// Inserts (first writer wins); *evicted gets the entries dropped by
-    /// an overflow sweep.  Returns false when the entry was skipped (too
-    /// big for its shard) or already present.
-    bool store(ComponentKey key, const Count128& value, std::uint64_t* evicted);
-
-    std::size_t entries() const;
-    std::size_t peak_bytes() const;
-
-private:
-    struct Shard {
-        mutable std::mutex mutex;
-        std::unordered_map<ComponentKey, Count128, ComponentKeyHash> map;
-        std::size_t bytes = 0;
-        std::size_t peak_bytes = 0;
-    };
-    Shard& shard_for(const ComponentKey& key) const;
-
-    std::size_t shard_budget_;
-    mutable std::vector<Shard> shards_;
-};
-
 class ProjectedCounter {
 public:
     explicit ProjectedCounter(Cnf cnf, CounterConfig config = {});
@@ -183,18 +120,47 @@ public:
         CounterStats stats;
     };
 
-    /// Runs the count.  Deterministic: identical Cnf inputs give identical
-    /// counts regardless of the cache budget, thread count or cube width
-    /// (which only affect cache_*/decision figures and runtime).
+    /// Runs the count on the calling thread.  Deterministic: identical Cnf
+    /// inputs and configs give identical results, and the count itself does
+    /// not depend on the cache budget (which only affects the cache_* and
+    /// decision figures and the runtime).
     Result count();
 
 private:
     /// The immutable half of a count: the validated, normalized flat
     /// clause store, its occurrence lists and the projection.
-    struct Store;
-    /// Fresh search state on `store`.  The cube workers of a parallel
-    /// count are built this way on the driver's store, which outlives them.
-    ProjectedCounter(std::shared_ptr<const Store> store, CounterConfig config);
+    struct Store {
+        explicit Store(Cnf cnf);
+
+        std::span<const sat::Lit> clause(int i) const {
+            const std::size_t b = clause_begin[static_cast<std::size_t>(i)];
+            const std::size_t e = clause_begin[static_cast<std::size_t>(i) + 1];
+            return {lits.data() + b, e - b};
+        }
+        /// The clauses containing literal l, in increasing index order.
+        std::span<const int> occurrences(sat::Lit l) const {
+            const std::size_t b = occ_begin[static_cast<std::size_t>(l)];
+            const std::size_t e = occ_begin[static_cast<std::size_t>(l) + 1];
+            return {occ.data() + b, e - b};
+        }
+        std::size_t num_clauses() const { return all_clauses.size(); }
+
+        int num_vars = 0;
+        /// The input held an empty clause: the count is zero.
+        bool root_conflict = false;
+        std::size_t max_clause_len = 0;
+        /// Clause i is lits[clause_begin[i], clause_begin[i + 1]).
+        std::vector<sat::Lit> lits;
+        std::vector<std::uint32_t> clause_begin;
+        /// Literal l occurs in occ[occ_begin[l], occ_begin[l + 1]).
+        std::vector<std::uint32_t> occ_begin;
+        std::vector<int> occ;
+        std::size_t projection_size = 0;  ///< distinct projection variables
+        std::vector<unsigned char> is_proj;
+        /// The root component: every clause and every variable.
+        std::vector<int> all_clauses;
+        std::vector<sat::Var> all_vars;
+    };
     /// One decomposition unit: the unassigned variables (sorted) and the
     /// unsatisfied clause indices (sorted) of a variable-connected region,
     /// as spans into the frame of the level that split it off (or into the
@@ -248,22 +214,13 @@ private:
     /// scored from the key encode just wrote.
     sat::Var pick_branch(const Component& comp, const ComponentKey& key);
     void cache_store(ComponentKey key, const Count128& value);
-    /// One branch decision booked against the (possibly shared) budget;
-    /// sets aborted_ and returns true when over budget or cube-cancelled.
+    /// One branch decision booked against the budget; sets aborted_ and
+    /// returns true when over it.
     bool decision_over_budget();
-    /// Counts the root restricted to `cube` (literals assigned before root
-    /// propagation); leaves the trail empty again.
-    Count128 count_cube(const std::vector<sat::Lit>& cube);
-    /// The k most-active unassigned projection variables by the same
-    /// clause-length-weighted score count_component branches on (call with
-    /// the root trail in place, i.e. after root propagation).
-    std::vector<sat::Var> pick_cube_vars(int k);
-    /// Cube-and-conquer driver (threads > 1 or cube_vars > 0).
-    void count_cubes(Result* result);
 
     CounterConfig config_;
     CounterStats stats_;
-    std::shared_ptr<const Store> store_;
+    Store store_;
 
     /// Per-literal value: -1 unassigned, else 0/1.
     std::vector<signed char> lit_val_;
@@ -293,11 +250,6 @@ private:
 
     std::unordered_map<ComponentKey, Count128, ComponentKeyHash> cache_;
     std::size_t cache_bytes_ = 0;
-
-    /// Cube-worker shared state (null in serial mode / on the driver).
-    SharedComponentCache* shared_cache_ = nullptr;
-    std::atomic<std::uint64_t>* shared_decisions_ = nullptr;
-    std::atomic<bool>* shared_abort_ = nullptr;
 };
 
 }  // namespace mvf::count

@@ -321,17 +321,6 @@ std::vector<ScenarioKey> build_table() {
     row("canonical_inputs", attack("attack.oracle.canonical_inputs"), "",
         field(FIELD(oracle.canonical_inputs)),
         "lex-min distinguishing inputs (slow at 16+ PIs)");
-    // 256 bounds the threads one spec line can start where no pool is
-    // shared; auto cube sizing (at most 1,024 cubes) stops giving each
-    // worker its 4 cubes there.
-    row("attack_threads", attack("attack.oracle.attack_threads"), "N",
-        field(FIELD(oracle.attack_threads),
-              {[](const int& n) { return n >= 1 && n <= 256; }, "in 1..256"}),
-        "exact-count cube workers (default 1 = serial, max 256)");
-    row("cube_vars", attack("attack.oracle.cube_vars"), "K",
-        field(FIELD(oracle.cube_vars),
-              {[](const int& k) { return k >= 0 && k <= 16; }, "in 0..16"}),
-        "parallel-counter cube width (0 = auto)");
     row("elim_occ", attack("attack.oracle.solver.elim_occ_limit"), "N",
         field(FIELD(oracle.solver.elim_occ_limit)),
         "BVE occurrence bound (default 32)");

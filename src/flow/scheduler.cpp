@@ -35,15 +35,6 @@ std::string JobScheduler::submit(std::vector<Scenario> scenarios,
         job->id = 'j' + std::to_string(next_id_++);
     }
     job->scenarios = std::move(scenarios);
-    if (workers() > 1) {
-        // Cube workers join the scenario workers on pool_ (see the header);
-        // the pointer is runtime plumbing, outside every spec hash.
-        for (Scenario& s : job->scenarios) {
-            if (s.params.oracle.attack_threads > 1) {
-                s.params.oracle.pool = &pool_;
-            }
-        }
-    }
     job->submitted = std::chrono::steady_clock::now();
     if (options.timeout_s > 0.0) {
         job->deadline =

@@ -5,16 +5,9 @@
 // benches and the tests submit one job and wait for it (run_batch is the
 // few-line form); `mvf serve` keeps one scheduler for all its sessions.
 // Every job's scenarios go onto one shared util::ThreadPool in submission
-// order, and all jobs share one optional flow::StageStore -- a scenario
-// one client already paid for is a cache restore for every later client.
-//
-// Parallel attacks share the pool.  When the scheduler has more than one
-// worker, a scenario with attack_threads > 1 runs its exact-count cube
-// workers on the scheduler's pool instead of a private one: the scenario's
-// thread helping-waits (ThreadPool::run_one) on its cube tasks, so a job
-// adds no threads beyond the pool's and nested submission cannot
-// deadlock.  A one-worker scheduler leaves the counter its private pool,
-// because sharing would serialize the count behind the scenario's thread.
+// order, each run start to finish on one worker, and all jobs share one
+// optional flow::StageStore -- a scenario one client already paid for is a
+// cache restore for every later client.
 //
 // Per-job wiring: a flow::CancelToken (cancel() flips it; queued scenarios
 // then complete immediately as "cancelled" records, the running one stops

@@ -27,7 +27,9 @@
 // spec.
 // A request line longer than kMaxRequestLine bytes gets one error line,
 // and the server then drops the connection (it stops reading mid-line,
-// so the stream is out of step).
+// so the stream is out of step).  A connection beyond the server's
+// Server::kMaxSessions live sessions gets one error line before any
+// request and is closed.
 //
 // records_hash (flow::records_hash) is the bit-identity fingerprint CI
 // keys on: the batch records as JSON with volatile members (wall-clock

@@ -76,6 +76,19 @@ void Server::run() {
     while (!stopping_.load(std::memory_order_acquire)) {
         util::Socket client = listener_.accept();
         if (!client.valid()) break;  // listener closed (shutdown) or error
+        bool full = false;
+        {
+            // Only this thread adds sessions, so the count cannot grow
+            // between this check and the insertion below.
+            std::lock_guard lock(sessions_mu_);
+            full = sessions_.size() >= kMaxSessions;
+        }
+        if (full) {
+            client.send_line(error_line(
+                "server holds its limit of " + std::to_string(kMaxSessions) +
+                " concurrent sessions; closing the connection"));
+            continue;  // ~Socket closes it
+        }
         auto socket = std::make_shared<util::Socket>(std::move(client));
         // The node is built outside sessions_ so a thread that fails to
         // start leaves nothing behind; splicing keeps `it` valid.

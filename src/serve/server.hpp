@@ -1,11 +1,12 @@
 #pragma once
 // The persistent experiment server behind `mvf serve`.
 //
-// One accept loop, one session thread per client connection, one shared
-// flow::JobScheduler + StageCache behind them all.  The accept loop joins the
-// sessions that have ended each time it starts a new one, so a long-lived
-// server holds threads only for its live connections (plus those that
-// ended since the last accept); the destructor waits for the rest.
+// One accept loop, one session thread per client connection (at most
+// kMaxSessions at once), one shared flow::JobScheduler + StageCache behind
+// them all.  The accept loop joins the sessions that have ended each time
+// it starts a new one, so a long-lived server holds threads only for its
+// live connections (plus those that ended since the last accept); the
+// destructor waits for the rest.
 // Sessions speak the
 // line protocol of serve/protocol.hpp; a streaming submit or watch points
 // a per-job obs::TraceSink at the client socket (fdopen over a dup'ed fd),
@@ -21,6 +22,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -44,6 +46,12 @@ struct ServerParams {
 
 class Server {
 public:
+    /// Most sessions the server holds at once.  A connection is the only
+    /// way a client can make the server start a thread, so a connection
+    /// beyond the cap gets one error line naming it and is closed; the
+    /// live sessions are left as they are.
+    static constexpr std::size_t kMaxSessions = 256;
+
     explicit Server(ServerParams params);
     ~Server();
 

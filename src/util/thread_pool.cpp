@@ -37,26 +37,6 @@ void ThreadPool::wait_idle() {
     idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-bool ThreadPool::run_one() {
-    std::packaged_task<void()> task;
-    {
-        std::unique_lock lock(mutex_);
-        if (queue_.empty()) return false;
-        task = std::move(queue_.back());
-        queue_.pop_back();
-        ++in_flight_;
-    }
-    run_task(task);
-    return true;
-}
-
-void ThreadPool::run_task(std::packaged_task<void()>& task) {
-    task();  // exceptions land in the task's future
-    std::unique_lock lock(mutex_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-}
-
 void ThreadPool::worker_loop() {
     while (true) {
         std::packaged_task<void()> task;
@@ -69,7 +49,10 @@ void ThreadPool::worker_loop() {
             queue_.pop_front();
             ++in_flight_;
         }
-        run_task(task);
+        task();  // exceptions land in the task's future
+        std::unique_lock lock(mutex_);
+        --in_flight_;
+        if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }
 }
 

@@ -7,14 +7,10 @@
 // flow::JobScheduler achieves it by giving every scenario its own isolated
 // context and seed so results are independent of scheduling order.
 //
-// One queue under one mutex: at the granularity the pool is used for
-// (whole scenarios, seconds each, and the exact counter's cube workers)
-// queue contention is unmeasurable, and the single lock keeps wait_idle
-// and shutdown trivially correct.  Workers take the OLDEST task, so
-// submissions start in order.  A helping waiter (run_one) takes the
-// NEWEST: a thread waiting on futures of tasks it just submitted -- the
-// cube workers of its own count -- finds them at the back, and runs them
-// before anyone's older, larger tasks.
+// One FIFO queue under one mutex: at the granularity the pool is used for
+// (whole scenarios, seconds each) queue contention is unmeasurable, and the
+// single lock keeps wait_idle and shutdown trivially correct.  Workers take
+// the oldest task, so submissions start in order.
 
 #include <condition_variable>
 #include <cstddef>
@@ -47,19 +43,8 @@ public:
     /// Blocks until every task submitted so far has completed.
     void wait_idle();
 
-    /// Runs the newest pending task on the CALLING thread if any is
-    /// queued; returns false without blocking when the queue is empty.
-    /// This is the helping-wait primitive: a pool worker that blocks on
-    /// futures of tasks it submitted to its own pool would deadlock once
-    /// all workers wait in the same pattern -- instead it loops `run_one()`
-    /// until its futures are ready, so the pending subtasks make progress
-    /// on the waiter's own thread even with zero free workers.
-    bool run_one();
-
 private:
     void worker_loop();
-    /// Runs `task` outside the lock, then retires it (mutex_ not held).
-    void run_task(std::packaged_task<void()>& task);
 
     std::mutex mutex_;
     std::condition_variable work_ready_;

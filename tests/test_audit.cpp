@@ -343,35 +343,6 @@ TEST(AttackProof, EmitProofContradictionsAreRejectedAtTheAttackStage) {
     EXPECT_THROW(engine.run(fns, p), std::invalid_argument);
 }
 
-TEST(AttackProof, ParallelCountingProofVerifiesWithSerialSurvivors) {
-    // attack_threads parallelizes only the survivor count, so a proof
-    // emitted with cube workers verifies chip-free (the verifier recounts
-    // serially) and claims the serial run's survivors.
-    flow::FlowParams p;
-    p.ga.population = 8;
-    p.ga.generations = 4;
-    p.adversaries = {"cegar"};
-    p.oracle.count_max_decisions = 2000;
-    p.oracle.max_survivors = 256;
-    p.oracle.attack_threads = 4;
-    p.emit_proof = "unused.json";
-    const auto fns = flow::from_sboxes(sbox::present_viable_set(2));
-    flow::ObfuscationFlow engine;
-    const flow::FlowResult r = engine.run(fns, p);
-    ASSERT_TRUE(r.attack_proof.has_value());
-    const AttackProof proof = AttackProof::from_json(
-        report::Json::parse_strict(r.attack_proof->dump()));
-    const ProofVerification v = verify_proof(proof);
-    EXPECT_TRUE(v.ok) << (v.failures.empty() ? "" : v.failures.front());
-
-    p.oracle.attack_threads = 1;
-    p.emit_proof.clear();
-    const flow::FlowResult serial = engine.run(fns, p);
-    ASSERT_EQ(serial.attack_reports.size(), 1u);
-    EXPECT_EQ(proof.report.survivors_str, serial.attack_reports[0].survivors_str);
-    EXPECT_EQ(proof.report.queries, serial.attack_reports[0].queries);
-}
-
 // --------------------------------------------------- check-report mirror --
 
 TEST(SurvivorsMismatch, CatchesAHandEditedNumericField) {

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -658,8 +657,7 @@ TEST(ProjectedCounter, GoldenSearchOnRandomCnfs) {
     // The search (branches, components, cache keys and entries) is part of
     // the counter's contract: an optimization of its inner loop must leave
     // every figure below as it is.  The sums name the path that moved: the
-    // tiny cache drives the eviction sweep, the capped run aborts, and the
-    // cube run takes the cube driver serially.
+    // tiny cache drives the eviction sweep, and the capped run aborts.
     struct Pin {
         const char* name;
         CounterConfig config;
@@ -671,15 +669,11 @@ TEST(ProjectedCounter, GoldenSearchOnRandomCnfs) {
     };
     CounterConfig tiny_cache;
     tiny_cache.cache_bytes = 8 << 10;
-    CounterConfig cubes;
-    cubes.threads = 1;
-    cubes.cube_vars = 3;
     CounterConfig capped;
     capped.max_decisions = 25;
     const Pin pins[] = {
         {"serial", {}, 14096805626713199403ull, 48350, 0, 4007, 0},
         {"cache_8k", tiny_cache, 9033786053172840266ull, 77245, 31394, 9602, 0},
-        {"cubes_3", cubes, 6287489588063250187ull, 46430, 0, 4007, 0},
         {"max_decisions_25", capped, 16928515801331086323ull, 3793, 0, 405,
          112},
     };
@@ -756,174 +750,32 @@ TEST(ProjectedCounter, GoldenSearchOnAttackInstances) {
     }
 }
 
-// ------------------------------------------ cube-and-conquer differentials
+// ------------------------------------------------ saturation and zero --
 
-TEST(ParallelCount, RandomCnfCubeSplitIsBitIdenticalToSerial) {
-    // Random 3-CNFs, serial vs every {threads, cube_vars} combination: the
-    // cube split is a partition-sum, so counts and exactness flags must be
-    // bit-identical, not merely close.  The last instance is dense like the
-    // one bench_count's scaling section counts: 36 variables, clause ratio
-    // 1.7, every variable projected.
-    const auto random_clauses = [](util::Rng& rng, int vars, int clauses) {
-        std::vector<std::vector<sat::Lit>> cls;
-        for (int c = 0; c < clauses; ++c) {
-            std::vector<sat::Lit> clause;
-            for (int k = 0; k < 3; ++k) {
-                const sat::Var v = rng.uniform_int(0, vars - 1);
-                clause.push_back(sat::mk_lit(v, rng.coin(0.5)));
-            }
-            cls.push_back(std::move(clause));
-        }
-        return cls;
-    };
-    std::vector<Cnf> instances;
-    util::Rng rng(101);
-    for (int instance = 0; instance < 12; ++instance) {
-        const int vars = 6 + rng.uniform_int(0, 8);
-        const int clauses = vars + rng.uniform_int(0, 2 * vars);
-        std::vector<std::vector<sat::Lit>> cls =
-            random_clauses(rng, vars, clauses);
-        std::vector<sat::Var> proj;
-        for (sat::Var v = 0; v < vars; ++v) {
-            if (rng.coin(0.7)) proj.push_back(v);
-        }
-        instances.push_back(make_cnf(vars, std::move(cls), std::move(proj)));
-    }
-    util::Rng dense_rng(410);
-    std::vector<sat::Var> all(36);
-    std::iota(all.begin(), all.end(), 0);
-    instances.push_back(make_cnf(36, random_clauses(dense_rng, 36, 61), all));
-
-    int nonzero = 0;
-    for (std::size_t instance = 0; instance < instances.size(); ++instance) {
-        ProjectedCounter serial(instances[instance]);
-        const ProjectedCounter::Result want = serial.count();
-        ASSERT_TRUE(want.exact);
-        if (!want.count.is_zero()) ++nonzero;
-
-        for (const int threads : {1, 2, 4, 8}) {
-            for (const int cube_vars : {0, 1, 3}) {
-                if (threads == 1 && cube_vars == 0) continue;  // = serial
-                CounterConfig cc;
-                cc.threads = threads;
-                cc.cube_vars = cube_vars;
-                ProjectedCounter parallel(instances[instance], cc);
-                const ProjectedCounter::Result got = parallel.count();
-                const std::string tag =
-                    "instance=" + std::to_string(instance) +
-                    " threads=" + std::to_string(threads) +
-                    " cube_vars=" + std::to_string(cube_vars);
-                EXPECT_EQ(got.exact, want.exact) << tag;
-                EXPECT_EQ(got.count.to_string(), want.count.to_string())
-                    << tag;
-            }
-        }
-    }
-    ASSERT_GE(nonzero, 4) << "generator produced too few satisfiable CNFs";
-}
-
-TEST(ParallelCount, AttackCountsMatchSerialOnRandomNetlists) {
-    // The attack-level differential the issue asks for: random camouflaged
-    // netlists, widths 2-6 x densities x threads {1, 2, 8}.  The CEGAR
-    // loop is serial at every thread count, so both runs count the
-    // identical constraint set and the survivor figures must match bit
-    // for bit.
-    const CamoLibrary lib = standard_camo_library();
-    int cases = 0;
-    for (int pis = 2; pis <= 6; ++pis) {
-        for (std::uint64_t seed = 0; seed < 2; ++seed) {
-            util::Rng rng(seed * 40093 + static_cast<std::uint64_t>(pis));
-            const int cells = pis + rng.uniform_int(1, 2);
-            const CamoNetlist nl =
-                attack::random_camo_netlist(lib, pis, 1, cells, rng);
-            const std::vector<int> hidden = nl.configuration_for_code(0);
-
-            for (const double density : {0.0, 0.5}) {
-                std::vector<bool> fixed(
-                    static_cast<std::size_t>(nl.num_nodes()), false);
-                for (int id = 0; id < nl.num_nodes(); ++id) {
-                    if (nl.node(id).kind == CamoNetlist::NodeKind::kCell &&
-                        rng.coin(density)) {
-                        fixed[static_cast<std::size_t>(id)] = true;
-                    }
-                }
-                OracleAttackParams serial;
-                serial.count_mode = CountMode::kExact;
-                serial.count_max_decisions = 0;  // no fallback
-                serial.fixed_nominal = density > 0.0 ? &fixed : nullptr;
-                SimOracle oracle_s(nl, hidden);
-                const OracleAttackResult rs =
-                    attack::oracle_attack(nl, oracle_s, serial);
-                ASSERT_EQ(rs.status, OracleAttackResult::Status::kSolved);
-                ++cases;
-
-                for (const int threads : {2, 8}) {
-                    OracleAttackParams parallel = serial;
-                    parallel.attack_threads = threads;
-                    SimOracle oracle_p(nl, hidden);
-                    const OracleAttackResult rp =
-                        attack::oracle_attack(nl, oracle_p, parallel);
-                    const std::string tag = "pis=" + std::to_string(pis) +
-                                            " seed=" + std::to_string(seed) +
-                                            " density=" +
-                                            std::to_string(density) +
-                                            " threads=" +
-                                            std::to_string(threads);
-                    ASSERT_EQ(rp.status, rs.status) << tag;
-                    EXPECT_EQ(rp.queries, rs.queries) << tag;
-                    EXPECT_EQ(rp.distinguishing_inputs,
-                              rs.distinguishing_inputs)
-                        << tag;
-                    EXPECT_EQ(rp.surviving_configs, rs.surviving_configs)
-                        << tag;
-                    EXPECT_EQ(rp.survivors.to_string(),
-                              rs.survivors.to_string())
-                        << tag;
-                    EXPECT_EQ(rp.count_mode, CountMode::kExact) << tag;
-                }
-            }
-        }
-    }
-    ASSERT_GE(cases, 20);
-}
-
-TEST(ParallelCount, SaturatedAndUnsatCubesMergeExactly) {
-    // The merge regression: splitting on x0 yields one cube that saturates
-    // (140 free projection variables) and one that annihilates (BCP
-    // conflict).  The saturating merge must keep the ">=" lower-bound
-    // rendering identical to the serial count -- the old merge could wrap
-    // or drop the saturation flag when summing across cubes.
+TEST(ProjectedCounter, SaturatedCountIsAnInexactLowerBound) {
+    // 4 x 2^140 models (140 free projection variables) overflow Count128:
+    // the count saturates at 2^128 - 1, reports exact = false and renders
+    // as a ">=" lower bound instead of wrapping.
     const int free_vars = 140;
     const int vars = 3 + free_vars;
     const std::vector<std::vector<sat::Lit>> clauses = {
         {pos(0), pos(1)},   // x0=0 forces x1=1 ...
-        {pos(0), neg(1)},   // ... and x1=0: the x0=0 cube is UNSAT.
-        {pos(0), pos(2)}};  // third x0 clause: x0 is strictly most active
+        {pos(0), neg(1)},   // ... and x1=0: only x0=1 survives.
+        {pos(0), pos(2)}};
     std::vector<sat::Var> proj;
     for (sat::Var v = 0; v < vars; ++v) proj.push_back(v);
 
-    ProjectedCounter serial(make_cnf(vars, clauses, proj));
-    const ProjectedCounter::Result want = serial.count();
-    ASSERT_TRUE(want.count.saturated());  // 4 x 2^140 > 2^128 - 1
-    ASSERT_FALSE(want.exact);
-    ASSERT_EQ(want.count.to_string().substr(0, 2), ">=");
-
-    for (const int threads : {1, 2}) {
-        CounterConfig cc;
-        cc.threads = threads;
-        cc.cube_vars = 1;  // split exactly on the most active var (x0)
-        ProjectedCounter parallel(make_cnf(vars, clauses, proj), cc);
-        const ProjectedCounter::Result got = parallel.count();
-        EXPECT_TRUE(got.count.saturated()) << "threads=" << threads;
-        EXPECT_EQ(got.exact, want.exact) << "threads=" << threads;
-        EXPECT_EQ(got.count.to_string(), want.count.to_string())
-            << "threads=" << threads;
-    }
+    ProjectedCounter pc(make_cnf(vars, clauses, proj));
+    const ProjectedCounter::Result r = pc.count();
+    EXPECT_TRUE(r.count.saturated());
+    EXPECT_FALSE(r.exact);
+    EXPECT_EQ(r.count.to_string().substr(0, 2), ">=");
 }
 
-TEST(ParallelCount, AllCubesUnsatMergeToSerialZero) {
-    // Both cubes of the x0 split annihilate: the merged zero must be a
-    // clean non-saturated "0", exactly as the serial count reports it.
+TEST(ProjectedCounter, UnsatisfiableFormulaCountsAnExactZero) {
+    // Every assignment of x0 and x1 falsifies a clause: the count is a
+    // clean, non-saturated, exact "0" however many projection variables
+    // are free.
     const int vars = 2 + 20;
     const std::vector<std::vector<sat::Lit>> clauses = {{pos(0), pos(1)},
                                                         {pos(0), neg(1)},
@@ -932,19 +784,12 @@ TEST(ParallelCount, AllCubesUnsatMergeToSerialZero) {
     std::vector<sat::Var> proj;
     for (sat::Var v = 0; v < vars; ++v) proj.push_back(v);
 
-    ProjectedCounter serial(make_cnf(vars, clauses, proj));
-    const ProjectedCounter::Result want = serial.count();
-    ASSERT_TRUE(want.exact);
-    ASSERT_TRUE(want.count.is_zero());
-
-    CounterConfig cc;
-    cc.threads = 2;
-    cc.cube_vars = 2;
-    ProjectedCounter parallel(make_cnf(vars, clauses, proj), cc);
-    const ProjectedCounter::Result got = parallel.count();
-    EXPECT_TRUE(got.exact);
-    EXPECT_TRUE(got.count.is_zero());
-    EXPECT_EQ(got.count.to_string(), "0");
+    ProjectedCounter pc(make_cnf(vars, clauses, proj));
+    const ProjectedCounter::Result r = pc.count();
+    EXPECT_TRUE(r.exact);
+    EXPECT_TRUE(r.count.is_zero());
+    EXPECT_FALSE(r.count.saturated());
+    EXPECT_EQ(r.count.to_string(), "0");
 }
 
 }  // namespace

@@ -222,43 +222,6 @@ TEST(OracleAttack, FlowIntegrationReportsAttack) {
     for (std::size_t q = 0; q < got.size(); ++q) EXPECT_EQ(got[q], expected[q]);
 }
 
-TEST(OracleAttack, AttackThreadsKeepTheSerialCegarTrajectory) {
-    // attack_threads only parallelizes the survivor count: the CEGAR loop
-    // stays serial, so the whole trajectory -- not just the count -- must
-    // match the attack_threads = 1 run.
-    const CamoLibrary lib = standard_camo_library();
-    struct Case {
-        std::uint64_t seed;
-        int pis, cells, warmup;
-    };
-    for (const Case c :
-         {Case{59, 5, 9, 0}, Case{3, 6, 10, 6}, Case{19, 6, 10, 6}}) {
-        util::Rng rng(c.seed);
-        const CamoNetlist nl =
-            attack::random_camo_netlist(lib, c.pis, 2, c.cells, rng);
-        const std::vector<int> hidden = nl.configuration_for_code(0);
-
-        OracleAttackParams serial;
-        serial.random_warmup = c.warmup;
-        SimOracle oracle_a(nl, hidden);
-        const OracleAttackResult a = oracle_attack(nl, oracle_a, serial);
-        ASSERT_TRUE(a.solved()) << "seed " << c.seed;
-
-        OracleAttackParams threaded = serial;
-        threaded.attack_threads = 4;
-        SimOracle oracle_b(nl, hidden);
-        const OracleAttackResult b = oracle_attack(nl, oracle_b, threaded);
-
-        const std::string tag = "seed " + std::to_string(c.seed);
-        EXPECT_EQ(b.status, a.status) << tag;
-        EXPECT_EQ(b.queries, a.queries) << tag;
-        EXPECT_EQ(b.warmup_queries, a.warmup_queries) << tag;
-        EXPECT_EQ(b.distinguishing_inputs, a.distinguishing_inputs) << tag;
-        EXPECT_EQ(b.surviving_configs, a.surviving_configs) << tag;
-        EXPECT_EQ(b.survivors.to_string(), a.survivors.to_string()) << tag;
-    }
-}
-
 TEST(OracleAttack, AgreesWithIsPlausibleOnRecoveredFunction) {
     // Consistency between the two attackers: the function recovered by the
     // CEGAR attack must be judged plausible by the enumeration attacker,

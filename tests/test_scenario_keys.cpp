@@ -77,239 +77,232 @@ struct Golden {
 // serve-resubmit lines, and one scenario per row with a non-default value
 // on each chain the row applies to.  The spec_hash and attack-stage
 // columns were re-recorded when the portfolio, neighborhood_queries and
-// run_oracle_attack leaves left the canonical form, and again when the
-// epsilon, delta and count_seed leaves did; no pre-attack column changed.
+// run_oracle_attack leaves left the canonical form, again when the
+// epsilon, delta and count_seed leaves did, and again when attack_threads
+// and cube_vars did; no pre-attack column changed.
 const Golden kGolden[] = {
     {"name=audit-present2 funcs=present:2 seed=3 population=8 generations=3 attack=cegar max_survivors=64 random_warmup=8 emit_proof=audit-proof.json", "",
-     "1f8f88787a0a1fae - - - - -"},
+     "1f35742158ef37fb - - - - -"},
     {"name=c17-bench circuit=@ seed=1 camo_density=0.4 attack=cegar,random-sampling", "",
-     "cf53202e9295d36c beaef8af1a320615 da71bc9be3542304 14ed567afe64a248"},
+     "06048ad054e0d0c5 beaef8af1a320615 da71bc9be3542304 a792bab5013776cb"},
     {"name=c17-blif circuit=@ seed=1 camo_density=0.4 attack=cegar", "",
-     "e5c7bed68ced3505 beaef8af1a320615 da71bc9be3542304 821aea2dd7cf718b"},
+     "bd12ffd5e97e7ece beaef8af1a320615 da71bc9be3542304 a0b1c93c37c158ce"},
     {"name=rca4 circuit=@ seed=2 camo_cells=3 camo_policy=fanout attack=cegar max_survivors=256", "",
-     "b313e141b4a2280c beaef8af1a320615 810981beddf307c1 686a18a70de8b279"},
+     "034489c79af0e463 beaef8af1a320615 810981beddf307c1 9e223cdf2298a4fc"},
     {"name=maj3 circuit=@ seed=3 camo_density=1.0 camo_seed=7 camo_policy=depth attack=cegar count_mode=exact", "",
-     "f2feee901f502bdf beaef8af1a320615 23cf1f67af4e344c 467f3f787192a607"},
+     "37de612f56ad4b32 beaef8af1a320615 23cf1f67af4e344c 39cb5239ac76b3a0"},
     {"name=smoke-present2 funcs=present:2 seed=1 population=8 generations=3 attack=cegar,plausibility max_survivors=64 oracle_cache=1 random_warmup=8", "",
-     "34d77516f519376c deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 efe85bc065f93b4e"},
+     "e637aef21ba0aedd deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 b352dea5eb56cd11"},
     {"name=smoke-des2 funcs=des:2 seed=2 population=6 generations=2 attack=plausibility", "",
-     "fb21d4b39f892c0a b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 9a8b91a799609f05"},
+     "91f0f87955309ca7 b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 12b8fd8f290e28c6"},
     {"funcs=present:2 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "0778ca6cfb31d24d 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
+     "b2117ec0594b9242 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
     {"funcs=present:2 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "a612629da39c03ce 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
+     "0417ee51b20e8bd1 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
     {"funcs=present:2 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "dd6337dd9c57b0d7 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 d4abc56a78fd0d81"},
+     "d5dfe6ea18bc87c8 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
     {"funcs=present:4 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "f432a2d5ff496293 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
+     "67052a0c56c76e20 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
     {"funcs=present:4 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "d28270d46a8f99d0 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
+     "f5f538eaace32d63 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
     {"funcs=present:4 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "9b5c63777123ce99 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 8d56bed357e69543"},
+     "320fd1f26982ddda 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
     {"funcs=present:8 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "81326ef7643d1237 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 32edcd9281f689bf"},
+     "60b2d70686d9843c 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 d9563f3b6823cf5e"},
     {"funcs=present:8 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "857f524e0a118aa4 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 32edcd9281f689bf"},
+     "e37c6af2d09799ef 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 d9563f3b6823cf5e"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility", "",
-     "4ce844fe85851e3c c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 3a21261caad92eca"},
+     "2e5e0fc3ae81d12d c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 c70c711e30df110d"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility query_budget=1000", "",
-     "199c9a23fdf226c3 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 b45e1a5f143a4aa7"},
+     "a79da6203cb5e850 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 52a490fa5cadbb4e"},
     {"funcs=present:2", "",
-     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
+     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
     {"funcs=present:2 funcs=des:3", "",
-     "4944ba55e25a641b 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 0e9e9fc0f49ace1b"},
+     "909bb29fe1f9c6f4 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 39692c69be1a5e26"},
     {"funcs=present:2 population=9", "",
-     "574693295720489a fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 9e61d457700e92a0"},
+     "fdad31923698acc3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3fe029fa5bf37533"},
     {"funcs=present:2 pop=9", "",
-     "574693295720489a fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 9e61d457700e92a0"},
+     "fdad31923698acc3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3fe029fa5bf37533"},
     {"funcs=present:2 generations=5", "",
-     "b926ce00b9791fec 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba e92efc74b258c0ce"},
+     "078617ee702ef8fd 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 4531021573b80f31"},
     {"funcs=present:2 gens=5", "",
-     "b926ce00b9791fec 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba e92efc74b258c0ce"},
+     "078617ee702ef8fd 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 4531021573b80f31"},
     {"funcs=present:2 baseline=0", "",
-     "536728ca5eb133ea 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 6b7f0835cc7cf370"},
+     "2e73ef77f5ce7c23 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e b69c0a42c3d67593"},
     {"funcs=present:2 final_best=0", "",
-     "cbcf1829b3d0d67a c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 68d2af56c0ac9a80"},
+     "f6a66d594e1305c7 c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 55e39a1f118ab6cf"},
     {"funcs=present:2 verify=0", "",
-     "42adc999cd99fb0c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a74f3134126e090"},
+     "d4b3d1eabb0b44a9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9535c0551007a1f7"},
     {"funcs=present:2 name=golden", "",
-     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
+     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
     {"funcs=present:2 seed=42", "",
-     "c094e963cb81c9fa c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
+     "ff605edf571c3eef c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
     {"funcs=present:2 camo=0", "",
-     "d718d06b7fe2b13a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f4813c4f6b5893c0"},
+     "8d5cd81ee3a6173f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6e08509b25664d17"},
     {"funcs=present:2 attack=cegar", "",
-     "b0220e4db12cbc59 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c8f76ab9fe3fce85"},
+     "64eebdddf527beba c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 144030feeab70040"},
     {"funcs=present:2 attack=none", "",
-     "cb8c297307afb339 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 24b782575aee4b65"},
+     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
     {"funcs=present:2 count_mode=enumerate", "",
-     "ef66ee5fff404dcc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 8e272fa83276472e"},
+     "e0a9126de05234b7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7e4fe8d61bdb2d3f"},
     {"funcs=present:2 count_cache_mb=16", "",
-     "f4fb1991a1ef8186 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 75b08a616640d4f4"},
+     "2dc4138b78697ac1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6e5a68c69a6bcbfd"},
     {"funcs=present:2 count_max_decisions=5000", "",
-     "b5417840bbedf12d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 38efcea7bcf5cd61"},
+     "f99190fbfecf0e7e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 8f4ff6db759264bc"},
     {"funcs=present:2 max_survivors=99", "",
-     "ba54c0b8b4f15943 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 178a562abd9fa6b3"},
+     "9b158f25998b9876 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 18b2d169013865a4"},
     {"funcs=present:2 enum_survivors=0", "",
-     "f1235994dcfde8b8 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e2eefe0e603adc32"},
+     "4b40b635c8671ff1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1337593d42568ced"},
     {"funcs=present:2 preprocess=0", "",
-     "1ea6b23c5e68c776 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 729762394c085aa4"},
+     "a5e57d143e55f7eb c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4010e5aa549d9fab"},
     {"funcs=present:2 shared_miter=0", "",
-     "8fd74db90631fb88 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9e5626e0f22ca302"},
+     "b9e0d5b12e4418ed c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f89627cb7f7c1ca1"},
     {"funcs=present:2 canonical_inputs=1", "",
-     "92688557e8b647f4 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 c150910eef3ff926"},
-    {"funcs=present:2 attack_threads=4", "",
-     "13f63a4c644825ea c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 40b9787cbdb07970"},
-    {"funcs=present:2 cube_vars=3", "",
-     "6cd3c661350d25a6 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 45dc37057abf3e14"},
+     "ee5dd75910703d81 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 064debd27e016f3d"},
     {"funcs=present:2 query_budget=64", "",
-     "ee4a41b897edbde9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6b1b558949a61355"},
+     "3cd854513eb38e74 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 67ee9aedf23068a6"},
     {"funcs=present:2 oracle_noise=0.05", "",
-     "fee73108a8a0c35d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 63532ad1f84af691"},
+     "bf7ae6a9f530b6ec c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 25e3417a31d1adce"},
     {"funcs=present:2 oracle_cache=1", "",
-     "2d0801eb6ce7b89a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 d021448da5d762a0"},
+     "c5c6733b80188dd7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e4b2e1ee3203c05f"},
     {"funcs=present:2 save_transcript=t.json", "",
-     "cb8c297307afb339 - - - - -"},
+     "24ec6db464e6ba1a - - - - -"},
     {"funcs=present:2 replay_transcript=t.json", "",
-     "642cfaaff52b0cd9 - - - - -"},
+     "07d9bb8bef7092da - - - - -"},
     {"funcs=present:2 attack=cegar emit_proof=p.json", "",
-     "b0220e4db12cbc59 - - - - -"},
+     "64eebdddf527beba - - - - -"},
     {"funcs=present:2 random_warmup=32", "",
-     "4f182533464b1e34 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4f9144829902bae6"},
+     "61b3323f7f467629 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a4b9bcb2e59d515"},
     {"funcs=present:2 random_queries=64", "",
-     "4d45943e6627860c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b50fc6fcbc118eee"},
+     "c924d3e9e996b725 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 375cae548b1cb049"},
     {"funcs=present:2 metrics=1", "",
-     "e85f4f8774c8f3ca c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 899a9ddd0bda74d0"},
+     "dd169df2a45c5d57 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 cb130eb863c8a2df"},
     {"funcs=present:2", "elim_occ=16",
-     "41dad70bcb9c8db7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 dd0d6d61ad56903f"},
+     "5896dcd08ac27e70 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 faa175e85572d41a"},
     {"funcs=present:2", "elim_growth=4",
-     "3e9dd3148f9d9a1d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 5f6c15d2caecbed1"},
+     "2ab0bdca69b5eb5e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0684dec1c10e9a1c"},
     {"funcs=present:2", "map.cut_max_leaves=3",
-     "dc661490b2110b62 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c ca2a03e9adf0fdb8"},
+     "9375bfe8d7113771 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c 0c19a53be005076d"},
     {"funcs=present:2", "map.cut_max_cuts_per_node=6",
-     "3d30ca42aa2e5f4b 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 6fe24e1e6a0bec0b"},
+     "6a9f9f289d09896c 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 1e264b059419e14e"},
     {"funcs=present:2", "map.cut_include_trivial=0",
-     "65a227451f81d006 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 8649fb1274091c74"},
+     "deb333127c64c077 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 949653879ac78d7f"},
     {"funcs=present:2", "map.recovery_iterations=2",
-     "47d985fb0d53336a 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 3df4807c4af0e5f0"},
+     "7b4541a156cc4429 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 94588e32f22e8f15"},
     {"funcs=present:2", "attack.oracle.max_iterations=7",
-     "d90c4a95285c0c22 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 77da6d2311b4aaf8"},
+     "365c79a9c857d571 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6ec641cfe26fb16d"},
     {"funcs=present:2", "attack.oracle.warmup_seed=9",
-     "3088c863cc1c6481 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 00ab394482858c3d"},
+     "7f4f99ddd3b56cb2 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 a64d6f92939edf08"},
     {"funcs=present:2", "attack.oracle.solver.elim_resolvent_limit=12",
-     "a1bfc97eb5c94f2a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 858200cbb41a8130"},
+     "fcea36c7d4294415 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a54087367d57e39"},
     {"funcs=present:2", "attack.oracle.solver.max_rounds=2",
-     "605798ed289812ff c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7f9ba8e4d4004157"},
+     "e60db7655d37f974 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 5ea30238b993b1a6"},
     {"funcs=present:2", "attack.oracle.solver.inprocess_growth=1.5",
-     "f7432b3d73fac36b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 772de0db7a8d162b"},
+     "ae2ae388c05ff254 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 992a082d61a32486"},
     {"funcs=present:2", "attack.oracle_model.noise_seed=3",
-     "2d45707df5a0ff4b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1990905d71a2cc0b"},
+     "93df14e7659fb77c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0a7cee61ca26841e"},
     {"funcs=present:2", "ga.crossover_prob=0.5",
-     "f1ac6ab05e8f920b f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 866675c24cc7e44b"},
+     "0b25b89b4dff2448 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 4b101c1a4a33ff42"},
     {"funcs=present:2", "ga.mutation_prob=0.5",
-     "0e832a56d90464a1 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd a019bc2a599d7e5d"},
+     "3f91a9c9bf682f78 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 3087aa47b35fd172"},
     {"funcs=present:2", "ga.tournament_size=4",
-     "5184b57a5ce52d9a 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 f72e9a64c5a6b9a0"},
+     "9ef3e1ad0fb13fb9 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 958c1bbbfcea1ce5"},
     {"funcs=present:2", "ga.elite=3",
-     "6ab62837b6186908 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 3a26fdadde102f82"},
+     "fec9c5af53392c7b 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 652f0d08ae3cccfb"},
     {"funcs=present:2", "fitness_effort=high",
-     "be5ef89ce7c295f7 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f f905e872abe311ff"},
+     "443c1fe37dc890e0 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f 69d7ae7ec57be60a"},
     {"funcs=present:2", "fitness_build=shared-extract",
-     "772228e8c3ab006c a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba d3afa098d9bd6e4e"},
+     "1d1ff1063296098f a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba b5d9ffb4611ad267"},
     {"funcs=present:2", "random_count=10",
-     "a5cfdfe8dd552af2 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 e1044787351c5ac8"},
+     "a941102a3de80779 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 b001578b229b8e25"},
     {"funcs=present:2", "final_effort=high",
-     "602d115b2c6d1432 c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 9659c57aaafb8988"},
+     "13d3c8a4e2ef195f c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 67ec3a13f8a97337"},
     {"funcs=present:2", "camo.subtree_max_depth=2",
-     "4dea120102cd4d4a c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 e4c272c72395e550"},
+     "65646598319b5549 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 718d722e8e1634b5"},
     {"funcs=present:2", "camo.subtree_max_signal_leaves=3",
-     "b1b344b2bf2fd30c c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 6c3637a36965adee"},
+     "0d96ae34236fb123 c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 53a9f808a2eb0c93"},
     {"funcs=present:2", "camo.subtree_max_candidates=64",
-     "3ad40a4b9ebc1cc8 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 13376acbaca434c2"},
+     "8b7b70b63f21cfb1 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 559a33aa5392402d"},
     {"circuit=@", "",
-     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
+     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
     {"circuit=@ camo_density=0.25", "",
-     "e3839ee8e49402da beaef8af1a320615 2ff71a24ec85c991 38aebcc0717e4952"},
+     "130a4616d6dc5e03 beaef8af1a320615 2ff71a24ec85c991 b7cfbc3a0e6f507d"},
     {"circuit=@ camo_cells=3", "",
-     "f1689fb0081ac702 beaef8af1a320615 14941faf811f574d 3c02e0d0223e61ea"},
+     "cdadca634f84cc45 beaef8af1a320615 14941faf811f574d 985131d466d0fd4b"},
     {"circuit=@ camo_seed=11", "",
-     "195ec4316c62a96b beaef8af1a320615 35422219e63965a6 b623002826786355"},
+     "5fa4554cd9d82f2a beaef8af1a320615 35422219e63965a6 d9442ea731fceb22"},
     {"circuit=@ camo_policy=fanout", "",
-     "42ba6d10f0077f9f beaef8af1a320615 a082e2a17c07761e 5d8191658975aea1"},
+     "a9da74cbf1d35cc8 beaef8af1a320615 a082e2a17c07761e 57db6a84ce2dd85c"},
     {"circuit=/nonexistent/mvf-golden/d.blif", "",
-     "d8d00ae9e011d3a3 5a6cc440f7775383 c5ad362cb6348476 7e0ecea33bf9cc1d"},
+     "446e9352ce8075ae 5a6cc440f7775383 c5ad362cb6348476 11dfddc24486302e"},
     {"circuit=@ name=golden", "",
-     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
+     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
     {"circuit=@ seed=42", "",
-     "22b7e1e8316ded5e beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
+     "6a5eefbcd6ba232f beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
     {"circuit=@ camo=0", "",
-     "c5520fa1856e6542 beaef8af1a320615 30097c906b6f0f6e 9468d91dc56732aa"},
+     "43ae6c55176e9b37 beaef8af1a320615 30097c906b6f0f6e a423fef9add5e229"},
     {"circuit=@ attack=cegar", "",
-     "221fe3aee62b2b87 beaef8af1a320615 30097c906b6f0f6e 2ef2d2f6fb9cfa79"},
+     "8b24d1d71521bec4 beaef8af1a320615 30097c906b6f0f6e ac7f69f5a9cd7010"},
     {"circuit=@ attack=none", "",
-     "634c102c153f7be7 beaef8af1a320615 30097c906b6f0f6e 987dc97649cbbd59"},
+     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
     {"circuit=@ count_mode=enumerate", "",
-     "1b3ed9e5230ef17a beaef8af1a320615 30097c906b6f0f6e 7002db4952903cf2"},
+     "35dd6e0ff9ddb121 beaef8af1a320615 30097c906b6f0f6e e1bb2c8c95b6bdff"},
     {"circuit=@ count_cache_mb=16", "",
-     "50b09de39af79bb8 beaef8af1a320615 30097c906b6f0f6e 7542dca7971f968c"},
+     "09e53a6f403a2e9f beaef8af1a320615 30097c906b6f0f6e ebf3cf15bc4a23a1"},
     {"circuit=@ count_max_decisions=5000", "",
-     "b1cea5066c455b03 beaef8af1a320615 30097c906b6f0f6e 82967699f8b5ff7d"},
+     "fa5fcf94e0f8a060 beaef8af1a320615 30097c906b6f0f6e e527b7b72a9f1564"},
     {"circuit=@ max_survivors=99", "",
-     "c51a5180f50540a5 beaef8af1a320615 30097c906b6f0f6e 901ec419b802b62b"},
+     "c7e1cddb60f39468 beaef8af1a320615 30097c906b6f0f6e e0396834ed146a7c"},
     {"circuit=@ enum_survivors=0", "",
-     "0ff3cddd34f1914e beaef8af1a320615 30097c906b6f0f6e 3f2a7d4a144e4c4e"},
+     "ad25a8389ceaf80f beaef8af1a320615 30097c906b6f0f6e 2f1b90336827af91"},
     {"circuit=@ preprocess=0", "",
-     "1f26edade274d368 beaef8af1a320615 30097c906b6f0f6e a1d40a5041720f7c"},
+     "4898e4535488c5dd beaef8af1a320615 30097c906b6f0f6e f52f88fc2a4b5d33"},
     {"circuit=@ shared_miter=0", "",
-     "d5ab1971f9491d9e beaef8af1a320615 30097c906b6f0f6e 2fe962ed2e580dde"},
+     "6efcbd6591fe96c3 beaef8af1a320615 30097c906b6f0f6e 01ff6913898506bd"},
     {"circuit=@ canonical_inputs=1", "",
-     "124422f4b479a8b2 beaef8af1a320615 30097c906b6f0f6e dbf081925327519a"},
-    {"circuit=@ attack_threads=4", "",
-     "1f5ba684788bcaf4 beaef8af1a320615 30097c906b6f0f6e 03fd015e36efef80"},
-    {"circuit=@ cube_vars=3", "",
-     "a83839d32c5e8dd8 beaef8af1a320615 30097c906b6f0f6e f1c4efd10ae5632c"},
+     "dbf76cdf69f4025f beaef8af1a320615 30097c906b6f0f6e d141e09273f70be1"},
     {"circuit=@ query_budget=64", "",
-     "1972f05c1555b517 beaef8af1a320615 30097c906b6f0f6e da839f58160bca09"},
+     "ca82c021bfd50732 beaef8af1a320615 30097c906b6f0f6e 41c448ce4d64491a"},
     {"circuit=@ oracle_noise=0.05", "",
-     "6ab8952928ce4af3 beaef8af1a320615 30097c906b6f0f6e 2617c170c891882d"},
+     "fbdfbcf96fa0ff1a beaef8af1a320615 30097c906b6f0f6e 58aca24835edb212"},
     {"circuit=@ oracle_cache=1", "",
-     "c33a1d6d7b260fa4 beaef8af1a320615 30097c906b6f0f6e a0544c8134142ff0"},
+     "ad7fa92a9fca8941 beaef8af1a320615 30097c906b6f0f6e 971843db7355781f"},
     {"circuit=@ save_transcript=t.json", "",
-     "634c102c153f7be7 - - -"},
+     "67260d99720a7924 - - -"},
     {"circuit=@ replay_transcript=t.json", "",
-     "d5a96dacacb0f407 - - -"},
+     "c069b8e5cdc60ae4 - - -"},
     {"circuit=@ attack=cegar emit_proof=p.json", "",
-     "221fe3aee62b2b87 - - -"},
+     "8b24d1d71521bec4 - - -"},
     {"circuit=@ random_warmup=32", "",
-     "03c73f6a6ac9bdf2 beaef8af1a320615 30097c906b6f0f6e f4125bab4c69b55a"},
+     "1cb4464dfe12fd57 beaef8af1a320615 30097c906b6f0f6e 150ed95afe6395c9"},
     {"circuit=@ random_queries=64", "",
-     "d4ab550b4b71f1ba beaef8af1a320615 30097c906b6f0f6e a3265403e19a7fb2"},
+     "f600625743d19eeb beaef8af1a320615 30097c906b6f0f6e 9943eee249e247d5"},
     {"circuit=@ metrics=1", "",
-     "0f4953a9a990e0d4 beaef8af1a320615 30097c906b6f0f6e 40d82bdd4cd919e0"},
+     "b1617b151684e0c1 beaef8af1a320615 30097c906b6f0f6e 7abd04609bbab29f"},
     {"circuit=@", "elim_occ=16",
-     "69c50dbe9b537a21 beaef8af1a320615 30097c906b6f0f6e 5e264f37d786f0ff"},
+     "59ab923bc65b30d6 beaef8af1a320615 30097c906b6f0f6e 387499dd148061e6"},
     {"circuit=@", "elim_growth=4",
-     "67db965ef988cdb3 beaef8af1a320615 30097c906b6f0f6e cc4f40d504c8256d"},
+     "9448a0d515fd67c0 beaef8af1a320615 30097c906b6f0f6e 7ad95a4a0d560044"},
     {"circuit=@", "map.cut_max_leaves=3",
-     "1adba8885f0e77ee 633760290bbeb0c2 cd11d05741689bb9 3132f9e960dbc0ee"},
+     "67723b7e70d64631 633760290bbeb0c2 cd11d05741689bb9 614bda1edb655a8f"},
     {"circuit=@", "map.cut_max_cuts_per_node=6",
-     "eb05d39206d6930d b0e9a304a12e9e63 2943805bebda153c 3046550bdafe2463"},
+     "15458e755744568e b0e9a304a12e9e63 2943805bebda153c a705ede6ade89c0e"},
     {"circuit=@", "map.cut_include_trivial=0",
-     "9d9a9356603c0ad8 fa11074bd6db8442 c8ee6d619178e33b f1832a621d75922c"},
+     "d95bafa566cc99b1 fa11074bd6db8442 c8ee6d619178e33b f99364e5ba0e290f"},
     {"circuit=@", "map.recovery_iterations=2",
-     "f9f8b54b7f45bfee f9e61e06996d771a 12e0c407eb437f69 23aa03a4fdd058ee"},
+     "2e085e639234e6f9 f9e61e06996d771a 12e0c407eb437f69 e1e8de081c84a9a7"},
     {"circuit=@", "attack.oracle.max_iterations=7",
-     "015fb94f8c6e19bc beaef8af1a320615 30097c906b6f0f6e 83d26571a6e2c958"},
+     "6be96dd6f1b9d58f beaef8af1a320615 30097c906b6f0f6e bf709522664f0c11"},
     {"circuit=@", "attack.oracle.warmup_seed=9",
-     "0ac34f9c628cb95f beaef8af1a320615 30097c906b6f0f6e 549049decbae58e1"},
+     "0a26bab1312c79cc beaef8af1a320615 30097c906b6f0f6e 3f1065b0470844a8"},
     {"circuit=@", "attack.oracle.solver.elim_resolvent_limit=12",
-     "bd25b06938209a34 beaef8af1a320615 30097c906b6f0f6e 1a483506a4651c40"},
+     "b409c4b21757f29b beaef8af1a320615 30097c906b6f0f6e e8024d594c2d1c45"},
     {"circuit=@", "attack.oracle.solver.max_rounds=2",
-     "4c1ac81b7dce8819 beaef8af1a320615 30097c906b6f0f6e 83153c65d8998c47"},
+     "4c618429e8e5c232 beaef8af1a320615 30097c906b6f0f6e 43b9f0a846d4021a"},
     {"circuit=@", "attack.oracle.solver.inprocess_growth=1.5",
-     "1c8f0e1dcab0595d beaef8af1a320615 30097c906b6f0f6e 5289c021e325ebb3"},
+     "5f1bbd1eda253712 beaef8af1a320615 30097c906b6f0f6e cdbacec24adf457a"},
     {"circuit=@", "attack.oracle_model.noise_seed=3",
-     "0673791e7c5141bd beaef8af1a320615 30097c906b6f0f6e cc960db34e6fdb93"},
+     "a92a21bbd9b2c86a beaef8af1a320615 30097c906b6f0f6e 71414d7cc1655de2"},
 };
 
 TEST(ScenarioKeys, HashesMatchTheGoldenLiterals) {
@@ -369,8 +362,6 @@ const std::map<std::string, Sample> kSamples = {
     {"preprocess", {"0", ""}},
     {"shared_miter", {"0", ""}},
     {"canonical_inputs", {"1", ""}},
-    {"attack_threads", {"4", ""}},
-    {"cube_vars", {"3", ""}},
     {"elim_occ", {"16", ""}},
     {"elim_growth", {"4", ""}},
     {"query_budget", {"64", ""}},
@@ -587,9 +578,6 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 oracle_noise=-0.5",
         "funcs=present:2 random_warmup=-1",
         "funcs=present:2 random_queries=0",
-        "funcs=present:2 attack_threads=0",
-        "funcs=present:2 attack_threads=257",
-        "funcs=present:2 cube_vars=17",
         // An empty GA population crashed run_ga; a negative one threw a
         // std::length_error from std::vector.
         "funcs=present:2 population=0",
@@ -634,6 +622,10 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         "funcs=present:2 delta=0.1",
         "funcs=present:2 count_mode=approx epsilon=0.5 delta=0.1",
         "circuit=a.blif count_mode=approx",
+        // Removed parallel counting: the cube workers and the cube width
+        // (--attack-threads 4 and --cube-vars 3 on the command line).
+        "funcs=present:2 attack_threads=4",
+        "funcs=present:2 cube_vars=3",
     };
     for (const char* text : bad) {
         EXPECT_THROW(parse_scenario_spec(text), std::invalid_argument) << text;
@@ -643,10 +635,6 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
     EXPECT_THROW(parse_argv({"--seed"}), std::invalid_argument);
     // Bool flags take no value; the negated form exists only for bools.
     EXPECT_THROW(parse_argv({"--no-population", "8"}), std::invalid_argument);
-    // The CEGAR loop is serial at any attack_threads, so a proof may use
-    // cube workers for its count.
-    EXPECT_NO_THROW(parse_scenario_spec(
-        "funcs=present:2 attack=cegar emit_proof=p.json attack_threads=2"));
     // metrics is a spec key only: the process flag --metrics covers it.
     EXPECT_FALSE(is_scenario_flag("--metrics"));
     EXPECT_TRUE(is_scenario_flag("--no-enumerate"));

@@ -6,9 +6,10 @@
 // serviceable.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -218,50 +219,6 @@ TEST(JobScheduler, CancelledJobTerminatesAndSchedulerStaysUsable) {
     const std::string next = scheduler.submit(tiny_scenarios(1));
     ASSERT_TRUE(scheduler.wait(next));
     EXPECT_EQ(scheduler.status(next)->state, JobState::kDone);
-}
-
-/// Threads of this process, from /proc/self/status (-1 when unreadable).
-int thread_count() {
-    std::ifstream status("/proc/self/status");
-    for (std::string line; std::getline(status, line);) {
-        if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
-    }
-    return -1;
-}
-
-TEST(JobScheduler, CubeWorkersRunOnTheSchedulerPool) {
-    // attack_threads=8 on a 2-worker scheduler: the exact count's cube
-    // workers must run on the pool's threads, not on private ones, so the
-    // process never holds more threads than before the submit.
-    flow::Scenario s = flow::parse_scenario_spec(
-                           "funcs=present:2 seed=3 population=6 generations=2 "
-                           "attack=cegar attack_threads=8 cube_vars=6\n")
-                           .at(0);
-    // This flow netlist is dense: the counter spends the whole decision
-    // budget in cube mode (hundreds of milliseconds), then enumerates up
-    // to the cap.
-    s.params.oracle.count_max_decisions = 20'000;
-    s.params.oracle.max_survivors = 64;
-    JobScheduler scheduler(2, nullptr);
-    const int before = thread_count();
-    ASSERT_GT(before, 0) << "/proc/self/status is unreadable";
-    const std::string id = scheduler.submit({s});
-    int peak = before;
-    int samples = 0;
-    for (JobState state = JobState::kQueued;
-         state == JobState::kQueued || state == JobState::kRunning;
-         state = scheduler.status(id)->state) {
-        peak = std::max(peak, thread_count());
-        ++samples;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    const std::optional<JobResults> res = scheduler.wait(id);
-    ASSERT_TRUE(res.has_value());
-    const flow::ScenarioRecord& r = res->records.at(0);
-    ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_EQ(r.attacks.size(), 1u);
-    EXPECT_GE(r.attacks[0].count.decisions, 20'000u);
-    EXPECT_LE(peak, before) << samples << " samples";
 }
 
 // ---------------------------------------------------------- end to end --
@@ -487,6 +444,60 @@ TEST(Server, EndedSessionsAreJoinedWhileTheServerRuns) {
         ASSERT_TRUE(client.ping(&error)) << error;
     }
     EXPECT_LT(mapping_count(), before + kConnections / 4);
+}
+
+TEST(Server, ConnectionsBeyondTheSessionCapAreRefused) {
+    ServerParams params;
+    params.listen = temp_unix_addr("cap.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+    const util::SocketAddr& addr = running.server.bound_addr();
+    const std::string ping = R"({"op":"ping"})";
+    const auto answers_ping = [&ping](util::Socket& s) {
+        std::string reply;
+        return s.send_line(ping) && s.recv_line(&reply) &&
+               report::Json::parse(reply).at("ok").as_bool();
+    };
+
+    // kMaxSessions idle connections, each answered once so its session is
+    // known to be live.
+    std::vector<util::Socket> idle;
+    for (std::size_t i = 0; i < Server::kMaxSessions; ++i) {
+        idle.push_back(util::Socket::connect(addr));
+        ASSERT_TRUE(answers_ping(idle.back())) << "connection " << i;
+    }
+
+    // One more gets one error line naming the cap, then EOF.  The receive
+    // timeout turns a session that waits for a request into a failure.
+    util::Socket extra = util::Socket::connect(addr);
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(extra.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    std::string reply;
+    ASSERT_TRUE(extra.recv_line(&reply));
+    const report::Json j = report::Json::parse(reply);
+    EXPECT_FALSE(j.at("ok").as_bool());
+    EXPECT_NE(j.at("error").as_string().find(
+                  std::to_string(Server::kMaxSessions)),
+              std::string::npos);
+    EXPECT_FALSE(extra.recv_line(&reply));
+
+    // The live sessions are untouched.
+    EXPECT_TRUE(answers_ping(idle.front()));
+
+    // Once one idle connection closes and its session ends, a new
+    // connection is served.  The session sees the EOF on its own thread,
+    // so the first tries may still be refused.
+    idle.pop_back();
+    const Client client(addr);
+    std::string error;
+    bool served = false;
+    for (int attempt = 0; attempt < 1000 && !served; ++attempt) {
+        served = client.ping(&error);
+        if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(served) << error;
 }
 
 TEST(Server, ShutdownOpStopsTheAcceptLoop) {

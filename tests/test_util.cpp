@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -180,69 +179,9 @@ TEST(ThreadPool, SubmissionRunsEveryTask) {
     pool.wait_idle();
 }
 
-TEST(ThreadPool, RunOneExecutesAPendingTaskOnTheCallingThread) {
-    // Park the only worker behind a gate, then drain the queue from the
-    // caller: run_one must execute pending tasks on the calling thread and
-    // report false (without blocking) once every queue is empty.
-    ThreadPool pool(1);
-    std::promise<void> gate;
-    std::atomic<bool> parked{false};
-    std::future<void> blocker =
-        pool.submit([&parked, f = gate.get_future().share()] {
-            parked = true;
-            f.wait();
-        });
-    // Make sure the WORKER holds the blocker (not us, below, via run_one).
-    while (!parked.load()) std::this_thread::yield();
-
-    std::thread::id ran_on;
-    std::future<void> task =
-        pool.submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-    // The worker is parked, so the task can only run through run_one.
-    EXPECT_TRUE(pool.run_one());
-    task.get();
-    EXPECT_EQ(ran_on, std::this_thread::get_id());
-    EXPECT_FALSE(pool.run_one());  // queues empty again
-
-    gate.set_value();
-    blocker.get();
-}
-
-TEST(ThreadPool, NestedSubmissionWithHelpingWaitDoesNotDeadlock) {
-    // The deadlock regression: tasks submitting subtasks to their OWN pool
-    // and waiting on them.  With blocking future::get every worker ends up
-    // waiting for queued subtasks no thread is free to run; the helping-
-    // wait loop (run_one until ready) keeps them flowing on the waiters'
-    // threads instead.  More outer tasks than workers makes the naive
-    // version deadlock deterministically.
-    ThreadPool pool(2);
-    std::atomic<int> inner_ran{0};
-    const auto helping_get = [&pool](std::future<void>& f) {
-        while (f.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-            if (!pool.run_one()) std::this_thread::yield();
-        }
-        f.get();
-    };
-
-    std::vector<std::future<void>> outers;
-    for (int o = 0; o < 6; ++o) {
-        outers.push_back(pool.submit([&] {
-            std::vector<std::future<void>> inners;
-            for (int i = 0; i < 4; ++i) {
-                inners.push_back(pool.submit([&inner_ran] { ++inner_ran; }));
-            }
-            for (std::future<void>& f : inners) helping_get(f);
-        }));
-    }
-    for (std::future<void>& f : outers) helping_get(f);
-    EXPECT_EQ(inner_ran.load(), 24);
-}
-
-TEST(ThreadPool, RunOneTakesTheNewestTaskAndWorkersTheOldest) {
-    // A helping waiter's own subtasks are the ones it submitted last, so
-    // run_one serves the back of the queue; workers serve the front, so
-    // submissions start in order.
+TEST(ThreadPool, QueuedTasksStartOldestFirst) {
+    // One queue, served from the front: with the only worker parked, the
+    // tasks queued behind it run in the order they were submitted.
     ThreadPool pool(1);
     std::promise<void> gate;
     std::atomic<bool> parked{false};
@@ -262,11 +201,10 @@ TEST(ThreadPool, RunOneTakesTheNewestTaskAndWorkersTheOldest) {
             order.push_back(i);
         }));
     }
-    EXPECT_TRUE(pool.run_one());  // on this thread: the newest, task 2
-    gate.set_value();  // the worker drains the rest oldest first
+    gate.set_value();
     blocker.get();
     for (std::future<void>& t : tasks) t.get();
-    EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(ThreadPool, TaskExceptionsPropagateThroughTheFuture) {
