@@ -1,5 +1,4 @@
-// Oracle-guided CEGAR de-camouflaging cost curves, with the SAT-layer
-// optimizations measured rather than asserted.
+// Oracle-guided CEGAR de-camouflaging cost curves.
 //
 // The paper evaluates its attacker only where the input space is
 // enumerable (4-10 bit S-boxes).  This harness extends the attack cost
@@ -10,22 +9,9 @@
 // reports the oracle-query count, incremental-SAT statistics, surviving
 // configurations, and wall time of the CEGAR loop.  The final row attacks
 // the camouflaged circuit produced by the paper's own flow (4 merged
-// S-boxes) for a direct tie-in.
-//
-// Each row runs twice: once with the full SolverConfig pipeline
-// (preprocessing + inprocessing + structure-shared miter, the "pre" time
-// column) and once with everything off (the legacy PR-1 encoding, the
-// "plain" column).  The second run REPLAYS the first run's transcript
-// through attack::TranscriptOracle -- the recording run wraps the chip,
-// the plain run replays chip-free via Oracle::scripted_pattern(), the same
-// public API the attack uses live.  Any prefix of a valid run's transcript
-// is itself a valid distinguishing sequence against the same oracle, so
-// both runs do the same number of CEGAR solves over the same logical
-// constraint sets, and the speedup column is a pure solver-layer
-// measurement on identical attack transcripts.  That the outcome does not
-// depend on the encoding is pinned by test_shared_miter and
-// test_count_fuzz; the timing bounds of the word-parallel oracle, disabled
-// tracing and the committing oracle by test_acceptance_bounds.
+// S-boxes) for a direct tie-in.  The timing bounds of the word-parallel
+// oracle, disabled tracing and the committing oracle are ctests
+// (test_acceptance_bounds).
 
 #include <cstdio>
 #include <memory>
@@ -46,45 +32,29 @@ struct Row {
     int pos = 0;
     int cells = 0;
     double space_bits = 0.0;
-    mvf::attack::OracleAttackResult attack;   ///< full pipeline ("pre")
-    mvf::attack::OracleAttackResult plain;    ///< legacy encoding, replayed
+    mvf::attack::OracleAttackResult attack;
 };
 
 void print_row(const Row& row) {
     const auto& a = row.attack;
-    const double speedup =
-        row.plain.seconds > 0.0
-            ? (row.plain.seconds - a.seconds) / row.plain.seconds * 100.0
-            : 0.0;
     std::printf(
-        "%-12s %4d %4d %6d %8.1f | %7d %10llu %8llu %7llu %8.3fs %8.3fs %+6.1f%%  %s\n",
+        "%-12s %4d %4d %6d %8.1f | %7d %10llu %8llu %7llu %8.3fs  %s\n",
         row.name.c_str(), row.pis, row.pos, row.cells, row.space_bits,
         a.queries, static_cast<unsigned long long>(a.sat_stats.conflicts),
         static_cast<unsigned long long>(a.sat_stats.eliminated_vars),
         static_cast<unsigned long long>(a.surviving_configs), a.seconds,
-        row.plain.seconds, speedup, a.solved() ? "solved" : "capped");
+        a.solved() ? "solved" : "capped");
 }
 
-/// Runs the full-pipeline attack under a recording TranscriptOracle, then
-/// replays its transcript chip-free on the legacy encoding.
 Row run_row(const mvf::camo::CamoNetlist& nl, mvf::attack::Oracle& oracle,
-            mvf::attack::OracleAttackParams params, std::string name) {
+            const mvf::attack::OracleAttackParams& params, std::string name) {
     Row row;
     row.name = std::move(name);
     row.pis = nl.num_pis();
     row.pos = nl.num_pos();
     row.cells = nl.num_cells();
     row.space_bits = nl.config_space_bits();
-
-    params.solver.preprocess = true;
-    params.shared_miter = true;
-    mvf::attack::TranscriptOracle recorder(oracle);
-    row.attack = mvf::attack::oracle_attack(nl, recorder, params);
-
-    params.solver.preprocess = false;
-    params.shared_miter = false;
-    mvf::attack::TranscriptOracle replay(recorder.transcript());
-    row.plain = mvf::attack::oracle_attack(nl, replay, params);
+    row.attack = mvf::attack::oracle_attack(nl, oracle, params);
     return row;
 }
 
@@ -110,26 +80,24 @@ int main(int argc, char** argv) {
         if (args.paper) sizes.push_back({24, 4, 44});
     }
 
-    std::printf("%-12s %4s %4s %6s %8s | %7s %10s %8s %7s %9s %9s %7s\n",
+    std::printf("%-12s %4s %4s %6s %8s | %7s %10s %8s %7s %9s\n",
                 "circuit", "PIs", "POs", "cells", "cfg bits", "queries",
-                "conflicts", "elim", "survive", "pre", "plain", "speedup");
+                "conflicts", "elim", "survive", "time");
     std::printf("--------------------------------------------------------------"
-                "--------------------------------------------\n");
+                "-------------------------\n");
 
     std::unique_ptr<util::CsvWriter> csv;
     if (!args.csv_path.empty()) {
         csv = std::make_unique<util::CsvWriter>(args.csv_path);
         csv->write_row({"circuit", "pis", "pos", "cells", "config_bits",
                         "queries", "conflicts", "eliminated_vars", "survivors",
-                        "pre_seconds", "plain_seconds", "solved"});
+                        "seconds", "solved"});
     }
-    double total_pre = 0.0;
-    double total_plain = 0.0;
+    double total = 0.0;
     const auto emit = [&](const Row& row) {
         print_row(row);
         std::fflush(stdout);
-        total_pre += row.attack.seconds;
-        total_plain += row.plain.seconds;
+        total += row.attack.seconds;
         if (csv) {
             csv->write_row(
                 {row.name, util::CsvWriter::field(static_cast<std::size_t>(row.pis)),
@@ -144,16 +112,14 @@ int main(int argc, char** argv) {
                  util::CsvWriter::field(
                      static_cast<std::size_t>(row.attack.surviving_configs)),
                  util::CsvWriter::field(row.attack.seconds),
-                 util::CsvWriter::field(row.plain.seconds),
                  row.attack.solved() ? "1" : "0"});
         }
     };
 
     attack::OracleAttackParams attack_params;
-    // This harness times the CEGAR loop under different SolverConfigs, not
-    // the counting subsystem (bench_count covers that); pin the legacy
-    // capped enumeration so the measured workload stays comparable across
-    // revisions.
+    // This harness times the CEGAR loop, not the counting subsystem
+    // (bench_count covers that); pin the legacy capped enumeration so the
+    // measured workload stays comparable across revisions.
     attack_params.count_mode = attack::CountMode::kEnumerate;
     attack_params.max_survivors = 1u << 12;
 
@@ -180,8 +146,6 @@ int main(int argc, char** argv) {
             attack::random_camo_netlist(camo_lib, pis, 3, 24, rng);
         attack::SimOracle oracle(nl, nl.configuration_for_code(0));
         attack::OracleAttackParams wp = attack_params;
-        wp.solver.preprocess = true;
-        wp.shared_miter = true;
         const attack::OracleAttackResult base =
             attack::oracle_attack(nl, oracle, wp);
         wp.random_warmup = 64;
@@ -211,11 +175,7 @@ int main(int argc, char** argv) {
         emit(run_row(*fr.camouflaged, oracle, attack_params, "flow4sbox"));
     }
 
-    std::printf("\ntotal CEGAR time: %.3fs with SolverConfig pipeline, %.3fs "
-                "plain (%.1f%% faster on identical transcripts)\n",
-                total_pre, total_plain,
-                total_plain > 0.0 ? (total_plain - total_pre) / total_plain * 100.0
-                                  : 0.0);
+    std::printf("\ntotal CEGAR time: %.3fs\n", total);
     std::printf(
         "note: 'survive' counts configurations functionally equivalent to\n"
         "the oracle; the flow's other viable functions are BY DESIGN\n"

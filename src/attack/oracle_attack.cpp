@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "count/cnf.hpp"
 #include "obs/trace.hpp"
 #include "sat/cnf_builder.hpp"
+#include "sat/simplify.hpp"
 #include "sim/netlist_sim.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -57,43 +59,9 @@ void pin_outputs(sat::Solver* solver, const sat::CnfBuilder::Copy& copy,
     }
 }
 
-// Stamps a constant-input copy and pins its outputs to the oracle's answer.
-void add_io_constraint(sat::Solver* solver, sat::CnfBuilder* builder,
-                       const std::vector<bool>& inputs,
-                       const std::vector<bool>& outputs, bool fold) {
-    pin_outputs(solver, builder->add_copy(inputs, fold), outputs);
-}
-
-/// Replaces the model's distinguishing input with the lexicographically
-/// smallest one admitted by the current constraints (PI 0 is the most
-/// significant position).  Walks the bits in order, keeping the latest
-/// model as a witness: a witness 0 needs no solver call, a witness 1 costs
-/// one incremental solve to test whether 0 is feasible under the fixed
-/// prefix.  `assumptions` carries any standing activation literals and is
-/// extended in place with the prefix.
-void canonicalize_pattern(sat::Solver* solver,
-                          const std::vector<sat::Lit>& shared_x,
-                          std::vector<sat::Lit>* assumptions,
-                          std::vector<bool>* pattern) {
-    const int m = static_cast<int>(shared_x.size());
-    for (int i = 0; i < m; ++i) {
-        const sat::Lit xi = shared_x[static_cast<std::size_t>(i)];
-        if (!(*pattern)[static_cast<std::size_t>(i)]) {
-            assumptions->push_back(sat::lit_not(xi));
-            continue;
-        }
-        assumptions->push_back(sat::lit_not(xi));
-        if (solver->solve(*assumptions) == sat::Solver::Result::kSat) {
-            (*pattern)[static_cast<std::size_t>(i)] = false;
-            for (int j = i + 1; j < m; ++j) {
-                (*pattern)[static_cast<std::size_t>(j)] = solver->model_value(
-                    sat::lit_var(shared_x[static_cast<std::size_t>(j)]));
-            }
-        } else {
-            assumptions->back() = xi;  // 0 infeasible under this prefix
-        }
-    }
-}
+/// Inprocessing trigger of the CEGAR loop: the light sweep re-runs once the
+/// clause database has grown by this factor since the last (pre)processing.
+constexpr double kInprocessGrowth = 1.7;
 
 /// Legacy survivor counting (CountMode::kEnumerate): SAT model enumeration
 /// over the selector family, projected onto the cells with a structural
@@ -158,6 +126,11 @@ void count_consistent_configs(const CamoNetlist& netlist,
                               const OracleAttackParams& params,
                               OracleAttackResult* result) {
     assert(inputs.size() == answers.size());
+    if (params.max_survivors == 0) {
+        // A zero cap would clamp every count to 0 and read as "no
+        // survivor".
+        throw std::invalid_argument("max_survivors must be >= 1");
+    }
     OracleAttackResult& res = *result;
     report::Json span_args;
     if (obs::tracing()) {
@@ -176,14 +149,17 @@ void count_consistent_configs(const CamoNetlist& netlist,
     };
     res.counted = true;
     res.count_mode = params.count_mode;
+    // Constant-input stamps fold their selector-independent constant
+    // cones; selectors are frozen, so preprocessing preserves the
+    // projected count.
     sat::Solver counter;
     sat::CnfBuilder family(netlist, &counter, params.fixed_nominal);
     for (std::size_t i = 0; i < answers.size(); ++i) {
-        add_io_constraint(&counter, &family, inputs[i], answers[i],
-                          params.shared_miter);
+        pin_outputs(&counter, family.add_copy(inputs[i], /*fold=*/true),
+                    answers[i]);
     }
-    if (params.solver.preprocess) {
-        sat::Preprocessor pre(&counter, params.solver);
+    {
+        sat::Preprocessor pre(&counter);
         const std::vector<sat::Var> fv = family.frozen_vars();
         pre.freeze_all(fv);
         pre.run();
@@ -347,27 +323,21 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     std::vector<sat::Lit> shared_x;
     shared_x.reserve(static_cast<std::size_t>(m));
     for (int i = 0; i < m; ++i) shared_x.push_back(sat::mk_lit(solver.new_var()));
-    sat::CnfBuilder::Copy miter_a, miter_b;
-    if (params.shared_miter) {
-        sat::CnfBuilder::SharedCopy sc =
-            sat::CnfBuilder::add_shared_copies(family_a, family_b, shared_x);
-        result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-        miter_a = std::move(sc.a);
-        miter_b = std::move(sc.b);
-    } else {
-        miter_a = family_a.add_copy(shared_x);
-        miter_b = family_b.add_copy(shared_x);
-    }
+    // The selector-independent cone (fixed_nominal cells) is encoded once
+    // for both families; on a fully camouflaged netlist this is exactly
+    // two independent copies.
+    const sat::CnfBuilder::SharedCopy miter =
+        sat::CnfBuilder::add_shared_copies(family_a, family_b, shared_x);
+    result.shared_cells += static_cast<std::uint64_t>(miter.shared_cells);
 
     // diff_q -> (a_q != b_q); at least one diff_q holds.  One direction of
     // the XOR suffices: any model must exhibit a real output difference.
     std::vector<sat::Lit> any_diff;
     any_diff.reserve(static_cast<std::size_t>(r));
-    std::vector<sat::Lit> assumptions;
     for (int q = 0; q < r; ++q) {
         const sat::Lit d = sat::mk_lit(solver.new_var());
-        const sat::Lit a = miter_a.po[static_cast<std::size_t>(q)];
-        const sat::Lit b = miter_b.po[static_cast<std::size_t>(q)];
+        const sat::Lit a = miter.a.po[static_cast<std::size_t>(q)];
+        const sat::Lit b = miter.b.po[static_cast<std::size_t>(q)];
         solver.add_ternary(sat::lit_not(d), a, b);
         solver.add_ternary(sat::lit_not(d), sat::lit_not(a), sat::lit_not(b));
         any_diff.push_back(d);
@@ -380,7 +350,7 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     // level-0 propagation, and physically removing the satisfied clauses
     // keeps watch lists short without disturbing the learned database.
     const auto make_preprocessor = [&]() {
-        sat::Preprocessor pre(&solver, params.solver);
+        sat::Preprocessor pre(&solver);
         const std::vector<sat::Var> fa = family_a.frozen_vars();
         const std::vector<sat::Var> fb = family_b.frozen_vars();
         pre.freeze_all(fa);
@@ -388,25 +358,17 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         pre.freeze_lits(shared_x);
         return pre;
     };
-    std::size_t preprocessed_size = 0;
-    if (params.solver.preprocess) {
-        make_preprocessor().run();
-        preprocessed_size = solver.num_clauses();
-    }
+    make_preprocessor().run();
+    std::size_t preprocessed_size = solver.num_clauses();
 
     // Stamps one I/O pair as constraints into BOTH families.
     const auto constrain_both = [&](const std::vector<bool>& in,
                                     const std::vector<bool>& out) {
-        if (params.shared_miter) {
-            sat::CnfBuilder::SharedCopy sc =
-                sat::CnfBuilder::add_shared_copies(family_a, family_b, in);
-            result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-            pin_outputs(&solver, sc.a, out);
-            pin_outputs(&solver, sc.b, out);
-        } else {
-            add_io_constraint(&solver, &family_a, in, out, false);
-            add_io_constraint(&solver, &family_b, in, out, false);
-        }
+        const sat::CnfBuilder::SharedCopy sc =
+            sat::CnfBuilder::add_shared_copies(family_a, family_b, in);
+        result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
+        pin_outputs(&solver, sc.a, out);
+        pin_outputs(&solver, sc.b, out);
     };
 
     // All constraint pairs in query order: random warm-up first, then the
@@ -448,7 +410,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     // constrain BOTH families, shrinking the still-viable set on each side.
     std::vector<bool> pattern(static_cast<std::size_t>(m));
     while (!budget_tripped) {
-        assumptions.clear();
         // One span per CEGAR iteration; the final (UNSAT, convergence)
         // solve gets its own span with converged=true in the end args.
         report::Json iter_args;
@@ -458,8 +419,8 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         }
         obs::Span iter_span("cegar-iteration", "attack", std::move(iter_args));
         const bool sat = solver.solve() == sat::Solver::Result::kSat;
-        // Captured now: canonicalization and the next iteration overwrite
-        // last_solve(), and this delta is what the span reports.
+        // Captured now: the next iteration overwrites last_solve(), and
+        // this delta is what the span reports.
         const sat::Solver::SolveDelta delta = solver.last_solve();
         observe_solve(delta.seconds * 1e6);
         if (!sat) {
@@ -490,9 +451,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
                 pattern[static_cast<std::size_t>(i)] = solver.model_value(
                     sat::lit_var(shared_x[static_cast<std::size_t>(i)]));
             }
-            if (params.canonical_inputs) {
-                canonicalize_pattern(&solver, shared_x, &assumptions, &pattern);
-            }
         }
         std::vector<bool> answer;
         try {
@@ -520,10 +478,8 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             ea.set("max_decision_level", delta.max_decision_level);
             iter_span.set_end_args(std::move(ea));
         }
-        if (params.solver.preprocess && params.solver.inprocess_growth > 1.0 &&
-            static_cast<double>(solver.num_clauses()) >
-                params.solver.inprocess_growth *
-                    static_cast<double>(preprocessed_size)) {
+        if (static_cast<double>(solver.num_clauses()) >
+            kInprocessGrowth * static_cast<double>(preprocessed_size)) {
             make_preprocessor().run_light();
             preprocessed_size = solver.num_clauses();
         }
@@ -535,9 +491,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     // functionally equivalent to the oracle (if any disagreed anywhere, the
     // miter would have found the disagreeing input).  Count them over a
     // single fresh selector family constrained by the collected I/O pairs.
-    // With shared_miter the copies fold their selector-independent constant
-    // cones; with preprocessing the instance is simplified first (selectors
-    // are frozen, so the projected count is preserved).
     if (result.status != OracleAttackResult::Status::kIterationLimit &&
         result.status != OracleAttackResult::Status::kQueryBudget &&
         params.enumerate_survivors) {

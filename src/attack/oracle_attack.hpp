@@ -29,7 +29,6 @@
 #include "count/count128.hpp"
 #include "count/projected_counter.hpp"
 #include "obs/metrics.hpp"
-#include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 
 namespace mvf::attack {
@@ -57,7 +56,9 @@ struct OracleAttackParams {
     /// kEnumerate only: stop the surviving-configuration count once it
     /// reaches this bound (surviving_configs is then clamped to it and
     /// status is kSurvivorLimit: "at least this many survive").  kExact
-    /// ignores it -- its count is exact without a cap.
+    /// ignores it -- its count is exact without a cap -- unless its
+    /// decision budget runs out and it falls back to enumeration.  Must
+    /// be >= 1: a zero cap would read as "no survivor".
     std::uint64_t max_survivors = 1u << 20;
     /// kExact only: component-cache memory budget for the projected
     /// counter, in MiB.
@@ -85,26 +86,6 @@ struct OracleAttackParams {
     bool enumerate_survivors = true;
     /// Nodes the attacker knows are ordinary cells (as in is_plausible).
     const std::vector<bool>* fixed_nominal = nullptr;
-    /// SAT-layer knobs: CNF preprocessing before the CEGAR loop, periodic
-    /// inprocessing as the per-pattern circuit copies accumulate, and
-    /// preprocessing of the enumeration instance.
-    sat::SolverConfig solver;
-    /// Structure-shared encoding: selector-independent cone cells
-    /// (fixed_nominal cells, plus anything else whose selector collapsed
-    /// to one choice) are encoded once per miter/pattern stamp instead of
-    /// once per family, and constant cones fold away without allocating
-    /// variables.  Off reproduces the legacy two-copy encoding exactly.
-    bool shared_miter = true;
-    /// Canonicalize each distinguishing input to the lexicographically
-    /// smallest one (by PI index) before querying the oracle.  This makes
-    /// the query sequence -- and with it every attack outcome -- a function
-    /// of the problem instead of the CNF encoding and solver trajectory,
-    /// so runs are bit-identical across preprocessing/sharing settings.
-    /// Each canonicalized bit can cost an incremental UNSAT proof, which
-    /// is affordable for small input widths (the exhaustive differential
-    /// tests run it up to 6 PIs) but multiplies runtime at 16+; hence off
-    /// by default.
-    bool canonical_inputs = false;
     /// Warm-up: before the CEGAR loop, draw this many random input
     /// patterns (seeded by warmup_seed), query them through the batched
     /// word-parallel oracle path in blocks of up to 64, and add the I/O
@@ -169,8 +150,8 @@ struct OracleAttackResult {
     /// OracleAttackParams::collect_metrics or the global metrics switch is
     /// on; empty() otherwise.
     obs::AttackMetrics metrics;
-    /// Cells encoded once instead of per-family across all shared stamps
-    /// (0 when shared_miter is off or nothing was shareable).
+    /// Cells encoded once instead of per-family across all miter and
+    /// constraint stamps (0 when nothing was shareable).
     std::uint64_t shared_cells = 0;
     double seconds = 0.0;
 
@@ -183,6 +164,12 @@ std::string_view attack_status_name(OracleAttackResult::Status s);
 
 /// Runs the CEGAR attack on `netlist` against `oracle`.  The oracle must
 /// answer with netlist.num_pos() outputs for netlist.num_pis() inputs.
+/// The encoding and the solver pipeline are fixed: the two families share
+/// their selector-independent cone in every stamp
+/// (CnfBuilder::add_shared_copies), sat::Preprocessor runs at its defaults
+/// on the miter before the loop and on the counting instance, and a light
+/// sweep runs whenever the clause database has grown 1.7x since the last
+/// one.
 /// A BudgetedOracle in the stack terminates the attack honestly: the
 /// budget trip surfaces as Status::kQueryBudget (no survivor counting
 /// runs, mirroring kIterationLimit).  A replaying TranscriptOracle drives
@@ -215,7 +202,8 @@ bool random_queries(Oracle& oracle, int num_inputs, int count,
 /// the configurations consistent with every pair under params.count_mode,
 /// filling result's counting fields, witness_config, and status
 /// (kNoSurvivor / kSurvivorLimit; an untouched status means the count is
-/// exact and at least one configuration survives).
+/// exact and at least one configuration survives).  Throws
+/// std::invalid_argument when params.max_survivors is 0.
 void count_consistent_configs(const camo::CamoNetlist& netlist,
                               const std::vector<std::vector<bool>>& inputs,
                               const std::vector<std::vector<bool>>& answers,

@@ -91,6 +91,10 @@ ReplayParams ReplayParams::from_json(const report::Json& j) {
                                 "\"");
     }
     r.max_survivors = j.at("max_survivors").as_uint();
+    if (r.max_survivors == 0) {
+        // A zero cap clamps every count to 0, which reads as "no survivor".
+        throw report::JsonError("attack proof: max_survivors must be >= 1");
+    }
     r.count_cache_mb = static_cast<int>(j.at("count_cache_mb").as_int());
     r.count_max_decisions = j.at("count_max_decisions").as_uint();
     r.enumerate_survivors = j.at("enumerate_survivors").as_bool();

@@ -48,12 +48,12 @@ namespace mvf::audit {
 
 /// The semantic subset of OracleAttackParams a verifier needs to recompute
 /// the survivor count (both counting backends are deterministic, so
-/// carrying these pins the count exactly).  Performance-only knobs
-/// (solver config, shared_miter) are deliberately absent, and so
-/// is the warm-up split: under replay ALL transcript entries are constrained
-/// as scripted warm-up, which yields the same constraint set -- and hence
-/// the same survivors and status -- as the live run regardless of how the
-/// live attack classified each query.
+/// carrying these pins the count exactly).  The attack has one encoding
+/// and one solver pipeline, so nothing else selects how it counts.  The
+/// warm-up split is deliberately absent: under replay ALL transcript
+/// entries are constrained as scripted warm-up, which yields the same
+/// constraint set -- and hence the same survivors and status -- as the
+/// live run regardless of how the live attack classified each query.
 struct ReplayParams {
     attack::CountMode count_mode = attack::CountMode::kExact;
     std::uint64_t max_survivors = 1u << 20;

@@ -307,26 +307,11 @@ std::vector<ScenarioKey> build_table() {
         field(FIELD(oracle.count_max_decisions)),
         "exact-counter branches (default 100000; 0 = off)");
     row("max_survivors", attack("attack.oracle.max_survivors"), "N",
-        field(FIELD(oracle.max_survivors)),
+        field(FIELD(oracle.max_survivors), at_least(std::uint64_t{1})),
         "cap the count (implies count_mode enumerate)");
     row("enum_survivors enumerate", attack("attack.oracle.enumerate_survivors"),
         "", field(FIELD(oracle.enumerate_survivors)),
         "count surviving configurations (default on)");
-    row("preprocess", attack("attack.oracle.solver.preprocess"), "",
-        field(FIELD(oracle.solver.preprocess)),
-        "SAT preprocessing and inprocessing (default on)");
-    row("shared_miter", attack("attack.oracle.shared_miter"), "",
-        field(FIELD(oracle.shared_miter)),
-        "one-copy CEGAR miter; off = legacy two-copy encoding");
-    row("canonical_inputs", attack("attack.oracle.canonical_inputs"), "",
-        field(FIELD(oracle.canonical_inputs)),
-        "lex-min distinguishing inputs (slow at 16+ PIs)");
-    row("elim_occ", attack("attack.oracle.solver.elim_occ_limit"), "N",
-        field(FIELD(oracle.solver.elim_occ_limit)),
-        "BVE occurrence bound (default 32)");
-    row("elim_growth", attack("attack.oracle.solver.elim_growth"), "N",
-        field(FIELD(oracle.solver.elim_growth)),
-        "BVE clause-growth bound (default 8)");
 
     // Oracle threat model.
     row("query_budget", attack("attack.oracle_model.query_budget"), "N",
@@ -388,12 +373,6 @@ std::vector<ScenarioKey> build_table() {
         FIELD(camo.subtree.max_candidates));
     api(attack("attack.oracle.max_iterations"), FIELD(oracle.max_iterations));
     api(attack("attack.oracle.warmup_seed"), FIELD(oracle.warmup_seed));
-    api(attack("attack.oracle.solver.elim_resolvent_limit"),
-        FIELD(oracle.solver.elim_resolvent_limit));
-    api(attack("attack.oracle.solver.max_rounds"),
-        FIELD(oracle.solver.max_rounds));
-    api(attack("attack.oracle.solver.inprocess_growth"),
-        FIELD(oracle.solver.inprocess_growth));
     api(attack("attack.oracle_model.noise_seed"),
         FIELD(oracle_model.noise_seed));
     return t;

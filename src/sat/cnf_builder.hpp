@@ -65,8 +65,8 @@ public:
     /// inputs fold to the constant without allocating anything.  Both
     /// builders must target the same netlist and solver.  `a`'s copy is
     /// stamped first with variable allocation identical to add_copy(), so
-    /// with nothing shareable the encoding degenerates to exactly the
-    /// legacy two-copy form.
+    /// with nothing shareable the encoding is exactly two add_copy()
+    /// stamps.
     struct SharedCopy {
         Copy a, b;
         int shared_cells = 0;  ///< cells encoded once instead of twice

@@ -35,12 +35,9 @@
 
 namespace mvf::sat {
 
-/// Solver-level knobs threaded from the attacks, the flow, and the mvf CLI
-/// down to the SAT layer (see attack::OracleAttackParams::solver).
+/// Bounded-variable-elimination budgets of one Preprocessor.  The attacks
+/// run the defaults; the SAT fuzz and golden tests vary them.
 struct SolverConfig {
-    /// Master switch: run the preprocessor before (and, for the CEGAR
-    /// attack, periodically during) search.
-    bool preprocess = true;
     /// BVE considers only variables with at most this many occurrences in
     /// each polarity.  (Defaults tuned on bench_oracle_attack --quick.)
     int elim_occ_limit = 32;
@@ -51,12 +48,6 @@ struct SolverConfig {
     int elim_resolvent_limit = 24;
     /// Alternating subsumption/elimination rounds per run().
     int max_rounds = 4;
-    /// Inprocessing trigger for the CEGAR loop: re-run the light
-    /// satisfied-clause sweep whenever the clause database has grown by
-    /// this factor since the last run.  <= 1 disables inprocessing.
-    double inprocess_growth = 1.7;
-
-    bool operator==(const SolverConfig&) const = default;
 };
 
 /// Per-run() counters (cumulative totals also land in Solver::Stats).

@@ -299,6 +299,27 @@ TEST(AttackProof, ArchivedApproxFieldsStillVerifyAndApproxModeIsRefused) {
     }
 }
 
+TEST(AttackProof, ZeroSurvivorCapIsRefused) {
+    // A zero cap clamped the replayed count to 0, so a proof of "no
+    // survivor" verified although configurations survive.  The cap is
+    // refused by name before any replay.
+    const flow::FlowResult& r = proven_flow_result();
+    ASSERT_TRUE(r.attack_proof.has_value());
+    report::Json doc = report::Json::parse_strict(r.attack_proof->dump());
+    report::Json params = doc.at("params");
+    params.set("count_mode", "enumerate");
+    params.set("max_survivors", std::uint64_t{0});
+    doc.set("params", std::move(params));
+    try {
+        AttackProof::from_json(doc);
+        ADD_FAILURE() << "a proof with a zero survivor cap parsed";
+    } catch (const report::JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find("max_survivors"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(AttackProof, RandomWarmupProofStaysVerifiable) {
     // A warm-up block puts random patterns ahead of the distinguishing
     // inputs; the replay layer classifies ALL transcript entries as

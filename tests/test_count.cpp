@@ -26,6 +26,7 @@
 #include "attack/adversary.hpp"
 #include "attack/oracle_attack.hpp"
 #include "attack/random_camo.hpp"
+#include "camo_brute_force.hpp"
 #include "count/cnf.hpp"
 #include "count/count128.hpp"
 #include "count/projected_counter.hpp"
@@ -42,6 +43,7 @@ using attack::SimOracle;
 using camo::CamoLibrary;
 using camo::CamoNetlist;
 using logic::TruthTable;
+using testing_support::brute_force_count;
 
 // ---------------------------------------------------------------- Count128
 
@@ -311,37 +313,6 @@ CamoLibrary standard_camo_library() {
     return CamoLibrary::from_gate_library(tech::GateLibrary::standard());
 }
 
-/// Exhaustively counts configurations matching `targets` over the full
-/// input space; nullopt when the configuration space exceeds max_configs.
-std::optional<std::uint64_t> brute_force_count(
-    const CamoNetlist& nl, const std::vector<TruthTable>& targets,
-    std::uint64_t max_configs) {
-    std::vector<int> cells;
-    std::uint64_t space = 1;
-    for (int id = 0; id < nl.num_nodes(); ++id) {
-        const CamoNetlist::Node& n = nl.node(id);
-        if (n.kind != CamoNetlist::NodeKind::kCell) continue;
-        cells.push_back(id);
-        space *= nl.library().cell(n.camo_cell_id).plausible.size();
-        if (space > max_configs) return std::nullopt;
-    }
-    std::vector<int> config(static_cast<std::size_t>(nl.num_nodes()), -1);
-    for (const int id : cells) config[static_cast<std::size_t>(id)] = 0;
-    std::uint64_t count = 0;
-    while (true) {
-        if (sim::simulate_camo_full(nl, config) == targets) ++count;
-        std::size_t i = 0;
-        for (; i < cells.size(); ++i) {
-            const int id = cells[i];
-            const int limit = static_cast<int>(
-                nl.library().cell(nl.node(id).camo_cell_id).plausible.size());
-            if (++config[static_cast<std::size_t>(id)] < limit) break;
-            config[static_cast<std::size_t>(id)] = 0;
-        }
-        if (i == cells.size()) return count;
-    }
-}
-
 /// 2 PIs, one live camouflaged NAND2 driving the PO, and `dead` additional
 /// camouflaged cells outside the PO cone.  The survivor count is
 /// (#plausible)^dead x (live survivors): astronomically beyond any
@@ -392,17 +363,18 @@ TEST(CountDifferential, ExactMatchesBruteForceAndEnumeration) {
                 }
                 const std::vector<int> hidden = nl.configuration_for_code(0);
                 const auto oracle_fn = sim::simulate_camo_full(nl, hidden);
-                const auto brute = brute_force_count(nl, oracle_fn, 60000);
+                const auto brute =
+                    brute_force_count(nl, oracle_fn, fixed, 60000);
                 if (!brute) continue;
                 ++cases;
                 const std::string tag = "pis=" + std::to_string(pis) +
                                         " seed=" + std::to_string(seed) +
                                         " density=" + std::to_string(density);
 
-                // Brute force counts matching configurations over ALL
-                // cells; with fixed_nominal the attacker's space is the
-                // restriction to nominal choices on fixed cells, so brute
-                // force only anchors the density=0 runs.
+                // Brute force counts over the attacker's space: fixed cells
+                // pinned to their nominal choice, the others free.  The
+                // fixed cells are also the ones the attack's miter and
+                // constraint stamps share between its two families.
                 OracleAttackParams base;
                 base.fixed_nominal = density > 0.0 ? &fixed : nullptr;
 
@@ -428,9 +400,7 @@ TEST(CountDifferential, ExactMatchesBruteForceAndEnumeration) {
                 EXPECT_EQ(rx.surviving_configs, re.surviving_configs) << tag;
                 EXPECT_EQ(rx.survivors.to_string(), re.survivors.to_string())
                     << tag;
-                if (density == 0.0) {
-                    EXPECT_EQ(rx.surviving_configs, *brute) << tag;
-                }
+                EXPECT_EQ(rx.surviving_configs, *brute) << tag;
                 // Witnesses implement the oracle function.
                 ASSERT_FALSE(rx.witness_config.empty()) << tag;
                 EXPECT_EQ(sim::simulate_camo_full(nl, rx.witness_config),
@@ -601,6 +571,38 @@ TEST(CountDifferential, SkippedCountingEmitsNoCountBlock) {
     const attack::AdversaryReport parsed =
         attack::AdversaryReport::from_json(report::Json::parse(j.dump()));
     EXPECT_TRUE(parsed == report);
+}
+
+TEST(CountDifferential, ZeroSurvivorCapIsRefused) {
+    // A zero cap used to clamp the enumerated total to 0, which then read
+    // as "no survivor".  The smallest cap is 1: "at least one survives".
+    const CamoLibrary lib = standard_camo_library();
+    util::Rng rng(5);
+    const CamoNetlist nl = attack::random_camo_netlist(lib, 4, 1, 6, rng);
+    SimOracle oracle(nl, nl.configuration_for_code(0));
+    std::vector<std::vector<bool>> inputs, answers;
+    for (unsigned bits = 0; bits < 16u; ++bits) {
+        std::vector<bool> in(4);
+        for (std::size_t i = 0; i < in.size(); ++i) in[i] = (bits >> i) & 1u;
+        answers.push_back(oracle.query(in));
+        inputs.push_back(std::move(in));
+    }
+    OracleAttackParams params;
+    params.max_survivors = 0;
+    for (const CountMode mode : {CountMode::kEnumerate, CountMode::kExact}) {
+        params.count_mode = mode;
+        OracleAttackResult r;
+        EXPECT_THROW(attack::count_consistent_configs(nl, inputs, answers,
+                                                      params, &r),
+                     std::invalid_argument);
+    }
+
+    params.count_mode = CountMode::kEnumerate;
+    params.max_survivors = 1;
+    OracleAttackResult r;
+    attack::count_consistent_configs(nl, inputs, answers, params, &r);
+    EXPECT_EQ(r.status, OracleAttackResult::Status::kSurvivorLimit);
+    EXPECT_EQ(r.surviving_configs, 1u);
 }
 
 // ---------------------------------------------------------- golden search

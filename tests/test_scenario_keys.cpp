@@ -78,231 +78,200 @@ struct Golden {
 // on each chain the row applies to.  The spec_hash and attack-stage
 // columns were re-recorded when the portfolio, neighborhood_queries and
 // run_oracle_attack leaves left the canonical form, again when the
-// epsilon, delta and count_seed leaves did, and again when attack_threads
-// and cube_vars did; no pre-attack column changed.
+// epsilon, delta and count_seed leaves did, again when attack_threads and
+// cube_vars did, and again when shared_miter, canonical_inputs and the six
+// attack.oracle.solver leaves did; no pre-attack column changed.
 const Golden kGolden[] = {
     {"name=audit-present2 funcs=present:2 seed=3 population=8 generations=3 attack=cegar max_survivors=64 random_warmup=8 emit_proof=audit-proof.json", "",
-     "1f35742158ef37fb - - - - -"},
+     "5f706bdd126871e5 - - - - -"},
     {"name=c17-bench circuit=@ seed=1 camo_density=0.4 attack=cegar,random-sampling", "",
-     "06048ad054e0d0c5 beaef8af1a320615 da71bc9be3542304 a792bab5013776cb"},
+     "e7d0147be980d121 beaef8af1a320615 da71bc9be3542304 e309b02e506b1dff"},
     {"name=c17-blif circuit=@ seed=1 camo_density=0.4 attack=cegar", "",
-     "bd12ffd5e97e7ece beaef8af1a320615 da71bc9be3542304 a0b1c93c37c158ce"},
+     "d5f510f7ce69e0f6 beaef8af1a320615 da71bc9be3542304 5678bb8f34da0506"},
     {"name=rca4 circuit=@ seed=2 camo_cells=3 camo_policy=fanout attack=cegar max_survivors=256", "",
-     "034489c79af0e463 beaef8af1a320615 810981beddf307c1 9e223cdf2298a4fc"},
+     "12959bad0c42ae91 beaef8af1a320615 810981beddf307c1 6e0e9869f23ebcb2"},
     {"name=maj3 circuit=@ seed=3 camo_density=1.0 camo_seed=7 camo_policy=depth attack=cegar count_mode=exact", "",
-     "37de612f56ad4b32 beaef8af1a320615 23cf1f67af4e344c 39cb5239ac76b3a0"},
+     "d043b0877a8e4b9a beaef8af1a320615 23cf1f67af4e344c 986669e5a8c43198"},
     {"name=smoke-present2 funcs=present:2 seed=1 population=8 generations=3 attack=cegar,plausibility max_survivors=64 oracle_cache=1 random_warmup=8", "",
-     "e637aef21ba0aedd deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 b352dea5eb56cd11"},
+     "0ed2684c1239fb2f deafce9886ee5f6f 4204d2331224b30a 2643672ffb54a628 2643672ffb54a628 164c77daf3b73807"},
     {"name=smoke-des2 funcs=des:2 seed=2 population=6 generations=2 attack=plausibility", "",
-     "91f0f87955309ca7 b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 12b8fd8f290e28c6"},
+     "f9a0a5096850b28b b60f279006147377 3c9b1c0375447754 a09fd09d5d3b0f8e a09fd09d5d3b0f8e 0f823b0d7a564dc2"},
     {"funcs=present:2 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "b2117ec0594b9242 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
+     "0c39cbf705fef91c 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 62d8699c0624043e"},
     {"funcs=present:2 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "0417ee51b20e8bd1 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
+     "d5f326b74fe8044f 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 62d8699c0624043e"},
     {"funcs=present:2 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "d5dfe6ea18bc87c8 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 e37d29b1748d9018"},
+     "9fb9e4a001cacaa6 8dee510af0fba035 246ef7a18f4557a4 cadafcf60add21e6 cadafcf60add21e6 62d8699c0624043e"},
     {"funcs=present:4 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "67052a0c56c76e20 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
+     "9747aaf2dfddde56 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 af48938db84df804"},
     {"funcs=present:4 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "f5f538eaace32d63 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
+     "2367f4b454d99e95 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 af48938db84df804"},
     {"funcs=present:4 seed=3 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "320fd1f26982ddda 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 747a13602465e0ca"},
+     "4abe617c25e48b0c 93a4f59fd811cd37 cb3cb4ebb12055e6 240d3fabe90223a4 240d3fabe90223a4 af48938db84df804"},
     {"funcs=present:8 seed=1 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "60b2d70686d9843c 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 d9563f3b6823cf5e"},
+     "475aca827e313fa2 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 7e493c07205f1978"},
     {"funcs=present:8 seed=2 population=6 generations=3 attack=cegar max_survivors=128", "",
-     "e37c6af2d09799ef 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 d9563f3b6823cf5e"},
+     "567a9e81c5d294b1 8fb074bae39ee42b 7e5001e6cf88d402 d5bb574c8a1271c8 d5bb574c8a1271c8 7e493c07205f1978"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility", "",
-     "2e5e0fc3ae81d12d c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 c70c711e30df110d"},
+     "0f7b721ac2068d69 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 5db19aafe78020a9"},
     {"name=p2s5 funcs=present:2 seed=5 population=6 generations=2 attack=plausibility query_budget=1000", "",
-     "a79da6203cb5e850 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 52a490fa5cadbb4e"},
+     "ff23ebaf4fcaf1d4 c42f7c71b796591a 070654412f85d747 0641fce2f1d139d1 0641fce2f1d139d1 10e60b6862417f32"},
     {"funcs=present:2", "",
-     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
+     "3054b492213591f2 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 400336adb82337c8"},
     {"funcs=present:2 funcs=des:3", "",
-     "909bb29fe1f9c6f4 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 39692c69be1a5e26"},
+     "2de65a6b5a869ddc 223649524aee5b52 c47e925975f90be1 3a1793c1870cd4df 3a1793c1870cd4df 1a735a154950037e"},
     {"funcs=present:2 population=9", "",
-     "fdad31923698acc3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3fe029fa5bf37533"},
+     "19f3287a5ac1d38b fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3e834e1c5cfacccb"},
     {"funcs=present:2 pop=9", "",
-     "fdad31923698acc3 fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3fe029fa5bf37533"},
+     "19f3287a5ac1d38b fa183f204c72fd8d 807f1ec6a442d602 81ed78212bc75b3c 81ed78212bc75b3c 3e834e1c5cfacccb"},
     {"funcs=present:2 generations=5", "",
-     "078617ee702ef8fd 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 4531021573b80f31"},
+     "6ae0e5a5bd0f7245 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 26806317ba2f6769"},
     {"funcs=present:2 gens=5", "",
-     "078617ee702ef8fd 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 4531021573b80f31"},
+     "6ae0e5a5bd0f7245 51724ada9c0ccdef 1aad73ff7eb2f7c4 6b916dd720ce85ba 6b916dd720ce85ba 26806317ba2f6769"},
     {"funcs=present:2 baseline=0", "",
-     "2e73ef77f5ce7c23 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e b69c0a42c3d67593"},
+     "b5bca7dec416d49b 23384929cc75121f f0a22a3af75561d0 a46e8c80ec3fa47e a46e8c80ec3fa47e 812451c9b5dcab9b"},
     {"funcs=present:2 final_best=0", "",
-     "f6a66d594e1305c7 c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 55e39a1f118ab6cf"},
+     "b4435a91e06580df c1a76688cfc4e2a6 cd93f1a7d771a0aa 687c26309a62e2a8 687c26309a62e2a8 03a679e1db245db7"},
     {"funcs=present:2 verify=0", "",
-     "d4b3d1eabb0b44a9 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 9535c0551007a1f7"},
+     "f4858fb2909c9d41 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e3b849094648503f"},
     {"funcs=present:2 name=golden", "",
-     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
+     "3054b492213591f2 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 400336adb82337c8"},
     {"funcs=present:2 seed=42", "",
-     "ff605edf571c3eef c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
+     "dba7004deb4129d7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 400336adb82337c8"},
     {"funcs=present:2 camo=0", "",
-     "8d5cd81ee3a6173f c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6e08509b25664d17"},
+     "730a5b8d598dd697 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b8b451924e7b8a9f"},
     {"funcs=present:2 attack=cegar", "",
-     "64eebdddf527beba c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 144030feeab70040"},
+     "28288038d97ef052 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 781032a9a4b16628"},
     {"funcs=present:2 attack=none", "",
-     "24ec6db464e6ba1a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 680333c967a28b20"},
+     "3054b492213591f2 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 400336adb82337c8"},
     {"funcs=present:2 count_mode=enumerate", "",
-     "e0a9126de05234b7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 7e4fe8d61bdb2d3f"},
+     "c66e26e9baca116d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 901b2cad941f5221"},
     {"funcs=present:2 count_cache_mb=16", "",
-     "2dc4138b78697ac1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6e5a68c69a6bcbfd"},
+     "2cc134972195e707 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 89cc5c7c973d908f"},
     {"funcs=present:2 count_max_decisions=5000", "",
-     "f99190fbfecf0e7e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 8f4ff6db759264bc"},
+     "43de1af5740c4ebe c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 db2ca58d2abed17c"},
     {"funcs=present:2 max_survivors=99", "",
-     "9b158f25998b9876 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 18b2d169013865a4"},
+     "0b50ea1f2dc93164 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b6f4b44ed0bd3456"},
     {"funcs=present:2 enum_survivors=0", "",
-     "4b40b635c8671ff1 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1337593d42568ced"},
-    {"funcs=present:2 preprocess=0", "",
-     "a5e57d143e55f7eb c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 4010e5aa549d9fab"},
-    {"funcs=present:2 shared_miter=0", "",
-     "b9e0d5b12e4418ed c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 f89627cb7f7c1ca1"},
-    {"funcs=present:2 canonical_inputs=1", "",
-     "ee5dd75910703d81 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 064debd27e016f3d"},
+     "c001681a6c566f09 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3cef1e4d642f17f5"},
     {"funcs=present:2 query_budget=64", "",
-     "3cd854513eb38e74 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 67ee9aedf23068a6"},
+     "198cc441d99717bc c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 507fa8663cd05dde"},
     {"funcs=present:2 oracle_noise=0.05", "",
-     "bf7ae6a9f530b6ec c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 25e3417a31d1adce"},
+     "92705fbfa94ddd04 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 b495f0f18b83d576"},
     {"funcs=present:2 oracle_cache=1", "",
-     "c5c6733b80188dd7 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 e4b2e1ee3203c05f"},
+     "c1f75c5ba5f269cf c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 bc6f4709742e4727"},
     {"funcs=present:2 save_transcript=t.json", "",
-     "24ec6db464e6ba1a - - - - -"},
+     "3054b492213591f2 - - - - -"},
     {"funcs=present:2 replay_transcript=t.json", "",
-     "07d9bb8bef7092da - - - - -"},
+     "9f3eaec1731a0d92 - - - - -"},
     {"funcs=present:2 attack=cegar emit_proof=p.json", "",
-     "64eebdddf527beba - - - - -"},
+     "28288038d97ef052 - - - - -"},
     {"funcs=present:2 random_warmup=32", "",
-     "61b3323f7f467629 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a4b9bcb2e59d515"},
+     "791db13eecda0995 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 a7e60dcb387052b9"},
     {"funcs=present:2 random_queries=64", "",
-     "c924d3e9e996b725 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 375cae548b1cb049"},
+     "ae195c03f51e643d c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 92637973acf166f1"},
     {"funcs=present:2 metrics=1", "",
-     "dd169df2a45c5d57 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 cb130eb863c8a2df"},
-    {"funcs=present:2", "elim_occ=16",
-     "5896dcd08ac27e70 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 faa175e85572d41a"},
-    {"funcs=present:2", "elim_growth=4",
-     "2ab0bdca69b5eb5e c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0684dec1c10e9a1c"},
+     "16f6bd455d95a84b c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 605be5b936549f0b"},
     {"funcs=present:2", "map.cut_max_leaves=3",
-     "9375bfe8d7113771 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c 0c19a53be005076d"},
+     "aa7450cdb322e6c9 0e2152094d2da3bb ace02dedbdcb86f2 14cfd82b3db3343c 14cfd82b3db3343c d02dc24027888d35"},
     {"funcs=present:2", "map.cut_max_cuts_per_node=6",
-     "6a9f9f289d09896c 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 1e264b059419e14e"},
+     "2e7d213a2af33054 6ff15dd0fea23b40 d3e08f3b66671d79 945cf8f3c48fef73 945cf8f3c48fef73 d816beb429a2ae86"},
     {"funcs=present:2", "map.cut_include_trivial=0",
-     "deb333127c64c077 ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c 949653879ac78d7f"},
+     "ede99903057d3aaf ff0e4e499b72b809 6e610a4f71feb49e 16365ea71630421c 16365ea71630421c f3733988c42cea87"},
     {"funcs=present:2", "map.recovery_iterations=2",
-     "7b4541a156cc4429 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc 94588e32f22e8f15"},
+     "75906fec95f39ac1 99a18b4b467928e3 20b7f8b213e680f2 3fd35b1081822fcc 3fd35b1081822fcc a9bc8bb4887d2bfd"},
     {"funcs=present:2", "attack.oracle.max_iterations=7",
-     "365c79a9c857d571 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 6ec641cfe26fb16d"},
+     "814cb762251e1cab c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 a33e0dfff37a66eb"},
     {"funcs=present:2", "attack.oracle.warmup_seed=9",
-     "7f4f99ddd3b56cb2 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 a64d6f92939edf08"},
-    {"funcs=present:2", "attack.oracle.solver.elim_resolvent_limit=12",
-     "fcea36c7d4294415 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 1a54087367d57e39"},
-    {"funcs=present:2", "attack.oracle.solver.max_rounds=2",
-     "e60db7655d37f974 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 5ea30238b993b1a6"},
-    {"funcs=present:2", "attack.oracle.solver.inprocess_growth=1.5",
-     "ae2ae388c05ff254 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 992a082d61a32486"},
+     "1e58e8bbb34f6f5a c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 cd3513ec8509dae0"},
     {"funcs=present:2", "attack.oracle_model.noise_seed=3",
-     "93df14e7659fb77c c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 0a7cee61ca26841e"},
+     "f6b7059f103a1274 c1a76688cfc4e2a6 592dfe538565796f 946aec4b45047505 946aec4b45047505 3e98113cea7054a6"},
     {"funcs=present:2", "ga.crossover_prob=0.5",
-     "0b25b89b4dff2448 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 4b101c1a4a33ff42"},
+     "cd8d74e690e12d50 f7f1ecd51d868ce4 d20374e5b7c9fbd9 d5f0ecd6f48f4b33 d5f0ecd6f48f4b33 0dc660c0bab4107a"},
     {"funcs=present:2", "ga.mutation_prob=0.5",
-     "3f91a9c9bf682f78 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 3087aa47b35fd172"},
+     "7c02f2775eada620 db930b5241de7194 e307260aca2b1c2f 13c3414fdbfec1bd 13c3414fdbfec1bd 2af9f884188dc8ca"},
     {"funcs=present:2", "ga.tournament_size=4",
-     "9ef3e1ad0fb13fb9 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 958c1bbbfcea1ce5"},
+     "f748099e05e3e131 2accbfb454778d73 59534aa9d8af02aa 24ef2b553d052064 24ef2b553d052064 61bbdcab443018ad"},
     {"funcs=present:2", "ga.elite=3",
-     "fec9c5af53392c7b 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 652f0d08ae3cccfb"},
+     "d6d6abead91ce3f3 9a14cdd90d400e85 5f43a754671b58d0 bbfd84fb07894926 bbfd84fb07894926 52ba07082b759ba3"},
     {"funcs=present:2", "fitness_effort=high",
-     "443c1fe37dc890e0 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f 69d7ae7ec57be60a"},
+     "309256a0d60a31a8 48dd95609444bb2c 7f9d8d4b29323ccd 2e43ef6c3a9c9f6f 2e43ef6c3a9c9f6f 3b4ad52f790cb5a2"},
     {"funcs=present:2", "fitness_build=shared-extract",
-     "1d1ff1063296098f a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba b5d9ffb4611ad267"},
+     "d9b6b986693590e7 a5031b00f2a40351 18345a6d22d2ddb4 a122d4e26925afba a122d4e26925afba 650d785e120523ef"},
     {"funcs=present:2", "random_count=10",
-     "a941102a3de80779 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 b001578b229b8e25"},
+     "817fa903d56a0e61 217d183bd75f0063 35abc555ac289a12 2ee56db478c524d0 2ee56db478c524d0 997fe8ff8f5f199d"},
     {"funcs=present:2", "final_effort=high",
-     "13d3c8a4e2ef195f c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 67ec3a13f8a97337"},
+     "a30c29050954d207 c1a76688cfc4e2a6 bbdd4ee1016f800a 1409b454ce7641c4 1409b454ce7641c4 6e55c271a1cc598f"},
     {"funcs=present:2", "camo.subtree_max_depth=2",
-     "65646598319b5549 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 718d722e8e1634b5"},
+     "5d9f469250709f41 c1a76688cfc4e2a6 592dfe538565796f 6827c858e4f5ffb8 6827c858e4f5ffb8 d328d8b6015ea57d"},
     {"funcs=present:2", "camo.subtree_max_signal_leaves=3",
-     "0d96ae34236fb123 c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 53a9f808a2eb0c93"},
+     "cf8d484d03039cbb c1a76688cfc4e2a6 592dfe538565796f be1e1e87962f7dee be1e1e87962f7dee 0efd9b6f85ed9fbb"},
     {"funcs=present:2", "camo.subtree_max_candidates=64",
-     "8b7b70b63f21cfb1 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 559a33aa5392402d"},
+     "8aed010c3a973de9 c1a76688cfc4e2a6 592dfe538565796f 2e9705a7174ebba2 2e9705a7174ebba2 16698055f7869355"},
     {"circuit=@", "",
-     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
+     "9ef7b320a55d280c beaef8af1a320615 30097c906b6f0f6e e12a4fa42735f968"},
     {"circuit=@ camo_density=0.25", "",
-     "130a4616d6dc5e03 beaef8af1a320615 2ff71a24ec85c991 b7cfbc3a0e6f507d"},
+     "7a893ef5f1f10c3b beaef8af1a320615 2ff71a24ec85c991 dd0e0ffaf1ec93e5"},
     {"circuit=@ camo_cells=3", "",
-     "cdadca634f84cc45 beaef8af1a320615 14941faf811f574d 985131d466d0fd4b"},
+     "3a05aa3d8b912a8d beaef8af1a320615 14941faf811f574d 432b741fce6a1ee3"},
     {"circuit=@ camo_seed=11", "",
-     "5fa4554cd9d82f2a beaef8af1a320615 35422219e63965a6 d9442ea731fceb22"},
+     "9b274a701478b9c2 beaef8af1a320615 35422219e63965a6 88d0fed102701c2a"},
     {"circuit=@ camo_policy=fanout", "",
-     "a9da74cbf1d35cc8 beaef8af1a320615 a082e2a17c07761e 57db6a84ce2dd85c"},
+     "7d54f845bff45dc0 beaef8af1a320615 a082e2a17c07761e a9d6774d79b9f244"},
     {"circuit=/nonexistent/mvf-golden/d.blif", "",
-     "446e9352ce8075ae 5a6cc440f7775383 c5ad362cb6348476 11dfddc24486302e"},
+     "e586d089294ab446 5a6cc440f7775383 c5ad362cb6348476 f9b5413f0ec34bd6"},
     {"circuit=@ name=golden", "",
-     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
+     "9ef7b320a55d280c beaef8af1a320615 30097c906b6f0f6e e12a4fa42735f968"},
     {"circuit=@ seed=42", "",
-     "6a5eefbcd6ba232f beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
+     "96144c790c0c1987 beaef8af1a320615 30097c906b6f0f6e e12a4fa42735f968"},
     {"circuit=@ camo=0", "",
-     "43ae6c55176e9b37 beaef8af1a320615 30097c906b6f0f6e a423fef9add5e229"},
+     "76369ffe97e36b7f beaef8af1a320615 30097c906b6f0f6e 53f988cfa8189081"},
     {"circuit=@ attack=cegar", "",
-     "8b24d1d71521bec4 beaef8af1a320615 30097c906b6f0f6e ac7f69f5a9cd7010"},
+     "035320e6adad516c beaef8af1a320615 30097c906b6f0f6e 992eea37c556ec48"},
     {"circuit=@ attack=none", "",
-     "67260d99720a7924 beaef8af1a320615 30097c906b6f0f6e c21161166fb15070"},
+     "9ef7b320a55d280c beaef8af1a320615 30097c906b6f0f6e e12a4fa42735f968"},
     {"circuit=@ count_mode=enumerate", "",
-     "35dd6e0ff9ddb121 beaef8af1a320615 30097c906b6f0f6e e1bb2c8c95b6bdff"},
+     "15fca55e94f98743 beaef8af1a320615 30097c906b6f0f6e 12f0be26e65e643d"},
     {"circuit=@ count_cache_mb=16", "",
-     "09e53a6f403a2e9f beaef8af1a320615 30097c906b6f0f6e ebf3cf15bc4a23a1"},
+     "314686687a2a1cf1 beaef8af1a320615 30097c906b6f0f6e 77943a99186efccf"},
     {"circuit=@ count_max_decisions=5000", "",
-     "fa5fcf94e0f8a060 beaef8af1a320615 30097c906b6f0f6e e527b7b72a9f1564"},
+     "8f36aebbc0de48a0 beaef8af1a320615 30097c906b6f0f6e 7f4590610cb5ad24"},
     {"circuit=@ max_survivors=99", "",
-     "c7e1cddb60f39468 beaef8af1a320615 30097c906b6f0f6e e0396834ed146a7c"},
+     "a471bacd90daaf22 beaef8af1a320615 30097c906b6f0f6e c43ac4da404c180a"},
     {"circuit=@ enum_survivors=0", "",
-     "ad25a8389ceaf80f beaef8af1a320615 30097c906b6f0f6e 2f1b90336827af91"},
-    {"circuit=@ preprocess=0", "",
-     "4898e4535488c5dd beaef8af1a320615 30097c906b6f0f6e f52f88fc2a4b5d33"},
-    {"circuit=@ shared_miter=0", "",
-     "6efcbd6591fe96c3 beaef8af1a320615 30097c906b6f0f6e 01ff6913898506bd"},
-    {"circuit=@ canonical_inputs=1", "",
-     "dbf76cdf69f4025f beaef8af1a320615 30097c906b6f0f6e d141e09273f70be1"},
+     "8675ab576c933bb7 beaef8af1a320615 30097c906b6f0f6e 90431f7cf7d4cfa9"},
     {"circuit=@ query_budget=64", "",
-     "ca82c021bfd50732 beaef8af1a320615 30097c906b6f0f6e 41c448ce4d64491a"},
+     "8b4253cc548e5caa beaef8af1a320615 30097c906b6f0f6e a880963e70c9b7a2"},
     {"circuit=@ oracle_noise=0.05", "",
-     "fbdfbcf96fa0ff1a beaef8af1a320615 30097c906b6f0f6e 58aca24835edb212"},
+     "08eb5842958751c2 beaef8af1a320615 30097c906b6f0f6e 8bad642cd75a242a"},
     {"circuit=@ oracle_cache=1", "",
-     "ad7fa92a9fca8941 beaef8af1a320615 30097c906b6f0f6e 971843db7355781f"},
+     "5187af4e31797ba9 beaef8af1a320615 30097c906b6f0f6e b23a49e8b9a31b57"},
     {"circuit=@ save_transcript=t.json", "",
-     "67260d99720a7924 - - -"},
+     "9ef7b320a55d280c - - -"},
     {"circuit=@ replay_transcript=t.json", "",
-     "c069b8e5cdc60ae4 - - -"},
+     "30d0ec2f86f1c9ac - - -"},
     {"circuit=@ attack=cegar emit_proof=p.json", "",
-     "8b24d1d71521bec4 - - -"},
+     "035320e6adad516c - - -"},
     {"circuit=@ random_warmup=32", "",
-     "1cb4464dfe12fd57 beaef8af1a320615 30097c906b6f0f6e 150ed95afe6395c9"},
+     "97511eb70c75e01b beaef8af1a320615 30097c906b6f0f6e ea71c8b5c2eb28c5"},
     {"circuit=@ random_queries=64", "",
-     "f600625743d19eeb beaef8af1a320615 30097c906b6f0f6e 9943eee249e247d5"},
+     "e299dda4dbdc54d3 beaef8af1a320615 30097c906b6f0f6e f6cf3c0ef497af0d"},
     {"circuit=@ metrics=1", "",
-     "b1617b151684e0c1 beaef8af1a320615 30097c906b6f0f6e 7abd04609bbab29f"},
-    {"circuit=@", "elim_occ=16",
-     "59ab923bc65b30d6 beaef8af1a320615 30097c906b6f0f6e 387499dd148061e6"},
-    {"circuit=@", "elim_growth=4",
-     "9448a0d515fd67c0 beaef8af1a320615 30097c906b6f0f6e 7ad95a4a0d560044"},
+     "8b0bc04e4b9c5abd beaef8af1a320615 30097c906b6f0f6e 8d6b25a0deff7e93"},
     {"circuit=@", "map.cut_max_leaves=3",
-     "67723b7e70d64631 633760290bbeb0c2 cd11d05741689bb9 614bda1edb655a8f"},
+     "9f852101e924a099 633760290bbeb0c2 cd11d05741689bb9 fd78475ad5b021c7"},
     {"circuit=@", "map.cut_max_cuts_per_node=6",
-     "15458e755744568e b0e9a304a12e9e63 2943805bebda153c a705ede6ade89c0e"},
+     "9c92dbfd8b3badc6 b0e9a304a12e9e63 2943805bebda153c bd62d3e5faf39c56"},
     {"circuit=@", "map.cut_include_trivial=0",
-     "d95bafa566cc99b1 fa11074bd6db8442 c8ee6d619178e33b f99364e5ba0e290f"},
+     "d85e93d2d620de39 fa11074bd6db8442 c8ee6d619178e33b e2e5f94850469d67"},
     {"circuit=@", "map.recovery_iterations=2",
-     "2e085e639234e6f9 f9e61e06996d771a 12e0c407eb437f69 e1e8de081c84a9a7"},
+     "d8266d2c58902ca1 f9e61e06996d771a 12e0c407eb437f69 b000656fe2d7c47f"},
     {"circuit=@", "attack.oracle.max_iterations=7",
-     "6be96dd6f1b9d58f beaef8af1a320615 30097c906b6f0f6e bf709522664f0c11"},
+     "98ecfa8ee448889d beaef8af1a320615 30097c906b6f0f6e fa51cff068684f73"},
     {"circuit=@", "attack.oracle.warmup_seed=9",
-     "0a26bab1312c79cc beaef8af1a320615 30097c906b6f0f6e 3f1065b0470844a8"},
-    {"circuit=@", "attack.oracle.solver.elim_resolvent_limit=12",
-     "b409c4b21757f29b beaef8af1a320615 30097c906b6f0f6e e8024d594c2d1c45"},
-    {"circuit=@", "attack.oracle.solver.max_rounds=2",
-     "4c618429e8e5c232 beaef8af1a320615 30097c906b6f0f6e 43b9f0a846d4021a"},
-    {"circuit=@", "attack.oracle.solver.inprocess_growth=1.5",
-     "5f1bbd1eda253712 beaef8af1a320615 30097c906b6f0f6e cdbacec24adf457a"},
+     "90965542514f9f64 beaef8af1a320615 30097c906b6f0f6e da02c52191e30530"},
     {"circuit=@", "attack.oracle_model.noise_seed=3",
-     "a92a21bbd9b2c86a beaef8af1a320615 30097c906b6f0f6e 71414d7cc1655de2"},
+     "b3d8937e80574b32 beaef8af1a320615 30097c906b6f0f6e 8974750d1931751a"},
 };
 
 TEST(ScenarioKeys, HashesMatchTheGoldenLiterals) {
@@ -359,11 +328,6 @@ const std::map<std::string, Sample> kSamples = {
     {"count_max_decisions", {"5000", ""}},
     {"max_survivors", {"99", ""}},
     {"enum_survivors", {"0", ""}},
-    {"preprocess", {"0", ""}},
-    {"shared_miter", {"0", ""}},
-    {"canonical_inputs", {"1", ""}},
-    {"elim_occ", {"16", ""}},
-    {"elim_growth", {"4", ""}},
     {"query_budget", {"64", ""}},
     {"oracle_noise", {"0.05", ""}},
     {"oracle_cache", {"1", ""}},
@@ -390,9 +354,6 @@ const std::map<std::string, Sample> kSamples = {
     {"camo.subtree_max_candidates", {"64", ""}},
     {"attack.oracle.max_iterations", {"7", ""}},
     {"attack.oracle.warmup_seed", {"9", ""}},
-    {"attack.oracle.solver.elim_resolvent_limit", {"12", ""}},
-    {"attack.oracle.solver.max_rounds", {"2", ""}},
-    {"attack.oracle.solver.inprocess_growth", {"1.5", ""}},
     {"attack.oracle_model.noise_seed", {"3", ""}},
 };
 
@@ -626,10 +587,33 @@ TEST(ScenarioKeys, BothFrontEndsRejectTheNegativeCorpus) {
         // (--attack-threads 4 and --cube-vars 3 on the command line).
         "funcs=present:2 attack_threads=4",
         "funcs=present:2 cube_vars=3",
+        // Removed encoding and solver settings: the attack has one
+        // pipeline.  (-1 once removed BVE's occurrence bound.)
+        "funcs=present:2 preprocess=0",
+        "funcs=present:2 shared_miter=0",
+        "funcs=present:2 canonical_inputs=1",
+        "funcs=present:2 elim_occ=16",
+        "funcs=present:2 elim_growth=4",
+        "funcs=present:2 elim_occ=-1",
+        "circuit=a.blif shared_miter=0",
+        // A zero survivor cap read as "no survivor".
+        "funcs=present:2 max_survivors=0",
+        "circuit=a.blif max_survivors=0",
     };
     for (const char* text : bad) {
         EXPECT_THROW(parse_scenario_spec(text), std::invalid_argument) << text;
         EXPECT_THROW(parse_argv(to_argv(text)), std::invalid_argument) << text;
+    }
+    // The removed settings' command-line spellings.
+    for (const std::vector<std::string>& argv :
+         std::vector<std::vector<std::string>>{{"--no-preprocess"},
+                                               {"--preprocess"},
+                                               {"--no-shared-miter"},
+                                               {"--canonical-inputs"},
+                                               {"--elim-occ", "4"},
+                                               {"--elim-growth", "4"}}) {
+        EXPECT_FALSE(is_scenario_flag(argv[0])) << argv[0];
+        EXPECT_THROW(parse_argv(argv), std::invalid_argument) << argv[0];
     }
     // A flag that needs a value and has none.
     EXPECT_THROW(parse_argv({"--seed"}), std::invalid_argument);
